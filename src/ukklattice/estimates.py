@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormOracle
-from .renorm import EXACT_THRESHOLD, renorm_exact, _fold_terms
+from .renorm import EXACT_THRESHOLD, _fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector
 
@@ -374,17 +374,26 @@ def estimate_lower_p_constant(
         offer([LatticeVector.unit(dim, i)], refine=False)
     offer(_greedy_unit_family(N, p))
 
+    # offering draws nothing from rng, so all candidates are drawn first
+    # and the renorm candidates share one batch call
+    draws = []
     for t in range(budget):
         if t % 2 == 0 and dim >= 2:
             m = int(rng.integers(1, min(dim, 8) + 1))
-            offer(random_disjoint_family(rng, dim, m))
+            draws.append(random_disjoint_family(rng, dim, m))
         else:
             size = int(rng.integers(1, min(dim, 8, EXACT_THRESHOLD) + 1))
-            x = random_vector(rng, dim, support_size=size)
-            res = renorm_exact(N, p, x)
-            fam = [LatticeVector(_restrict_row(x.coords, blk)) for blk in res.witness.blocks]
+            draws.append(random_vector(rng, dim, support_size=size))
+    batch = renorm_batch(N, p, [d for d in draws if isinstance(d, LatticeVector)])
+    row = 0
+    for d in draws:
+        if isinstance(d, LatticeVector):
+            fam = [LatticeVector(_restrict_row(d.coords, blk)) for blk in batch.witness(row).blocks]
+            row += 1
             if fam:
                 offer(fam)
+        else:
+            offer(d)
 
     assert best_family is not None
     return best_ratio, best_family

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormOracle
-from .renorm import EXACT_THRESHOLD, LocalSearchConfig, renorm
+from .renorm import EXACT_THRESHOLD, LocalSearchConfig, _rows, renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import DimensionMismatch, LatticeVector, truncate
 
@@ -92,13 +92,10 @@ def generate_bump_sequence(
             f"ambient dim {core.dim} too small: need {first_fresh + horizon} atoms "
             f"for the core plus {horizon} fresh bumps"
         )
-    out = []
-    for n in range(horizon):
-        x = core + LatticeVector.unit(core.dim, first_fresh + n, bump_height)
-        value = renorm(N, p, x).value
+    out = [core + LatticeVector.unit(core.dim, first_fresh + n, bump_height) for n in range(horizon)]
+    for n, value in enumerate(renorm_batch(N, p, out).values):
         if value > 1.0 + tol:
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
-        out.append(x)
     return out
 
 
@@ -125,15 +122,10 @@ def measure_separation(
     """
     if len(sequence) < 2:
         raise ValueError("separation needs at least two elements")
-    best = math.inf
-    advisory = False
-    for n in range(len(sequence)):
-        for m in range(n + 1, len(sequence)):
-            res = renorm(N, p, sequence[n] - sequence[m], threshold=threshold, config=config)
-            advisory = advisory or res.method == "heuristic"
-            if res.value < best:
-                best = res.value
-    return Separation(float(best), advisory)
+    X = _rows(N, sequence)
+    n, m = np.triu_indices(len(X), 1)
+    res = renorm_batch(N, p, X[n] - X[m], threshold=threshold, config=config)
+    return Separation(float(min(res.values)), "heuristic" in res.methods)
 
 
 def _settle_cutoff(length: int) -> int:
@@ -291,11 +283,11 @@ def run_ukk_trial(
         return invalid("need at least two elements")
 
     advisory = False
-    for n, x in enumerate(sequence):
-        res = renorm(N, p, x, threshold=threshold)
-        advisory = advisory or res.method == "heuristic"
-        if res.value > 1.0 + tol:
-            return invalid(f"element {n} outside the renorm unit ball ({res.value})", advisory)
+    elements = renorm_batch(N, p, sequence, threshold=threshold)
+    for n, (value, method) in enumerate(zip(elements.values, elements.methods)):
+        advisory = advisory or method == "heuristic"
+        if value > 1.0 + tol:
+            return invalid(f"element {n} outside the renorm unit ball ({value})", advisory)
 
     if not check_coordinatewise_convergence(sequence, declared_limit, conv_tol):
         return invalid("coordinatewise convergence to the declared limit not established at this horizon", advisory)
@@ -306,12 +298,9 @@ def run_ukk_trial(
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)", advisory)
 
-    dists = []
-    for x in sequence:
-        res = renorm(N, p, x - declared_limit, threshold=threshold)
-        advisory = advisory or res.method == "heuristic"
-        dists.append(res.value)
-    min_dist = float(min(dists))
+    dists = renorm_batch(N, p, _rows(N, sequence) - declared_limit.coords, threshold=threshold)
+    advisory = advisory or "heuristic" in dists.methods
+    min_dist = float(min(dists.values))
     liminf_ok = epsilon / 2.0 <= min_dist + tol
     if not liminf_ok:
         return invalid(
@@ -391,10 +380,9 @@ def _bump_trial(
 
     # scale the whole family into the unit ball, with headroom for rounding
     first_fresh = max(core.support()) + 1
-    worst = 0.0
-    for n in range(horizon):
-        x = core + LatticeVector.unit(dim, first_fresh + n, bump)
-        worst = max(worst, renorm(N, p, x).value)
+    family = np.tile(core.coords, (horizon, 1))
+    family[np.arange(horizon), first_fresh + np.arange(horizon)] = bump
+    worst = max(0.0, *renorm_batch(N, p, family).values)
     scale = (1.0 - 1e-12) / worst
     core = core * scale
     bump = bump * scale
@@ -412,13 +400,12 @@ def _fuzz_trial(
     limit = limit * (0.9 / r)
 
     decay = float(rng.uniform(0.4, 0.8))
-    seq = []
-    for n in range(horizon):
-        size = int(rng.integers(1, min(3, dim) + 1))
-        noise = random_vector(rng, dim, support_size=size)
-        nr = renorm(N, p, noise).value
-        noise = noise * (0.09 * decay**n / nr)
-        seq.append(limit + noise)
+    # renorm draws nothing from rng, so drawing all the noise first keeps the stream
+    noises = [random_vector(rng, dim, support_size=int(rng.integers(1, min(3, dim) + 1))) for _ in range(horizon)]
+    seq = [
+        limit + noise * (0.09 * decay**n / nr)
+        for n, (noise, nr) in enumerate(zip(noises, renorm_batch(N, p, noises).values))
+    ]
     return run_ukk_trial(N, p, seq, limit, seed=index, tol=tol)
 
 

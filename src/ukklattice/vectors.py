@@ -53,8 +53,7 @@ class LatticeVector:
             raise ValueError(f"expected a 1-d coordinate sequence, got shape {a.shape}")
         if a.size == 0:
             raise ValueError("a lattice vector needs at least one atom")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coordinates must be finite reals (no NaN, no infinities)")
+        require_finite(a)
         a = np.array(a, dtype=np.float64)  # owned copy
         a.flags.writeable = False
         self._a = a
@@ -129,6 +128,12 @@ class LatticeVector:
 
     def __repr__(self) -> str:
         return f"LatticeVector({self.to_list()})"
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise the package's one ValueError for NaN or infinite coordinates."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coordinates must be finite reals (no NaN, no infinities)")
 
 
 def _check_dims(x: LatticeVector, y: LatticeVector) -> None:

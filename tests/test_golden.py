@@ -1,0 +1,156 @@
+"""Byte-identity against reports recorded before the batched renorm engine.
+
+Each digest is the sha256 of the canonical JSON (sorted keys, compact
+separators) of one report, recorded with the per-mask subset DP that the
+layered batch engine replaced.  A change of tie-break, pow or fold order
+shows here even when two runs of the same code agree with each other.
+The pinned ``threshold=14`` results do the same for support sizes above
+the default exact threshold.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from ukklattice import (
+    BlockNorm,
+    LatticeVector,
+    LqNorm,
+    PosNegMaxNorm,
+    WeightedLqNorm,
+    estimate_lower_p_constant,
+    renorm_exact,
+    run_bump_campaign,
+)
+from ukklattice.cli import main as cli_main
+
+
+def _block(pairs: int) -> BlockNorm:
+    return BlockNorm([[2 * i, 2 * i + 1] for i in range(pairs)], [LqNorm(1, 2)] * pairs,
+                     LqNorm(float("inf"), pairs))
+
+
+SPACES = {"lq": lambda: LqNorm(2, 20), "block": lambda: _block(10)}
+
+
+def _digest(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+CAMPAIGN_DIGESTS = {
+    ("bump", "lq", 3):
+        "bb9ba5b799972c66b078f4c5d1afbdd0a4989a728bf7210388deaf2595e5e5f8",
+    ("bump", "lq", 17):
+        "f50f95123cd6e8092580e2d4e3500165007148c92fd241feaf68722e629395e0",
+    ("bump", "lq", 2024):
+        "52ced133f78a6fa9aecf5fe407c1bca2399f6c0b541777ab49afd80437661759",
+    ("bump", "block", 3):
+        "bf037f2319acac723077796fb01dc1eecf1caac8b797aaf91495871f522919c9",
+    ("bump", "block", 17):
+        "e826c56f613332bfd7de3a658e1b75a26f30248b68d93faac9265ad7d2dd55f8",
+    ("bump", "block", 2024):
+        "098fac2a668997d45c62e6bc43479f1c1fb7ba290a1ebdf5afa0db2bc5bfd558",
+    ("fuzz", "lq", 3):
+        "dd6174f3b3bffdaad31ef52b59555bc923880af5f13d97bce6d81e07c2bdbde1",
+    ("fuzz", "lq", 17):
+        "bc10cd81a575a7681f82b53733a1265bedf0e57fb1dfc748ed5c1eee677d110e",
+    ("fuzz", "lq", 2024):
+        "2c7ca59106f38d012164b71727611142876b4b248c9899e407fd6914de04c7c5",
+    ("fuzz", "block", 3):
+        "a01d64a408a8c54d6c3668d5ddc601fb8a5f508641b3ad15e72715824b82b9d9",
+    ("fuzz", "block", 17):
+        "3b39732723ead87ffc4772122ebeff4f2ef0a2f999dff6fb06f512500d2fca2b",
+    ("fuzz", "block", 2024):
+        "d918e13096ecfec3e6303bf94c674478a611c392a89601f7732618c786ea20c1",
+}
+LOWER_P_DIGEST = "40ece72f410b174c59b1615894783ada668fedf1bba7afda91a6e26cbf2bfd5f"
+RENORM_CLI_DIGEST = "f4ff864fbfe90cd5419b0ec780f70f11c36a57d041713f99f39230f66ab9753e"
+
+
+@pytest.mark.parametrize("mode,space,seed", sorted(CAMPAIGN_DIGESTS))
+def test_campaign_report_unchanged(mode, space, seed):
+    camp = run_bump_campaign(SPACES[space](), 2.0, trials=4, seed=seed, mode=mode, horizon=12)
+    assert _digest(camp.to_dict()) == CAMPAIGN_DIGESTS[mode, space, seed]
+
+
+def test_lower_p_constant_unchanged():
+    N = WeightedLqNorm(3, [1.0 + 0.25 * i for i in range(10)])
+    ratio, family = estimate_lower_p_constant(N, 2.5, budget=60, seed=5)
+    assert _digest({"ratio": ratio, "family": [x.to_list() for x in family]}) == LOWER_P_DIGEST
+
+
+def test_renorm_cli_report_unchanged(tmp_path):
+    rng = np.random.default_rng(31)
+    vectors = []
+    for s in (1, 3, 5, 7, 9, 11, 12, 14):
+        coords = np.zeros(16)
+        coords[rng.choice(16, size=s, replace=False)] = rng.uniform(0.1, 1.0, size=s)
+        vectors.append(coords.tolist())
+    vectors.append(np.round(np.asarray(vectors[4]), 1).tolist())  # ties
+    cfg = {"seed": 4, "space": _block(8).describe(), "renorm": {"p": 3, "vectors": vectors}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli_main(["renorm", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    blob = (tmp_path / "out" / "renorm.jsonl").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == RENORM_CLI_DIGEST
+
+
+TIES_DIGEST = "af87a7454026b9eca3dfeea7f7539b5e460b7b92a058d9bd4fc32fd586f4cef8"
+
+
+def _tie_reports():
+    """Exact renorms of half-integer rows, where many partitions tie exactly."""
+    rng = np.random.default_rng(12)
+    spaces = [
+        (LqNorm(1, 8), 1.0),
+        (LqNorm(2, 8), 2.0),
+        (LqNorm(3, 8), 1.5),
+        (WeightedLqNorm(2, [1, 2, 1, 2, 1, 2, 1, 2]), 3.0),
+        (_block(4), 2.0),
+        (PosNegMaxNorm(LqNorm(1, 8)), 1.0),
+    ]
+    reports = []
+    for N, p in spaces:
+        for _ in range(12):
+            s = int(rng.integers(1, 9))
+            coords = np.zeros(8)
+            coords[rng.choice(8, size=s, replace=False)] = rng.integers(-3, 4, size=s) * 0.5
+            reports.append(renorm_exact(N, p, LatticeVector(coords)).to_dict())
+    return reports
+
+
+def test_tie_breaks_unchanged():
+    assert _digest(_tie_reports()) == TIES_DIGEST
+
+
+# renorm_exact(..., threshold=14) results: (value hex, power_sum hex, witness)
+THRESHOLD_14 = {
+    ("lq", 13): ("0x1.e53c40c23f517p+0", "0x1.cbdeadc737ad0p+1",
+                   [[0], [1], [2], [4], [5], [7], [8], [9], [10], [11], [12], [13], [14]]),
+    ("lq", 14): ("0x1.0614008ff4afep+1", "0x1.0c4cf2b6bf569p+2",
+                   [[0], [1], [2], [4], [6], [7], [8], [9], [10], [11], [12], [13], [14], [15]]),
+    ("block", 13): ("0x1.3c9e3dfcaf4e2p+1", "0x1.87970ad863b3bp+2",
+                   [[0, 1], [2], [4, 5], [7], [8, 9], [10, 11], [12, 13], [14]]),
+    ("block", 14): ("0x1.51b9fc2ca9c55p+1", "0x1.bd8b310c07eecp+2",
+                   [[0, 1], [2], [4], [6, 7], [8, 9], [10, 11], [12, 13], [14, 15]]),
+}
+
+
+def _threshold_case(space: str, s: int):
+    rng = np.random.default_rng(100 + s)
+    coords = np.zeros(16)
+    coords[rng.choice(16, size=s, replace=False)] = rng.uniform(0.1, 1.0, size=s) * np.where(
+        rng.random(s) < 0.5, -1.0, 1.0)
+    N = LqNorm(3, 16) if space == "lq" else _block(8)
+    return N, LatticeVector(coords)
+
+
+@pytest.mark.parametrize("space,s", sorted(THRESHOLD_14))
+def test_raised_threshold_unchanged(space, s):
+    N, x = _threshold_case(space, s)
+    res = renorm_exact(N, 2.0, x, threshold=14)
+    assert res.method == "exact"
+    assert (res.value.hex(), res.power_sum.hex(), res.witness.to_lists()) == THRESHOLD_14[space, s]

@@ -14,23 +14,27 @@ from ukklattice import (
     audit_equivalence,
     check_superadditivity,
     iter_set_partitions,
+    measure_separation,
     partition_power_sum,
     renorm,
+    renorm_batch,
     renorm_exact,
     renorm_heuristic,
 )
-from ukklattice.sampling import random_disjoint_pair, random_vector
+from ukklattice.renorm import _mask_dtype
+from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
 
-def brute_force_value(N, p, x):
+def brute_force_power_sum(N, p, x):
     """Independent oracle: enumerate every partition of the support."""
     supp = list(x.support())
     if not supp:
         return 0.0
-    best = -math.inf
-    for blocks in iter_set_partitions(supp):
-        best = max(best, partition_power_sum(N, p, x, blocks))
-    return best ** (1.0 / p)
+    return max(partition_power_sum(N, p, x, blocks) for blocks in iter_set_partitions(supp))
+
+
+def brute_force_value(N, p, x):
+    return brute_force_power_sum(N, p, x) ** (1.0 / p)
 
 
 BUILTINS = [
@@ -53,7 +57,25 @@ BUILTINS = [
 ]
 
 
-@pytest.mark.parametrize("N,p", BUILTINS)
+_WEIGHTS = [0.5, 1, 2, 1, 3, 0.25, 1, 1]
+_PAIRS = BlockNorm([[0, 1], [2, 3], [4, 5], [6, 7]], [LqNorm(1, 2)] * 4, LqNorm(float("inf"), 4))
+
+# every norm kind at p = 1, 1.5, 2 and 3
+ENGINE_CASES = BUILTINS + [
+    (LqNorm(2, 8), 3.0),
+    (WeightedLqNorm(2, _WEIGHTS), 1.0),
+    (WeightedLqNorm(3, _WEIGHTS), 1.5),
+    (WeightedLqNorm(2, _WEIGHTS), 3.0),
+    (_PAIRS, 1.0),
+    (_PAIRS, 1.5),
+    (_PAIRS, 3.0),
+    (PosNegMaxNorm(LqNorm(2, 8)), 1.0),
+    (PosNegMaxNorm(LqNorm(1.5, 8)), 1.5),
+    (PosNegMaxNorm(LqNorm(2, 8)), 3.0),
+]
+
+
+@pytest.mark.parametrize("N,p", ENGINE_CASES)
 def test_exact_matches_brute_force(N, p):
     rng = np.random.default_rng(42)
     for _ in range(25):
@@ -65,11 +87,51 @@ def test_exact_matches_brute_force(N, p):
         replay = partition_power_sum(N, p, x, res.witness.to_lists())
         assert replay == res.power_sum
 
+    # one batch: supports 1-8 mixed, rows rounded to 0.1 (ties), zero rows,
+    # and rows above a lowered threshold that go to the local search
+    threshold = 6
+    X = np.zeros((40, 8))
+    for row in X[:36]:
+        s = int(rng.integers(1, 9))
+        row[rng.choice(8, size=s, replace=False)] = random_coords(rng, s)
+    X[18:36] = np.round(X[18:36], 1)
+    cfg = LocalSearchConfig(seed=3)
+    batch = renorm_batch(N, p, X, threshold=threshold, config=cfg)
+    assert len(batch) == 40
+    assert {"exact", "heuristic"} <= set(batch.methods)
+    for i, row in enumerate(X):
+        x = LatticeVector(row)
+        one = renorm(N, p, x, threshold=threshold, config=cfg)
+        # value, power sum, witness and method, bit for bit
+        assert batch.result(i) == one
+        assert (batch.values[i], batch.power_sums[i]) == (one.value, one.power_sum)
+        assert one.method == ("exact" if len(x.support()) <= threshold else "heuristic")
+        if one.method == "exact":
+            brute = brute_force_power_sum(N, p, x)
+            assert one.power_sum == brute
+            assert one.value == brute ** (1.0 / p)
+            assert partition_power_sum(N, p, x, one.witness.to_lists()) == one.power_sum
+
 
 def test_zero_vector():
     res = renorm_exact(LqNorm(2, 4), 2.0, LatticeVector.zeros(4))
     assert res.value == 0.0
     assert len(res.witness) == 0
+
+
+def test_ties_go_to_the_first_block_in_descending_submask_order():
+    # L1 at p = 1 on dyadic coordinates: every partition ties exactly, and
+    # the whole remaining set is the first candidate block
+    N = LqNorm(1, 5)
+    x = LatticeVector([0.5, 0.25, 0.0, 1.0, 2.0])
+    assert renorm_exact(N, 1.0, x).witness.to_lists() == [[0, 1, 3, 4]]
+    assert renorm_batch(N, 1.0, [x, x]).witness(1).to_lists() == [[0, 1, 3, 4]]
+    # sup of pair L1 norms at p = 1: {0, 1} | {2} and the singletons both sum
+    # every coordinate; {0, 1} comes before {0} among the full set's submasks
+    pairs = BlockNorm([[0, 1], [2, 3]], [LqNorm(1, 2)] * 2, LqNorm(float("inf"), 2))
+    y = LatticeVector([0.5, 0.25, 1.0, 0.0])
+    assert renorm_exact(pairs, 1.0, y).witness.to_lists() == [[0, 1], [2]]
+    assert partition_power_sum(pairs, 1.0, y, [[0], [1], [2]]) == renorm_exact(pairs, 1.0, y).power_sum
 
 
 def test_l2_matching_exponent_is_identity():
@@ -198,3 +260,39 @@ def test_equivalence_audit_flags_small_c():
     audit = audit_equivalence(LqNorm(float("inf"), 8), 2.0, 1.05, samples=300, seed=2)
     assert audit.upper_violations > 0
     assert not audit.passed
+
+
+def test_batch_rejects_non_finite_rows():
+    N = LqNorm(2, 3)
+    with pytest.raises(ValueError) as from_vector:
+        LatticeVector([math.inf, 0.0, 0.0])
+    message = str(from_vector.value)
+    with pytest.raises(ValueError) as from_batch:
+        renorm_batch(N, 2.0, np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]))
+    assert str(from_batch.value) == message
+    # differences of finite elements can overflow
+    seq = [LatticeVector([1e308, 0.0, 0.0]), LatticeVector([-1e308, 0.0, 0.0])]
+    with pytest.raises(ValueError) as from_pairs, np.errstate(over="ignore"):
+        measure_separation(seq, N, 2.0)
+    assert str(from_pairs.value) == message
+
+
+def test_batch_of_no_rows():
+    batch = renorm_batch(LqNorm(2, 3), 2.0, np.zeros((0, 3)))
+    assert len(batch) == 0 and batch.values == []
+
+
+def test_mask_tables_widen_above_16_atoms():
+    # uint16 masks would wrap at s = 17 if a caller raised the threshold that far
+    assert _mask_dtype(16) == np.uint16
+    assert _mask_dtype(17) == np.uint32
+
+
+def test_batch_splits_large_groups():
+    # 17 rows at s = 12 exceed 2^16 block rows, so the group is split in two
+    N = LqNorm(3, 12)
+    rng = np.random.default_rng(21)
+    X = np.stack([random_coords(rng, 12) for _ in range(17)])
+    batch = renorm_batch(N, 2.0, X)
+    for i, row in enumerate(X):
+        assert batch.result(i) == renorm_exact(N, 2.0, LatticeVector(row))
