@@ -3,143 +3,27 @@
 Exact vector lattice operations, truncation, norm oracles with axiom
 audits, disjointness constant estimation, the disjoint-decomposition
 renorm, and separated-sequence trial campaigns.
+
+The public API is the union of the modules' ``__all__`` lists; a name
+is made public by listing it there and nowhere else.  The package-level
+``renorm`` is the function, which shadows the ``renorm`` submodule.
 """
 
-from .vectors import (
-    DimensionMismatch,
-    LatticeVector,
-    absolute,
-    disjoint_residuals,
-    is_disjoint,
-    join,
-    meet,
-    neg_part,
-    pos_part,
-    restrict,
-    truncate,
-)
-from .norms import (
-    BlockNorm,
-    LqNorm,
-    NormAuditReport,
-    NormOracle,
-    PosNegMaxNorm,
-    WeightedLqNorm,
-    audit_norm_axioms,
-    pos_neg_max,
-)
-from .partitions import SupportPartition, bell_number, iter_set_partitions
-from .sampling import (
-    random_disjoint_family,
-    random_disjoint_pair,
-    random_vector,
-)
-from .renorm import (
-    EXACT_THRESHOLD,
-    EquivalenceAudit,
-    LocalSearchConfig,
-    RenormBatch,
-    RenormResult,
-    SuperadditivityCheck,
-    SupportTooLarge,
-    audit_equivalence,
-    check_superadditivity,
-    partition_power_sum,
-    renorm,
-    renorm_batch,
-    renorm_exact,
-    renorm_heuristic,
-)
-from .estimates import (
-    EstimateReport,
-    InfChainCheck,
-    check_inf_chain,
-    derived_exponent,
-    estimate_lower_p_constant,
-    estimate_two_disjoint_constant,
-    family_power_ratio,
-    lower_r_constant,
-    run_estimate_pipeline,
-    verify_lower_r_estimate,
-)
-from .ukk import (
-    Separation,
-    UkkCampaign,
-    UkkTrial,
-    check_coordinatewise_convergence,
-    check_truncation_vanishing,
-    generate_bump_sequence,
-    measure_separation,
-    run_bump_campaign,
-    run_ukk_trial,
-    ukk_modulus,
-)
-from .config import ConfigError, load_config, parse_norm_spec
+import sys as _sys
+
+from .vectors import *  # noqa: F401,F403
+from .norms import *  # noqa: F401,F403
+from .partitions import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .renorm import *  # noqa: F401,F403
+from .estimates import *  # noqa: F401,F403
+from .ukk import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatch",
-    "LatticeVector",
-    "absolute",
-    "disjoint_residuals",
-    "is_disjoint",
-    "join",
-    "meet",
-    "neg_part",
-    "pos_part",
-    "restrict",
-    "truncate",
-    "BlockNorm",
-    "LqNorm",
-    "NormAuditReport",
-    "NormOracle",
-    "PosNegMaxNorm",
-    "WeightedLqNorm",
-    "audit_norm_axioms",
-    "pos_neg_max",
-    "SupportPartition",
-    "bell_number",
-    "iter_set_partitions",
-    "random_disjoint_family",
-    "random_disjoint_pair",
-    "random_vector",
-    "EXACT_THRESHOLD",
-    "EquivalenceAudit",
-    "LocalSearchConfig",
-    "RenormBatch",
-    "RenormResult",
-    "SuperadditivityCheck",
-    "SupportTooLarge",
-    "audit_equivalence",
-    "check_superadditivity",
-    "partition_power_sum",
-    "renorm",
-    "renorm_batch",
-    "renorm_exact",
-    "renorm_heuristic",
-    "EstimateReport",
-    "InfChainCheck",
-    "check_inf_chain",
-    "derived_exponent",
-    "estimate_lower_p_constant",
-    "estimate_two_disjoint_constant",
-    "family_power_ratio",
-    "lower_r_constant",
-    "run_estimate_pipeline",
-    "verify_lower_r_estimate",
-    "Separation",
-    "UkkCampaign",
-    "UkkTrial",
-    "check_coordinatewise_convergence",
-    "check_truncation_vanishing",
-    "generate_bump_sequence",
-    "measure_separation",
-    "run_bump_campaign",
-    "run_ukk_trial",
-    "ukk_modulus",
-    "ConfigError",
-    "load_config",
-    "parse_norm_spec",
-    "__version__",
-]
+    name
+    for module in ("vectors", "norms", "partitions", "sampling", "renorm", "estimates", "ukk", "config")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+] + ["__version__"]

@@ -4,8 +4,7 @@ Subcommands: ``space-check`` (norm axiom audit), ``estimate`` (constant
 pipeline), ``renorm`` (decomposition values for listed or sampled
 vectors), ``ukk`` (trial campaign).  All randomness is seeded from the
 config (or ``--seed``); identical config + seed gives byte-identical
-output.  ``--threads`` is accepted for interface compatibility but
-execution is sequential, which keeps output order deterministic.
+output.
 
 Exit codes: 0 = checks passed (a hypothesis-failure report is a valid
 scientific outcome, still 0); 1 = an inequality violation was detected;
@@ -15,6 +14,7 @@ scientific outcome, still 0); 1 = an inequality violation was detected;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config, parse_norm_spec, require
+from .config import ConfigError, coordinate_arrays, load_config, load_json, number_array, parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
 from .norms import audit_norm_axioms
 from .renorm import (
@@ -58,39 +58,42 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
         f.write(text)
 
 
-def _resolve_seed(args, cfg: dict | None) -> int:
+def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
-        return args.seed
-    if cfg is not None and "seed" in cfg:
-        seed = cfg["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("config.seed", f"seed must be a nonnegative integer, got {seed!r}")
-        return seed
-    raise ConfigError("config.seed", "a seed is mandatory (config field or --seed); wall-clock seeding is not supported")
+        seed, path = args.seed, "--seed"
+    elif "seed" in cfg:
+        seed, path = require(cfg, "seed", int, "config"), "config.seed"
+    else:
+        raise ConfigError("config.seed", "a seed is mandatory (config field or --seed); wall-clock seeding is not supported")
+    if seed < 0:
+        raise ConfigError(path, f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
+@contextlib.contextmanager
+def _rejected_in(section: str):
+    """Report a config value the library rejects as a ConfigError on its section."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(section, str(e)) from None
 
 
 def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> None:
     sp.add_argument("--config", required=config_required, help="path to the JSON experiment config")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--out", default=None, help="directory for report files (default: stdout)")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; execution is sequential and deterministic",
-    )
 
 
 def _cmd_space_check(args) -> int:
     cfg = load_config(args.config)
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    audit_cfg = cfg.get("audit", {})
-    if not isinstance(audit_cfg, dict):
-        raise ConfigError("config.audit", "expected an object")
-    samples = audit_cfg.get("samples", 10_000)
-    tol = audit_cfg.get("tol", 1e-9)
+    audit_cfg = require(cfg, "audit", dict, "config", {})
+    samples = require(audit_cfg, "samples", int, "config.audit", 10_000)
+    tol = require(audit_cfg, "tol", float, "config.audit", 1e-9)
     seed = _resolve_seed(args, cfg)
-    report = audit_norm_axioms(N, samples=samples, seed=seed, tol=tol)
+    with _rejected_in("config.audit"):
+        report = audit_norm_axioms(N, samples=samples, seed=seed, tol=tol)
     doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     _write(args.out, "space_check.json", _dump(doc) + "\n")
     return 0 if report.passed else 1
@@ -99,20 +102,17 @@ def _cmd_space_check(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    est = cfg.get("estimate", {})
-    if not isinstance(est, dict):
-        raise ConfigError("config.estimate", "expected an object")
-    budget = est.get("budget", 400)
-    tail_tol = est.get("tail_tol", 1e-8)
-    rs = est.get("rs")
+    est = require(cfg, "estimate", dict, "config", {})
+    budget = require(est, "budget", int, "config.estimate", 400)
+    tail_tol = require(est, "tail_tol", float, "config.estimate", 1e-8)
+    rs = require(est, "rs", list, "config.estimate", None)
     if rs is not None:
-        if not isinstance(rs, list) or not all(isinstance(r, (int, float)) for r in rs):
-            raise ConfigError("config.estimate.rs", "rs must be an array of numbers")
-        rs = tuple(float(r) for r in rs)
-    verify_trials = est.get("verify_trials", 1000)
+        rs = tuple(float(r) for r in number_array(rs, "config.estimate.rs"))
+    verify_trials = require(est, "verify_trials", int, "config.estimate", 1000)
     seed = _resolve_seed(args, cfg)
 
-    report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs, tail_tol=tail_tol)
+    with _rejected_in("config.estimate"):
+        report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs, tail_tol=tail_tol)
     violations = 0
     verified = 0
     if report.hypothesis_satisfied and verify_trials > 0:
@@ -143,23 +143,15 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
         rec["vector"] = x.to_list()
     except (SupportTooLarge, DimensionMismatch, ValueError) as e:
         rec["error"] = str(e)
-        rec["vector"] = list(map(float, coords)) if hasattr(coords, "__iter__") else coords
+        rec["vector"] = [float(c) for c in coords]
     return rec
 
 
 def _load_vector_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(path, "vector file not found") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(path, f"invalid JSON at line {e.lineno}: {e.msg}") from None
-    if isinstance(doc, list) and doc and all(isinstance(v, (int, float)) for v in doc):
-        return [doc]
-    if isinstance(doc, list) and all(isinstance(v, list) for v in doc):
-        return doc
-    raise ConfigError(path, "expected a coordinate array or an array of coordinate arrays")
+    doc = load_json(path, "vector")
+    if isinstance(doc, list) and doc and not any(isinstance(v, list) for v in doc):
+        doc = [doc]  # one coordinate array
+    return coordinate_arrays(doc, path)
 
 
 def _cmd_renorm(args) -> int:
@@ -167,12 +159,7 @@ def _cmd_renorm(args) -> int:
         # direct mode: --space --p --vector [--exact|--heuristic]
         if args.p is None or args.vector is None:
             raise ConfigError("renorm", "direct mode needs --space, --p and --vector together")
-        with open(args.space, "r", encoding="utf-8") as f:
-            try:
-                space_doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(args.space, f"invalid JSON at line {e.lineno}: {e.msg}") from None
-        N = parse_norm_spec(space_doc)
+        N = parse_norm_spec(load_json(args.space, "space"))
         p = args.p
         vectors = _load_vector_file(args.vector)
         mode = "exact" if args.exact else "heuristic" if args.heuristic else "auto"
@@ -184,25 +171,22 @@ def _cmd_renorm(args) -> int:
         N = parse_norm_spec(require(cfg, "space", dict, "config"))
         ren = require(cfg, "renorm", dict, "config")
         p = require(ren, "p", float, "config.renorm")
-        mode = ren.get("mode", "auto")
+        mode = require(ren, "mode", str, "config.renorm", "auto")
         if mode not in ("auto", "exact", "heuristic"):
             raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
         seed = _resolve_seed(args, cfg)
         if "vectors" in ren:
-            vectors = ren["vectors"]
-            if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
-                raise ConfigError("config.renorm.vectors", "expected an array of coordinate arrays")
+            vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
         elif "random" in ren:
-            rnd = ren["random"]
-            if not isinstance(rnd, dict):
-                raise ConfigError("config.renorm.random", "expected an object")
-            count = rnd.get("count", 10)
-            support = rnd.get("support", min(N.dim, EXACT_THRESHOLD))
+            rnd = require(ren, "random", dict, "config.renorm")
+            count = require(rnd, "count", int, "config.renorm.random", 10)
+            support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
             rng = np.random.default_rng(seed)
-            vectors = [
-                random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
-                for _ in range(count)
-            ]
+            with _rejected_in("config.renorm.random"):
+                vectors = [
+                    random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
+                    for _ in range(count)
+                ]
         else:
             vectors = []
 
@@ -235,15 +219,13 @@ def _cmd_ukk(args) -> int:
     ukk_cfg = require(cfg, "ukk", dict, "config")
     p = require(ukk_cfg, "p", float, "config.ukk")
     trials = require(ukk_cfg, "trials", int, "config.ukk")
-    horizon = ukk_cfg.get("horizon", 16)
-    mode = ukk_cfg.get("mode", "bump")
-    tol = ukk_cfg.get("tol", 1e-9)
+    horizon = require(ukk_cfg, "horizon", int, "config.ukk", 16)
+    mode = require(ukk_cfg, "mode", str, "config.ukk", "bump")
+    tol = require(ukk_cfg, "tol", float, "config.ukk", 1e-9)
     seed = _resolve_seed(args, cfg)
 
-    try:
+    with _rejected_in("config.ukk"):
         campaign = run_bump_campaign(N, p, trials, seed=seed, mode=mode, horizon=horizon, tol=tol)
-    except ValueError as e:
-        raise ConfigError("config.ukk", str(e)) from None
 
     summary = {"schema_version": SCHEMA_VERSION, **campaign.to_dict(include_trials=False)}
     if campaign.valid == 0:
@@ -288,8 +270,6 @@ def main(argv=None) -> int:
     _add_common(sp)
 
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
 
     handlers = {
         "space-check": _cmd_space_check,

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any
 
 from .norms import BlockNorm, LqNorm, NormOracle, PosNegMaxNorm, WeightedLqNorm
 
-__all__ = ["ConfigError", "parse_norm_spec", "load_config", "require"]
+__all__ = ["ConfigError", "parse_norm_spec", "load_config"]
 
 _KINDS = ("Lq", "WeightedLq", "Block", "PosNegMax")
 
@@ -80,7 +81,7 @@ def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
         if kind == "WeightedLq":
             _expect_keys(spec, path, {"kind", "q", "weights", "dim"}, {"kind", "q", "weights"})
             weights = spec["weights"]
-            if not isinstance(weights, list) or not weights:
+            if not isinstance(weights, list) or not weights or not all(_is_number(w) for w in weights):
                 raise ConfigError(f"{path}.weights", "weights must be a nonempty array of positive numbers")
             if "dim" in spec and _parse_dim(spec, path) != len(weights):
                 raise ConfigError(f"{path}.dim", f"dim {spec['dim']} disagrees with {len(weights)} weights")
@@ -99,7 +100,7 @@ def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
         if (
             not isinstance(blocks, list)
             or not blocks
-            or not all(isinstance(b, list) and b and all(isinstance(i, int) for i in b) for b in blocks)
+            or not all(isinstance(b, list) and b and all(type(i) is int for i in b) for b in blocks)
         ):
             raise ConfigError(f"{path}.blocks", "blocks must be a nonempty array of nonempty integer arrays")
         inner_spec = spec["inner"]
@@ -126,27 +127,66 @@ def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
         raise ConfigError(path, str(e)) from e
 
 
-def load_config(path: str) -> dict:
-    """Read a JSON experiment config; errors carry file and position."""
+def load_json(path: str, what: str) -> Any:
+    """Parse a JSON input file; a missing file or bad JSON is a ConfigError on ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            return json.load(f)
     except FileNotFoundError:
-        raise ConfigError(path, "config file not found") from None
+        raise ConfigError(path, f"{what} file not found") from None
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+
+
+def load_config(path: str) -> dict:
+    """Read a JSON experiment config; errors carry file and position."""
+    doc = load_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(path, "top-level config must be a JSON object")
     return doc
 
 
-def require(doc: dict, key: str, kind: type, path: str):
-    """Fetch a typed field or raise a path-annotated error."""
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    val = doc[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
+_MISSING = object()
+
+
+def require(doc: dict, key: str, kind: type, path: str, default=_MISSING):
+    """Fetch a typed field, ``default`` when it is absent or null, or raise a path-annotated error.
+
+    ``kind`` float accepts any finite JSON number and returns it as
+    written, so an integer value reaches the report unchanged.  A bool is
+    never a number.  Without a default the field is required.
+    """
+    val = doc.get(key)
+    if val is None:
+        if default is _MISSING:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+        return default
+    if kind is float:
+        ok = _is_number(val)
+    else:
+        ok = isinstance(val, kind) and (kind is bool or not isinstance(val, bool))
+    if not ok:
+        name = "finite number" if kind is float else kind.__name__
+        raise ConfigError(f"{path}.{key}", f"expected {name}, got {val!r}")
     return val
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; a bool is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def number_array(doc: Any, path: str) -> list:
+    """``doc`` checked to be an array of finite numbers."""
+    if not isinstance(doc, list) or not all(_is_number(v) for v in doc):
+        raise ConfigError(path, "expected an array of finite numbers")
+    return doc
+
+
+def coordinate_arrays(doc: Any, path: str) -> list[list]:
+    """``doc`` checked to be an array of coordinate arrays of finite numbers."""
+    if not isinstance(doc, list):
+        raise ConfigError(path, "expected an array of coordinate arrays")
+    for i, row in enumerate(doc):
+        number_array(row, f"{path}[{i}]")
+    return doc

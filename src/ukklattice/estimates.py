@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle
-from .renorm import EXACT_THRESHOLD, _fold_terms, renorm_batch
+from .norms import NormOracle, report_dict
+from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
-from .vectors import LatticeVector
+from .vectors import LatticeVector, restrict
 
 __all__ = [
     "estimate_two_disjoint_constant",
@@ -286,7 +286,7 @@ def family_power_ratio(N: NormOracle, p: float, family) -> float:
     first_atom = [int(np.flatnonzero(row)[0]) if np.any(row != 0.0) else -1 for row in X]
     order = sorted(range(X.shape[0]), key=lambda i: first_atom[i])
     norms = N.values(X[order])
-    num = _fold_terms([float(v) ** p for v in norms.tolist()]) ** (1.0 / p)
+    num = fold_terms(block_terms(norms, p)) ** (1.0 / p)
     denom = float(N.values(X.sum(axis=0)[None, :])[0])
     if denom <= 0.0:
         return 0.0
@@ -388,7 +388,7 @@ def estimate_lower_p_constant(
     row = 0
     for d in draws:
         if isinstance(d, LatticeVector):
-            fam = [LatticeVector(_restrict_row(d.coords, blk)) for blk in batch.witness(row).blocks]
+            fam = [restrict(d, blk) for blk in batch.witness(row).blocks]
             row += 1
             if fam:
                 offer(fam)
@@ -397,13 +397,6 @@ def estimate_lower_p_constant(
 
     assert best_family is not None
     return best_ratio, best_family
-
-
-def _restrict_row(coords: np.ndarray, blk) -> np.ndarray:
-    a = np.zeros(coords.size, dtype=np.float64)
-    idx = np.asarray(blk, dtype=np.intp)
-    a[idx] = coords[idx]
-    return a
 
 
 def verify_lower_r_estimate(
@@ -449,20 +442,7 @@ class EstimateReport:
     budget_used: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "seed": self.seed,
-            "c_hat": self.c_hat,
-            "c_witness": [v.to_list() for v in self.c_witness],
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "p_derived": self.p_derived,
-            "kr_table": [[r, k] for r, k in self.kr_table],
-            "lower_p_constant": self.lower_p_constant,
-            "lower_p_witness": None
-            if self.lower_p_witness is None
-            else [v.to_list() for v in self.lower_p_witness],
-            "budget_used": self.budget_used,
-        }
+        return report_dict(self)
 
 
 def run_estimate_pipeline(

@@ -18,17 +18,21 @@ The first three are absolute and lattice-monotone with constant 1.  The
 pos/neg wrapper is only 2-monotone (shifting mass between the parts can
 double the value), which is why :attr:`NormOracle.monotone_constant`
 exists instead of a hard-coded 1.
+
+:func:`report_dict` is the one JSON serializer of the package's report
+dataclasses; every report's ``to_dict`` is a call to it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .vectors import DimensionMismatch, LatticeVector, neg_part, pos_part
+from .partitions import SupportPartition
+from .vectors import DimensionMismatch, LatticeVector
 
 __all__ = [
     "NormOracle",
@@ -36,7 +40,6 @@ __all__ = [
     "WeightedLqNorm",
     "BlockNorm",
     "PosNegMaxNorm",
-    "pos_neg_max",
     "NormAuditReport",
     "audit_norm_axioms",
 ]
@@ -232,9 +235,30 @@ class PosNegMaxNorm(NormOracle):
         return {"kind": "PosNegMax", "base": self.base.describe(), "dim": self.dim}
 
 
-def pos_neg_max(N: NormOracle, x: LatticeVector) -> float:
-    """``max(N(pos_part(x)), N(neg_part(x)))`` as a free function."""
-    return max(N(pos_part(x)), N(neg_part(x)))
+def report_dict(report, omit=()) -> dict:
+    """JSON-ready dict of a report dataclass's fields, except those in ``omit``.
+
+    The walk is shallow: a vector becomes its coordinate list, a
+    partition its block lists, a norm oracle its spec and a nested
+    report its own ``to_dict()``; a list or tuple field becomes a list
+    whose members are converted the same way, a list or tuple member
+    becoming a plain list.
+    """
+    return {f.name: _json_value(getattr(report, f.name)) for f in fields(report) if f.name not in omit}
+
+
+def _json_value(v, field: bool = True):
+    if isinstance(v, (list, tuple)):
+        return [_json_value(m, field=False) for m in v] if field else list(v)
+    if isinstance(v, LatticeVector):
+        return v.to_list()
+    if isinstance(v, SupportPartition):
+        return v.to_lists()
+    if isinstance(v, NormOracle):
+        return v.describe()
+    if is_dataclass(v):
+        return v.to_dict()
+    return v
 
 
 @dataclass(frozen=True)
@@ -263,19 +287,7 @@ class NormAuditReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "monotone_constant": self.monotone_constant,
-            "zero_value": self.zero_value,
-            "positivity_violations": self.positivity_violations,
-            "homogeneity_violation": self.homogeneity_violation,
-            "triangle_violation": self.triangle_violation,
-            "monotonicity_violation": self.monotonicity_violation,
-            "passed": self.passed,
-        }
+        return {**report_dict(self), "passed": self.passed}
 
 
 def _rel_excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -298,6 +310,8 @@ def audit_norm_axioms(
     Violations are relative; the audit passes iff every worst case is
     within ``tol``.  Failures are reported, never raised.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     d = N.dim
     X = rng.standard_normal((samples, d))

@@ -38,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .norms import NormOracle
+from .norms import NormOracle, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
-from .vectors import DimensionMismatch, LatticeVector, is_disjoint, require_finite
+from .vectors import DimensionMismatch, LatticeVector, is_disjoint, require_finite, restrict
 
 __all__ = [
     "EXACT_THRESHOLD",
@@ -105,17 +105,20 @@ class RenormResult:
     norm: NormOracle
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "power_sum": self.power_sum,
-            "witness": self.witness.to_lists(),
-            "method": self.method,
-            "p": self.p,
-            "norm": self.norm.describe(),
-        }
+        return report_dict(self)
 
 
-def _fold_terms(terms) -> float:
+def block_terms(values: np.ndarray, p: float) -> list[float]:
+    """Block p-powers of block norm values, in the given order.
+
+    The one place the term arithmetic is written: each term is a Python
+    float power, which numpy ``** p`` does not match bit for bit, so
+    every objective, exact or heuristic, takes its terms from here.
+    """
+    return [float(v) ** p for v in values.tolist()]
+
+
+def fold_terms(terms) -> float:
     """Right fold of block p-powers; the one true objective arithmetic."""
     acc = 0.0
     for t in reversed(terms):
@@ -133,12 +136,8 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     ordered = sorted((tuple(sorted(blk)) for blk in blocks), key=lambda b: b[0])
     if not ordered:
         return 0.0
-    rows = np.zeros((len(ordered), x.dim), dtype=np.float64)
-    for r, blk in enumerate(ordered):
-        idx = np.asarray(blk, dtype=np.intp)
-        rows[r, idx] = x.coords[idx]
-    vals = N.values(rows)
-    return _fold_terms([float(v) ** p for v in vals.tolist()])
+    rows = np.stack([restrict(x, blk).coords for blk in ordered])
+    return fold_terms(block_terms(N.values(rows), p))
 
 
 def _zero_result(N: NormOracle, p: float, method: str) -> RenormResult:
@@ -305,9 +304,10 @@ def renorm_batch(
                term(B) + g(S \\ B),
 
     so every set partition counts once and g(supp) is the maximum over
-    all of them.  A block's term is ``float(N(x_B)) ** p``; the maximum
-    of a segment is its first one in descending-submask order (the whole
-    remaining set is tried first), and ``witness`` recovers that block.
+    all of them.  A block's term is :func:`block_terms` of N(x_B); the
+    maximum of a segment is its first one in descending-submask order
+    (the whole remaining set is tried first), and ``witness`` recovers
+    that block.
     Rows above the threshold go through :func:`renorm_heuristic` one at a
     time; a row's result never depends on the other rows of the batch.
     """
@@ -337,7 +337,7 @@ def renorm_batch(
         Z[np.arange(1 << s)[:, None, None], np.arange(K)[None, :, None], supp[None, :, :]] = (
             tables.bits[:, None, :] * Xs[nz].reshape(1, K, s)
         )
-        tp = np.array([float(v) ** p for v in N.values(Z.reshape(-1, N.dim)).tolist()]).reshape(1 << s, K)
+        tp = np.array(block_terms(N.values(Z.reshape(-1, N.dim)), p)).reshape(1 << s, K)
         g = np.zeros_like(tp)
         # a lone row runs on 1-d views, which numpy indexes about three times faster
         dp_tp, dp_g = (tp[:, 0], g[:, 0]) if K == 1 else (tp, g)
@@ -386,14 +386,11 @@ class _BlockTerms:
             bits = [j for j in range(s) if (B >> j) & 1]
             idx = self.supp[bits]
             rows[r, idx] = self.vals[bits]
-        norms = self.N.values(rows)
-        p = self.p
-        for B, v in zip(new, norms.tolist()):
-            self.cache[B] = float(v) ** p
+        self.cache.update(zip(new, block_terms(self.N.values(rows), self.p)))
 
     def total(self, masks_sorted) -> float:
         cache = self.cache
-        return _fold_terms([cache[B] for B in masks_sorted])
+        return fold_terms([cache[B] for B in masks_sorted])
 
 
 def _sorted_masks(masks) -> tuple[int, ...]:
@@ -601,18 +598,7 @@ class EquivalenceAudit:
     passed: bool = field(default=False)
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "C": self.C,
-            "p": self.p,
-            "max_support": self.max_support,
-            "lower_violations": self.lower_violations,
-            "upper_violations": self.upper_violations,
-            "worst_lower_excess": self.worst_lower_excess,
-            "worst_upper_excess": self.worst_upper_excess,
-            "passed": self.passed,
-        }
+        return report_dict(self)
 
 
 def audit_equivalence(

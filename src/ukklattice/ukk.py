@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle
+from .norms import NormOracle, report_dict
 from .renorm import EXACT_THRESHOLD, LocalSearchConfig, _rows, renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import DimensionMismatch, LatticeVector, truncate
@@ -128,9 +128,15 @@ def measure_separation(
     return Separation(float(min(res.values)), "heuristic" in res.methods)
 
 
-def _settle_cutoff(length: int) -> int:
+def _track_settles(track, tol: float) -> bool:
+    """Finite-horizon reading of a deviation track: settled, or moving only in the final quarter."""
+    hits = [n for n, v in enumerate(track) if v > tol]
+    if not hits:
+        return True
+    L = len(track)
     # first index of the final quarter; movements starting there are "in flight"
-    return max(1, int(math.ceil(0.75 * length)))
+    cutoff = max(1, int(math.ceil(0.75 * L)))
+    return not (hits[-1] == L - 1 and hits[0] < cutoff)
 
 
 def check_coordinatewise_convergence(
@@ -148,22 +154,8 @@ def check_coordinatewise_convergence(
     X = np.stack([x.coords for x in sequence])
     if X.shape[1] != declared_limit.dim:
         raise DimensionMismatch("sequence and limit disagree on dimension")
-    L = X.shape[0]
-    bad = np.abs(X - declared_limit.coords[None, :]) > tol
-    cutoff = _settle_cutoff(L)
-    for i in np.flatnonzero(bad.any(axis=0)):
-        hits = np.flatnonzero(bad[:, i])
-        if hits[-1] == L - 1 and hits[0] < cutoff:
-            return False
-    return True
-
-
-def _track_settles(track, tol: float) -> bool:
-    hits = [n for n, v in enumerate(track) if v > tol]
-    if not hits:
-        return True
-    L = len(track)
-    return not (hits[-1] == L - 1 and hits[0] < _settle_cutoff(L))
+    dev = np.abs(X - declared_limit.coords[None, :])
+    return all(_track_settles(dev[:, i].tolist(), tol) for i in np.flatnonzero((dev > tol).any(axis=0)))
 
 
 def check_truncation_vanishing(
@@ -218,23 +210,7 @@ class UkkTrial:
     declared_limit: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "reason": self.reason,
-            "passed": self.passed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "limit_renorm": self.limit_renorm,
-            "min_dist_to_limit": self.min_dist_to_limit,
-            "liminf_ok": self.liminf_ok,
-            "advisory": self.advisory,
-            "seed": self.seed,
-            "p": self.p,
-            "horizon": self.horizon,
-            "norm": self.norm,
-            "sequence": self.sequence,
-            "declared_limit": self.declared_limit,
-        }
+        return report_dict(self)
 
 
 def run_ukk_trial(
@@ -345,23 +321,7 @@ class UkkCampaign:
     min_margin: float | None  # min over valid trials of (1 - delta + tol) - limit_renorm
 
     def to_dict(self, include_trials: bool = True) -> dict:
-        out = {
-            "norm": self.norm,
-            "p": self.p,
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "total": self.total,
-            "valid": self.valid,
-            "passed": self.passed,
-            "failed": self.failed,
-            "invalid": self.invalid,
-            "advisory": self.advisory,
-            "min_margin": self.min_margin,
-        }
-        if include_trials:
-            out["trials"] = [t.to_dict() for t in self.trials]
-        return out
+        return report_dict(self, omit=() if include_trials else ("trials",))
 
 
 def _bump_trial(
@@ -429,6 +389,8 @@ def run_bump_campaign(
         raise ValueError(f"unknown campaign mode {mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     records: list[UkkTrial] = []
     for t in range(trials):

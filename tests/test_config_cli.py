@@ -65,6 +65,9 @@ def test_parse_errors_carry_paths():
         ({"kind": "Lq", "q": 2, "dim": 3, "bogus": 1}, "bogus"),
         ({"kind": "Mystery", "dim": 3}, "kind"),
         ({"kind": "WeightedLq", "q": 2, "weights": [1.0, -1.0]}, "weights"),
+        ({"kind": "WeightedLq", "q": 2, "weights": [True, 2.0]}, "weights"),
+        ({"kind": "Block", "blocks": [[0, True]], "inner": {"kind": "Lq", "q": 1},
+          "outer": {"kind": "Lq", "q": 1, "dim": 1}}, "blocks"),
         ({"kind": "Block", "blocks": [[0], [0]], "inner": {"kind": "Lq", "q": 1},
           "outer": {"kind": "Lq", "q": 1, "dim": 2}}, "block"),
     ]
@@ -118,6 +121,8 @@ def test_seed_flag_overrides(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.json", BASE_CFG)
     assert main(["space-check", "--config", cfg, "--seed", "99"]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 99
+    assert main(["space-check", "--config", cfg, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bad_config_is_exit_2(tmp_path, capsys):
@@ -180,11 +185,65 @@ def test_ukk_outputs(tmp_path):
 
 
 def test_threads_flag_validated(tmp_path, capsys):
+    # --threads was a documented no-op and has been removed: argparse rejects it
     cfg = write(tmp_path, "cfg.json", BASE_CFG)
-    with pytest.raises(SystemExit) as exc:
-        main(["space-check", "--config", cfg, "--threads", "0"])
-    assert exc.value.code == 2
-    assert main(["space-check", "--config", cfg, "--threads", "4"]) == 0
+    for value in ("0", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["space-check", "--config", cfg, "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    assert main(["space-check", "--config", cfg]) == 0
+
+
+# (subcommand, config section, field, bad value): each must be a usage
+# error naming the field, never exit 1, which means a violation
+BAD_FIELDS = [
+    ("space-check", "audit", "samples", "100"),
+    ("space-check", "audit", "samples", 0),
+    ("space-check", "audit", "samples", 1.5),
+    ("space-check", "audit", "tol", True),
+    ("space-check", "audit", "tol", float("nan")),
+    ("estimate", "estimate", "budget", "40"),
+    ("estimate", "estimate", "budget", 0),
+    ("estimate", "estimate", "budget", True),
+    ("estimate", "estimate", "verify_trials", "30"),
+    ("estimate", "estimate", "rs", [5.0, True]),
+    ("estimate", "estimate", "tail_tol", 2.0),
+    ("renorm", "renorm", "vectors", [["a", 1, 0]]),
+    ("renorm", "renorm", "vectors", [[True] + [0.0] * 11]),
+    ("renorm", "renorm", "vectors", [[float("nan")] + [0.0] * 11]),
+    ("renorm", "renorm", "vectors", [1.0, 2.0]),
+    ("renorm", "renorm", "mode", 3),
+    ("renorm", "renorm", "random", {"support": 0}),
+    ("renorm", "renorm", "random", {"count": "5"}),
+    ("ukk", "ukk", "horizon", "12"),
+    ("ukk", "ukk", "horizon", 0),
+    ("ukk", "ukk", "tol", "tiny"),
+    ("ukk", "ukk", "tol", float("inf")),
+    ("ukk", "ukk", "mode", "sweep"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,section,field,value", BAD_FIELDS,
+    ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, (list, dict)) else None,
+)
+def test_bad_field_is_exit_2(tmp_path, capsys, command, section, field, value):
+    doc = json.loads(json.dumps(BASE_CFG))
+    if field == "random":
+        del doc["renorm"]["vectors"]
+    doc[section][field] = value
+    assert main([command, "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.{section}" in err and field in err
+
+
+def test_renorm_direct_mode_rejects_non_numeric_vector(tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 3})
+    for bad in (["a", 1, 0], [[1.0, 0.0, 0.0], [False, 1, 0]]):
+        vec = write(tmp_path, "vec.json", bad)
+        assert main(["renorm", "--space", space, "--p", "2", "--vector", vec]) == 2
+        assert "vec.json" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

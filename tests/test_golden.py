@@ -1,8 +1,11 @@
 """Byte-identity against reports recorded before the batched renorm engine.
 
 Each digest is the sha256 of the canonical JSON (sorted keys, compact
-separators) of one report, recorded with the per-mask subset DP that the
-layered batch engine replaced.  A change of tie-break, pow or fold order
+separators) of one report, or of one file the CLI writes, recorded with
+the per-mask subset DP that the layered batch engine replaced and, for
+the equivalence audit and the space-check, estimate and ukk files, with
+the hand-written per-report serializers that one field walk replaced.
+A change of tie-break, pow or fold order, or of a report's JSON shape,
 shows here even when two runs of the same code agree with each other.
 The pinned ``threshold=14`` results do the same for support sizes above
 the default exact threshold.
@@ -20,6 +23,7 @@ from ukklattice import (
     LqNorm,
     PosNegMaxNorm,
     WeightedLqNorm,
+    audit_equivalence,
     estimate_lower_p_constant,
     renorm_exact,
     run_bump_campaign,
@@ -66,8 +70,6 @@ CAMPAIGN_DIGESTS = {
     ("fuzz", "block", 2024):
         "d918e13096ecfec3e6303bf94c674478a611c392a89601f7732618c786ea20c1",
 }
-LOWER_P_DIGEST = "40ece72f410b174c59b1615894783ada668fedf1bba7afda91a6e26cbf2bfd5f"
-RENORM_CLI_DIGEST = "f4ff864fbfe90cd5419b0ec780f70f11c36a57d041713f99f39230f66ab9753e"
 
 
 @pytest.mark.parametrize("mode,space,seed", sorted(CAMPAIGN_DIGESTS))
@@ -76,13 +78,29 @@ def test_campaign_report_unchanged(mode, space, seed):
     assert _digest(camp.to_dict()) == CAMPAIGN_DIGESTS[mode, space, seed]
 
 
-def test_lower_p_constant_unchanged():
+def _lower_p_report():
     N = WeightedLqNorm(3, [1.0 + 0.25 * i for i in range(10)])
     ratio, family = estimate_lower_p_constant(N, 2.5, budget=60, seed=5)
-    assert _digest({"ratio": ratio, "family": [x.to_list() for x in family]}) == LOWER_P_DIGEST
+    return {"ratio": ratio, "family": [x.to_list() for x in family]}
 
 
-def test_renorm_cli_report_unchanged(tmp_path):
+def _equivalence_report():
+    return audit_equivalence(_block(6), 2.0, 1.05, samples=200, seed=9, max_support=8).to_dict()
+
+
+REPORTS = {"lower_p": _lower_p_report, "equivalence": _equivalence_report}
+REPORT_DIGESTS = {
+    "lower_p": "40ece72f410b174c59b1615894783ada668fedf1bba7afda91a6e26cbf2bfd5f",
+    "equivalence": "b0dc48aff3c6236201bbc76276943fc800fd1b2e6018f3a44fc6aa38f671e7c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_unchanged(name):
+    assert _digest(REPORTS[name]()) == REPORT_DIGESTS[name]
+
+
+def _renorm_vectors():
     rng = np.random.default_rng(31)
     vectors = []
     for s in (1, 3, 5, 7, 9, 11, 12, 14):
@@ -90,12 +108,40 @@ def test_renorm_cli_report_unchanged(tmp_path):
         coords[rng.choice(16, size=s, replace=False)] = rng.uniform(0.1, 1.0, size=s)
         vectors.append(coords.tolist())
     vectors.append(np.round(np.asarray(vectors[4]), 1).tolist())  # ties
-    cfg = {"seed": 4, "space": _block(8).describe(), "renorm": {"p": 3, "vectors": vectors}}
+    return vectors
+
+
+def _cli_config(command: str) -> dict:
+    if command == "renorm":
+        return {"seed": 4, "space": _block(8).describe(), "renorm": {"p": 3, "vectors": _renorm_vectors()}}
+    # a weighted 2-norm has c = sqrt(2) < 2, so the estimate report carries every field
+    return {
+        "seed": 4,
+        "space": WeightedLqNorm(2, [1.0 + 0.5 * i for i in range(10)]).describe(),
+        "audit": {"samples": 500},
+        "estimate": {"budget": 30, "tail_tol": 1e-6, "verify_trials": 40},
+        "ukk": {"p": 2, "trials": 8, "horizon": 4, "mode": "fuzz"},
+    }
+
+
+# sha256 of each report file the CLI writes with --out, by (subcommand, file)
+CLI_DIGESTS = {
+    ("renorm", "renorm.jsonl"): "f4ff864fbfe90cd5419b0ec780f70f11c36a57d041713f99f39230f66ab9753e",
+    ("space-check", "space_check.json"): "06edb1391b50dd94eb210f1394146d9a88b8226f49a8529c5572fbb818467824",
+    ("estimate", "estimate.json"): "8b73cc9c3a8ac766deef12cd6811fcac813f34c7c16d6cb9e7387697ba40c3b4",
+    ("ukk", "ukk_summary.json"): "798b043a6ddd162ed6230282200658d51d2a5d2a9cec8dc23c62b41e4c41cce8",
+    ("ukk", "ukk_trials.jsonl"): "34937b693ea74760383d29410bbc228dc6342311a5a1ac5c602ad243186e0d43",
+    ("ukk", "ukk_summary.csv"): "118b3d6b12784699277633a733e3cfd9676ec209a615cbc61fa62de9db9e0366",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(CLI_DIGESTS))
+def test_cli_report_unchanged(tmp_path, command, name):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert cli_main(["renorm", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    blob = (tmp_path / "out" / "renorm.jsonl").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == RENORM_CLI_DIGEST
+    cfg_path.write_text(json.dumps(_cli_config(command)), encoding="utf-8")
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    blob = (tmp_path / "out" / name).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[command, name]
 
 
 TIES_DIGEST = "af87a7454026b9eca3dfeea7f7539b5e460b7b92a058d9bd4fc32fd586f4cef8"
