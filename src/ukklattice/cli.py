@@ -28,7 +28,6 @@ from .estimates import run_estimate_pipeline, verify_lower_r_estimate
 from .norms import audit_norm_axioms
 from .renorm import (
     EXACT_THRESHOLD,
-    LocalSearchConfig,
     SupportTooLarge,
     renorm,
     renorm_exact,
@@ -104,7 +103,6 @@ def _cmd_estimate(args) -> int:
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
     est = require(cfg, "estimate", dict, "config", {})
     budget = require(est, "budget", int, "config.estimate", 400)
-    tail_tol = require(est, "tail_tol", float, "config.estimate", 1e-8)
     rs = require(est, "rs", list, "config.estimate", None)
     if rs is not None:
         rs = tuple(float(r) for r in number_array(rs, "config.estimate.rs"))
@@ -112,7 +110,7 @@ def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args, cfg)
 
     with _rejected_in("config.estimate"):
-        report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs, tail_tol=tail_tol)
+        report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs)
     violations = 0
     verified = 0
     if report.hypothesis_satisfied and verify_trials > 0:
@@ -132,13 +130,12 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
     rec: dict = {"schema_version": SCHEMA_VERSION, "index": index}
     try:
         x = LatticeVector(coords)
-        cfg = LocalSearchConfig(seed=seed)
         if mode == "exact":
             res = renorm_exact(N, p, x)
         elif mode == "heuristic":
-            res = renorm_heuristic(N, p, x, config=cfg)
+            res = renorm_heuristic(N, p, x, seed=seed)
         else:
-            res = renorm(N, p, x, config=cfg)
+            res = renorm(N, p, x, seed=seed)
         rec.update(res.to_dict())
         rec["vector"] = x.to_list()
     except (SupportTooLarge, DimensionMismatch, ValueError) as e:

@@ -9,7 +9,7 @@ The chain implemented here:
    of a lower p-estimate.
 3. ``lower_r_constant``: for r > p, the constant
    c^2 * (sum_i i^(-r/p))^(1/r) of the derived lower r-estimate,
-   evaluated with a certified integral tail bracket.
+   summed by a fixed-size Euler-Maclaurin bracket.
 4. ``verify_lower_r_estimate`` / ``check_inf_chain``: randomized checks
    of the resulting inequalities on sampled disjoint families.
 5. ``estimate_lower_p_constant``: direct search for the best constant C
@@ -56,8 +56,29 @@ def _pair_ratio(N: NormOracle, ax: np.ndarray, ay: np.ndarray) -> float:
     return (float(v[0]) + float(v[1])) / denom
 
 
+def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
+    """Coordinatewise rescaling hill climb over the rows of ``X``; supports fixed.
+
+    Each nonzero entry is scaled by each factor in turn and a strict
+    improvement of ``score(X)`` is kept at once; at most two sweeps.
+    """
+    for _ in range(2):
+        improved = False
+        for i in range(X.shape[0]):
+            for j in np.flatnonzero(X[i]):
+                for f in (0.5, 0.8, 1.25, 2.0):
+                    cand = X.copy()
+                    cand[i, j] *= f
+                    r = score(cand)
+                    if r > best:
+                        X, best, improved = cand, r, True
+        if not improved:
+            break
+    return X, best
+
+
 def _refine_pair(
-    N: NormOracle, ax: np.ndarray, ay: np.ndarray, ratio: float, rng: np.random.Generator
+    N: NormOracle, ax: np.ndarray, ay: np.ndarray, ratio: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Local improvement of a disjoint pair; supports never change."""
     best = (ax, ay, ratio)
@@ -77,26 +98,8 @@ def _refine_pair(
     for t in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0):
         consider(best[0] * t, best[1])
 
-    # coordinatewise hill climb, two sweeps
-    for _ in range(2):
-        improved = False
-        for which in (0, 1):
-            arr = best[which]
-            for i in np.flatnonzero(arr):
-                for f in (0.5, 0.8, 1.25, 2.0):
-                    cand = arr.copy()
-                    cand[i] *= f
-                    before = best[2]
-                    if which == 0:
-                        consider(cand, best[1])
-                    else:
-                        consider(best[0], cand)
-                    if best[2] > before:
-                        arr = best[which]
-                        improved = True
-        if not improved:
-            break
-    return best
+    X, r = _hill_climb(np.stack(best[:2]), best[2], lambda M: _pair_ratio(N, M[0], M[1]))
+    return X[0], X[1], r
 
 
 def estimate_two_disjoint_constant(
@@ -125,7 +128,7 @@ def estimate_two_disjoint_constant(
         nonlocal best_ratio, best_pair
         r = _pair_ratio(N, ax, ay)
         if r > best_ratio:
-            ax, ay, r = _refine_pair(N, ax, ay, r, rng)
+            ax, ay, r = _refine_pair(N, ax, ay, r)
             best_ratio = r
             best_pair = (ax, ay)
 
@@ -163,40 +166,43 @@ def derived_exponent(c: float) -> float:
     return 2.0 * math.log(2.0) / math.log(2.0 / c)
 
 
-def lower_r_constant(c: float, p: float, r: float, tail_tol: float = 1e-8) -> float:
+# Euler-Maclaurin for sum_{i>=1} i^(-s): the first _EM_N - 1 terms directly,
+# then the tail from _EM_N with the B2..B8 corrections; B_2k / (2k)! for k = 1..4
+_EM_N = 64
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
+def lower_r_constant(c: float, p: float, r: float) -> float:
     """The constant c^2 * (sum_{i>=1} i^(-r/p))^(1/r), for r > p.
 
-    The series is summed up to M with the tail bracketed by
-    integral bounds (M+1)^(1-s)/(s-1) <= tail <= M^(1-s)/(s-1) for
-    s = r/p; M grows until the bracket width is below ``tail_tol``
-    relative, then the midpoint is added.  Deterministic.
+    The series zeta(s), s = r/p, is summed directly below n = 64 and its
+    tail from n on by Euler-Maclaurin (DLMF §2.10, §25.2):
+    n^(1-s)/(s-1) + n^(-s)/2 plus the B2, B4 and B6 corrections.  Every
+    even derivative of x^(-s) is positive, so the remainder lies between
+    0 and the omitted B8 term; half of that term is added.
+    Fixed cost, deterministic, and accurate to a few ulp for every s > 1.
     """
     c = float(c)
     p = float(p)
     r = float(r)
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError(f"constant c must be >= 1, got {c}")
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not r > p:
         raise ValueError(f"need r > p for the series to converge, got r={r}, p={p}")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must be in (0, 1), got {tail_tol}")
     s = r / p
-    rough = 1.0 + 1.0 / (s - 1.0)  # integral upper bound on the full series
-    M = max(8, int(((s - 1.0) * tail_tol * rough) ** (-1.0 / s)) + 1)
-    while True:
-        if M > 200_000_000:
-            raise ValueError("tail_tol too small for direct summation at this r/p")
-        idx = np.arange(1, M + 1, dtype=np.float64)
-        partial = float(np.sum(idx ** (-s)))
-        tail_lower = (M + 1.0) ** (1.0 - s) / (s - 1.0)
-        tail_upper = float(M) ** (1.0 - s) / (s - 1.0)
-        if tail_upper - tail_lower <= tail_tol * (partial + tail_lower):
-            break
-        M *= 2
-    series = partial + 0.5 * (tail_lower + tail_upper)
-    return c * c * series ** (1.0 / r)
+    n = _EM_N
+    terms = [i ** -s for i in range(1, n)]
+    a = n ** -s
+    if a > 0.0:  # once n^(-s) underflows the tail is 0 to double precision
+        terms += [n * a / (s - 1.0), 0.5 * a]
+        deriv = s * a / n  # s (s+1) ... (s+2k-2) n^(-s-2k+1), from k = 1
+        for k, coef in enumerate(_EM_COEFFS, start=1):
+            terms.append(coef * deriv)
+            deriv *= (s + 2 * k - 1) * (s + 2 * k) / (n * n)
+        terms[-1] *= 0.5
+    return c * c * math.fsum(terms) ** (1.0 / r)
 
 
 def _family_matrix(family) -> np.ndarray:
@@ -318,28 +324,12 @@ def _greedy_unit_family(N: NormOracle, p: float) -> list[LatticeVector]:
 
 def _refine_family(N: NormOracle, p: float, family, ratio: float):
     """Coordinatewise rescaling hill climb on a family; supports fixed."""
-    X = _family_matrix(family)
-    best_X = X
-    best = ratio
 
     def as_family(M):
         return [LatticeVector(row) for row in M]
 
-    for _ in range(2):
-        improved = False
-        for i in range(best_X.shape[0]):
-            for j in np.flatnonzero(best_X[i]):
-                for f in (0.5, 0.8, 1.25, 2.0):
-                    cand = best_X.copy()
-                    cand[i, j] *= f
-                    r = family_power_ratio(N, p, as_family(cand))
-                    if r > best:
-                        best = r
-                        best_X = cand
-                        improved = True
-        if not improved:
-            break
-    return as_family(best_X), best
+    X, best = _hill_climb(_family_matrix(family), ratio, lambda M: family_power_ratio(N, p, as_family(M)))
+    return as_family(X), best
 
 
 def estimate_lower_p_constant(
@@ -450,7 +440,6 @@ def run_estimate_pipeline(
     budget: int = 400,
     seed: int = 0,
     rs: tuple[float, ...] | None = None,
-    tail_tol: float = 1e-8,
 ) -> EstimateReport:
     """c_hat, then (if c_hat < 2) exponent, series constants, and C.
 
@@ -470,7 +459,7 @@ def run_estimate_pipeline(
         p_derived = derived_exponent(c_hat)
         chosen_rs = rs if rs is not None else (p_derived + 1.0, p_derived + 2.0)
         for r in chosen_rs:
-            kr_table.append((float(r), lower_r_constant(c_hat, p_derived, float(r), tail_tol)))
+            kr_table.append((float(r), lower_r_constant(c_hat, p_derived, float(r))))
         C, witness = estimate_lower_p_constant(N, p_derived, budget=budget, seed=seed + 1)
         budgets["lower_p"] = budget
 

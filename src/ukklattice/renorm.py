@@ -47,7 +47,6 @@ __all__ = [
     "EXACT_THRESHOLD",
     "SupportTooLarge",
     "RenormResult",
-    "LocalSearchConfig",
     "renorm_exact",
     "renorm_batch",
     "RenormBatch",
@@ -66,6 +65,12 @@ EXACT_THRESHOLD = 12
 
 # block rows per N.values call in renorm_batch; a larger group is split
 _MAX_BLOCK_ROWS = 1 << 16
+
+# renorm_heuristic: random starts besides the one-block and all-singletons
+# partitions, ascent steps per start, random bipartitions per block per step
+_RESTARTS = 4
+_MAX_ITERS = 80
+_CUT_ATTEMPTS = 3
 
 
 class SupportTooLarge(ValueError):
@@ -289,7 +294,7 @@ def renorm_batch(
     p: float,
     X,
     threshold: int = EXACT_THRESHOLD,
-    config: LocalSearchConfig | None = None,
+    seed: int = 0,
 ) -> RenormBatch:
     """Renorm of every row of ``X``: exact up to ``threshold``, local search above.
 
@@ -309,7 +314,8 @@ def renorm_batch(
     (the whole remaining set is tried first), and ``witness`` recovers
     that block.
     Rows above the threshold go through :func:`renorm_heuristic` one at a
-    time; a row's result never depends on the other rows of the batch.
+    time, each with ``seed``; a row's result never depends on the other
+    rows of the batch.
     """
     p = _check_p(p)
     X = _rows(N, X)
@@ -350,19 +356,9 @@ def renorm_batch(
             sources[i] = (tp[:, r], g[:, r], supp[r], tables)
 
     for i in np.flatnonzero(sizes > threshold).tolist():
-        res = renorm_heuristic(N, p, LatticeVector(X[i]), config=config)
+        res = renorm_heuristic(N, p, LatticeVector(X[i]), seed=seed)
         values[i], power_sums[i], methods[i], sources[i] = res.value, res.power_sum, res.method, res
     return RenormBatch(values, power_sums, methods, p, N, sources)
-
-
-@dataclass(frozen=True)
-class LocalSearchConfig:
-    """Knobs for the steepest-ascent partition search."""
-
-    restarts: int = 4  # random starts in addition to trivial + singletons
-    max_iters: int = 80
-    cut_attempts: int = 3  # random bipartitions tried per block per round
-    seed: int = 0
 
 
 class _BlockTerms:
@@ -398,7 +394,7 @@ def _sorted_masks(masks) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda B: B & -B))
 
 
-def _candidate_moves(cur: tuple[int, ...], s: int, rng: np.random.Generator, cut_attempts: int):
+def _candidate_moves(cur: tuple[int, ...], s: int, rng: np.random.Generator):
     """All single-step neighbors of the current partition, deterministic order."""
     k = len(cur)
     out = []
@@ -440,7 +436,7 @@ def _candidate_moves(cur: tuple[int, ...], s: int, rng: np.random.Generator, cut
         bits = [j for j in range(s) if (B >> j) & 1]
         if len(bits) < 2:
             continue
-        for _ in range(cut_attempts):
+        for _ in range(_CUT_ATTEMPTS):
             r = int(rng.integers(1, (1 << len(bits)) - 1))
             sub = 0
             for pos, j in enumerate(bits):
@@ -455,29 +451,27 @@ def renorm_heuristic(
     N: NormOracle,
     p: float,
     x: LatticeVector,
-    config: LocalSearchConfig | None = None,
+    seed: int = 0,
 ) -> RenormResult:
     """Steepest-ascent local search over support partitions.
 
     Moves: relocate one atom, merge two blocks, split a block at a
     random cut.  Always started from the one-block and all-singletons
-    partitions plus seeded random restarts.  The result is a certified
-    lower bound on the exact supremum and never exceeds it.
+    partitions plus random restarts drawn from ``seed``.  The result is
+    a certified lower bound on the exact supremum and never exceeds it.
     """
     p = _check_inputs(N, p, x)
-    if config is None:
-        config = LocalSearchConfig()
     supp = np.flatnonzero(x.coords)
     s = int(supp.size)
     if s == 0:
         return _zero_result(N, p, "heuristic")
     vals = x.coords[supp]
     terms = _BlockTerms(N, p, supp, vals, x.dim)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     full = (1 << s) - 1
     starts: list[tuple[int, ...]] = [(full,), tuple(1 << j for j in range(s))]
-    for _ in range(config.restarts):
+    for _ in range(_RESTARTS):
         labels = np.zeros(s, dtype=np.int64)
         top = 0
         for j in range(1, s):
@@ -494,8 +488,8 @@ def renorm_heuristic(
         cur = _sorted_masks(start)
         terms.ensure(cur)
         cur_total = terms.total(cur)
-        for _ in range(config.max_iters):
-            cands = _candidate_moves(cur, s, rng, config.cut_attempts)
+        for _ in range(_MAX_ITERS):
+            cands = _candidate_moves(cur, s, rng)
             if not cands:
                 break
             need = {B for cand in cands for B in cand}
@@ -527,13 +521,13 @@ def renorm(
     p: float,
     x: LatticeVector,
     threshold: int = EXACT_THRESHOLD,
-    config: LocalSearchConfig | None = None,
+    seed: int = 0,
 ) -> RenormResult:
     """Exact below the support threshold, local search above it."""
     p = _check_inputs(N, p, x)
     if int(np.count_nonzero(x.coords)) <= threshold:
         return renorm_exact(N, p, x, threshold=threshold)
-    return renorm_heuristic(N, p, x, config=config)
+    return renorm_heuristic(N, p, x, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -20,19 +20,14 @@ __all__ = [
 ]
 
 
-def random_coords(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_coords(rng: np.random.Generator, n: int) -> np.ndarray:
     """n nonzero signed magnitudes, bounded away from 0 to keep supports exact."""
-    mag = rng.uniform(0.1, 1.0, size=n) * scale
+    mag = rng.uniform(0.1, 1.0, size=n)
     sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     return mag * sign
 
 
-def random_vector(
-    rng: np.random.Generator,
-    dim: int,
-    support_size: int | None = None,
-    scale: float = 1.0,
-) -> LatticeVector:
+def random_vector(rng: np.random.Generator, dim: int, support_size: int | None = None) -> LatticeVector:
     """A random vector with exactly ``support_size`` nonzero atoms.
 
     ``support_size`` defaults to a uniform draw from 1..dim.
@@ -43,65 +38,48 @@ def random_vector(
         raise ValueError(f"support_size {support_size} out of range 1..{dim}")
     idx = rng.choice(dim, size=support_size, replace=False)
     a = np.zeros(dim, dtype=np.float64)
-    a[idx] = random_coords(rng, support_size, scale)
+    a[idx] = random_coords(rng, support_size)
     return LatticeVector(a)
 
 
-def random_disjoint_pair(
-    rng: np.random.Generator,
-    dim: int,
-    total_support: int | None = None,
-    scale: float = 1.0,
-) -> tuple[LatticeVector, LatticeVector]:
+def random_disjoint_pair(rng: np.random.Generator, dim: int) -> tuple[LatticeVector, LatticeVector]:
     """Two nonzero vectors with disjoint supports.
 
-    The union support has ``total_support`` atoms (default: uniform
-    2..dim), split so both sides are nonempty.
+    The size of the union support is drawn uniformly from 2..dim, and
+    the support is split so that both sides are nonempty.
     """
     if dim < 2:
         raise ValueError("need dim >= 2 for a nonzero disjoint pair")
-    if total_support is None:
-        total_support = int(rng.integers(2, dim + 1))
-    if not 2 <= total_support <= dim:
-        raise ValueError(f"total_support {total_support} out of range 2..{dim}")
-    idx = rng.choice(dim, size=total_support, replace=False)
-    cut = int(rng.integers(1, total_support))
+    total = int(rng.integers(2, dim + 1))
+    idx = rng.choice(dim, size=total, replace=False)
+    cut = int(rng.integers(1, total))
     a = np.zeros(dim, dtype=np.float64)
     b = np.zeros(dim, dtype=np.float64)
-    a[idx[:cut]] = random_coords(rng, cut, scale)
-    b[idx[cut:]] = random_coords(rng, total_support - cut, scale)
+    a[idx[:cut]] = random_coords(rng, cut)
+    b[idx[cut:]] = random_coords(rng, total - cut)
     return LatticeVector(a), LatticeVector(b)
 
 
-def random_disjoint_family(
-    rng: np.random.Generator,
-    dim: int,
-    count: int,
-    total_support: int | None = None,
-    scale: float = 1.0,
-) -> list[LatticeVector]:
+def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> list[LatticeVector]:
     """``count`` pairwise disjoint nonzero vectors.
 
-    A support of ``total_support`` atoms (default: uniform count..dim)
-    is dealt to the members so that each gets at least one atom.
+    A support whose size is drawn uniformly from count..dim is dealt to
+    the members so that each gets at least one atom.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} out of range 1..{dim}")
-    if total_support is None:
-        total_support = int(rng.integers(count, dim + 1))
-    if not count <= total_support <= dim:
-        raise ValueError(f"total_support {total_support} out of range {count}..{dim}")
-    idx = rng.choice(dim, size=total_support, replace=False)
+    total = int(rng.integers(count, dim + 1))
+    idx = rng.choice(dim, size=total, replace=False)
     # one atom each first, then the rest land anywhere
     owner = np.concatenate([
         np.arange(count),
-        rng.integers(0, count, size=total_support - count),
+        rng.integers(0, count, size=total - count),
     ])
     rng.shuffle(owner)
     out = []
     for j in range(count):
         mine = idx[owner == j]
         a = np.zeros(dim, dtype=np.float64)
-        a[mine] = random_coords(rng, mine.size, scale)
+        a[mine] = random_coords(rng, mine.size)
         out.append(LatticeVector(a))
     return out

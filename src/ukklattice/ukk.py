@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormOracle, report_dict
-from .renorm import EXACT_THRESHOLD, LocalSearchConfig, _rows, renorm, renorm_batch
+from .renorm import _rows, renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import DimensionMismatch, LatticeVector, truncate
 
@@ -107,13 +107,7 @@ class Separation:
     advisory: bool
 
 
-def measure_separation(
-    sequence,
-    N: NormOracle,
-    p: float,
-    threshold: int = EXACT_THRESHOLD,
-    config: LocalSearchConfig | None = None,
-) -> Separation:
+def measure_separation(sequence, N: NormOracle, p: float) -> Separation:
     """Min over n != m of renorm(x_n - x_m).
 
     Heuristic renorm values are lower bounds on the true distances, so a
@@ -124,7 +118,7 @@ def measure_separation(
         raise ValueError("separation needs at least two elements")
     X = _rows(N, sequence)
     n, m = np.triu_indices(len(X), 1)
-    res = renorm_batch(N, p, X[n] - X[m], threshold=threshold, config=config)
+    res = renorm_batch(N, p, X[n] - X[m])
     return Separation(float(min(res.values)), "heuristic" in res.methods)
 
 
@@ -220,8 +214,6 @@ def run_ukk_trial(
     declared_limit: LatticeVector,
     seed: int = 0,
     tol: float = 1e-9,
-    conv_tol: float | None = None,
-    threshold: int = EXACT_THRESHOLD,
 ) -> UkkTrial:
     """Verify preconditions, then the modulus bound on the declared limit.
 
@@ -231,7 +223,6 @@ def run_ukk_trial(
     as property violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + tol.
     """
-    conv_tol = tol if conv_tol is None else conv_tol
     base = dict(
         seed=seed,
         p=float(p),
@@ -259,22 +250,22 @@ def run_ukk_trial(
         return invalid("need at least two elements")
 
     advisory = False
-    elements = renorm_batch(N, p, sequence, threshold=threshold)
+    elements = renorm_batch(N, p, sequence)
     for n, (value, method) in enumerate(zip(elements.values, elements.methods)):
         advisory = advisory or method == "heuristic"
         if value > 1.0 + tol:
             return invalid(f"element {n} outside the renorm unit ball ({value})", advisory)
 
-    if not check_coordinatewise_convergence(sequence, declared_limit, conv_tol):
+    if not check_coordinatewise_convergence(sequence, declared_limit, tol):
         return invalid("coordinatewise convergence to the declared limit not established at this horizon", advisory)
 
-    sep = measure_separation(sequence, N, p, threshold=threshold)
+    sep = measure_separation(sequence, N, p)
     advisory = advisory or sep.advisory
     epsilon = sep.value
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)", advisory)
 
-    dists = renorm_batch(N, p, _rows(N, sequence) - declared_limit.coords, threshold=threshold)
+    dists = renorm_batch(N, p, _rows(N, sequence) - declared_limit.coords)
     advisory = advisory or "heuristic" in dists.methods
     min_dist = float(min(dists.values))
     liminf_ok = epsilon / 2.0 <= min_dist + tol
@@ -285,7 +276,7 @@ def run_ukk_trial(
         )
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
-    limit_res = renorm(N, p, declared_limit, threshold=threshold)
+    limit_res = renorm(N, p, declared_limit)
     advisory = advisory or limit_res.method == "heuristic"
     passed = bool(limit_res.value <= 1.0 - delta + tol)
     return UkkTrial(

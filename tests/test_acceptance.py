@@ -174,7 +174,7 @@ def test_criterion_06_estimation_pipeline():
     ok = rep.hypothesis_satisfied
     c_ok = math.sqrt(2) - 1e-3 <= rep.c_hat <= math.sqrt(2) + 1e-9
     p_ok = abs(rep.p_derived - 4.0) <= 1e-2
-    K = lower_r_constant(rep.c_hat, rep.p_derived, 5.0, tail_tol=1e-6)
+    K = lower_r_constant(rep.c_hat, rep.p_derived, 5.0)
     violations = verify_lower_r_estimate(N2, 5.0, K, trials=10_000, seed=108)
     # sup norm: the hypothesis must fail at exactly 2
     Ninf = LqNorm(float("inf"), 6)
@@ -190,7 +190,7 @@ def test_criterion_07_series_constant_accuracy():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     want = float((mp.pi ** 2 / 6) ** mp.mpf("0.25"))
-    got = lower_r_constant(1.0, 2.0, 4.0, tail_tol=1e-8)
+    got = lower_r_constant(1.0, 2.0, 4.0)
     err = abs(got - want)
     # cross-check the series target itself against zeta
     zeta_q = float(mp.zeta(2) ** mp.mpf("0.25"))

@@ -1,15 +1,19 @@
 """The package API: the union of the modules' ``__all__`` lists."""
 
 import importlib
+import inspect
 import pkgutil
+
+import pytest
 
 import ukklattice
 
 # the package exports at the commit that listed them by hand, less
-# ``pos_neg_max`` (removed: ``PosNegMaxNorm`` computes the same value)
+# ``pos_neg_max`` (removed: ``PosNegMaxNorm`` computes the same value) and
+# ``LocalSearchConfig`` (removed: its knobs are constants, its seed a parameter)
 HAND_LISTED_EXPORTS = {
     "BlockNorm", "ConfigError", "DimensionMismatch", "EXACT_THRESHOLD", "EquivalenceAudit",
-    "EstimateReport", "InfChainCheck", "LatticeVector", "LocalSearchConfig", "LqNorm",
+    "EstimateReport", "InfChainCheck", "LatticeVector", "LqNorm",
     "NormAuditReport", "NormOracle", "PosNegMaxNorm", "RenormBatch", "RenormResult", "Separation",
     "SuperadditivityCheck", "SupportPartition", "SupportTooLarge", "UkkCampaign", "UkkTrial",
     "WeightedLqNorm", "__version__", "absolute", "audit_equivalence", "audit_norm_axioms",
@@ -53,3 +57,88 @@ def test_star_import_matches_all():
     namespace: dict = {}
     exec("from ukklattice import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ukklattice.__all__)
+
+
+# parameter names of every function and class in ``__all__``, so that adding or
+# removing an option shows as an edit here; None marks an exception class that
+# keeps the builtin constructor, which has no Python signature
+SIGNATURES = {
+    "BlockNorm": ("blocks", "inner", "outer"),
+    "ConfigError": ("path", "message"),
+    "DimensionMismatch": None,
+    "EquivalenceAudit": ("samples", "seed", "C", "p", "max_support", "lower_violations", "upper_violations",
+                         "worst_lower_excess", "worst_upper_excess", "passed"),
+    "EstimateReport": ("norm", "seed", "c_hat", "c_witness", "hypothesis_satisfied", "p_derived", "kr_table",
+                       "lower_p_constant", "lower_p_witness", "budget_used"),
+    "InfChainCheck": ("passed", "dyadic_ok", "powerlaw_ok", "inf_norm", "total_norm", "dyadic_bound",
+                      "powerlaw_bound", "m", "k"),
+    "LatticeVector": ("coords",),
+    "LqNorm": ("q", "dim"),
+    "NormAuditReport": ("kind", "samples", "seed", "tol", "monotone_constant", "zero_value",
+                        "positivity_violations", "homogeneity_violation", "triangle_violation",
+                        "monotonicity_violation"),
+    "NormOracle": (),
+    "PosNegMaxNorm": ("base",),
+    "RenormBatch": ("values", "power_sums", "methods", "p", "norm", "_sources"),
+    "RenormResult": ("value", "power_sum", "witness", "method", "p", "norm"),
+    "Separation": ("value", "advisory"),
+    "SuperadditivityCheck": ("passed", "slack", "value_x", "value_y", "value_sum", "p"),
+    "SupportPartition": ("blocks",),
+    "SupportTooLarge": None,
+    "UkkCampaign": ("norm", "p", "mode", "horizon", "seed", "trials", "total", "valid", "passed", "failed",
+                    "invalid", "advisory", "min_margin"),
+    "UkkTrial": ("valid", "reason", "passed", "epsilon", "delta", "limit_renorm", "min_dist_to_limit",
+                 "liminf_ok", "advisory", "seed", "p", "horizon", "norm", "sequence", "declared_limit"),
+    "WeightedLqNorm": ("q", "weights", "dim"),
+    "absolute": ("x",),
+    "audit_equivalence": ("N", "p", "C", "samples", "seed", "max_support", "rel_tol"),
+    "audit_norm_axioms": ("N", "samples", "seed", "tol"),
+    "bell_number": ("n",),
+    "check_coordinatewise_convergence": ("sequence", "declared_limit", "tol"),
+    "check_inf_chain": ("N", "c", "family", "rel_tol", "abs_tol"),
+    "check_superadditivity": ("N", "p", "x", "y", "rel_tol", "abs_tol"),
+    "check_truncation_vanishing": ("u", "sequence", "declared_limit", "N", "tol"),
+    "derived_exponent": ("c",),
+    "disjoint_residuals": ("x", "y"),
+    "estimate_lower_p_constant": ("N", "p", "budget", "seed"),
+    "estimate_two_disjoint_constant": ("N", "budget", "seed"),
+    "family_power_ratio": ("N", "p", "family"),
+    "generate_bump_sequence": ("N", "p", "core", "bump_height", "horizon", "tol"),
+    "is_disjoint": ("x", "y"),
+    "iter_set_partitions": ("items",),
+    "join": ("x", "y"),
+    "load_config": ("path",),
+    "lower_r_constant": ("c", "p", "r"),
+    "measure_separation": ("sequence", "N", "p"),
+    "meet": ("x", "y"),
+    "neg_part": ("x",),
+    "parse_norm_spec": ("spec", "path"),
+    "partition_power_sum": ("N", "p", "x", "blocks"),
+    "pos_part": ("x",),
+    "random_coords": ("rng", "n"),
+    "random_disjoint_family": ("rng", "dim", "count"),
+    "random_disjoint_pair": ("rng", "dim"),
+    "random_vector": ("rng", "dim", "support_size"),
+    "renorm": ("N", "p", "x", "threshold", "seed"),
+    "renorm_batch": ("N", "p", "X", "threshold", "seed"),
+    "renorm_exact": ("N", "p", "x", "threshold"),
+    "renorm_heuristic": ("N", "p", "x", "seed"),
+    "restrict": ("x", "block"),
+    "run_bump_campaign": ("N", "p", "trials", "seed", "mode", "horizon", "tol"),
+    "run_estimate_pipeline": ("N", "budget", "seed", "rs"),
+    "run_ukk_trial": ("N", "p", "sequence", "declared_limit", "seed", "tol"),
+    "truncate": ("u", "x"),
+    "ukk_modulus": ("epsilon", "p"),
+    "verify_lower_r_estimate": ("N", "r", "K", "trials", "seed", "rel_tol", "abs_tol"),
+}
+
+
+def test_signatures_match_inventory():
+    assert {name for name in ukklattice.__all__ if callable(getattr(ukklattice, name))} == set(SIGNATURES)
+    for name, params in SIGNATURES.items():
+        obj = getattr(ukklattice, name)
+        if params is None:
+            with pytest.raises(ValueError):
+                inspect.signature(obj)
+        else:
+            assert tuple(inspect.signature(obj).parameters) == params, name

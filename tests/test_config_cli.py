@@ -208,7 +208,6 @@ BAD_FIELDS = [
     ("estimate", "estimate", "budget", True),
     ("estimate", "estimate", "verify_trials", "30"),
     ("estimate", "estimate", "rs", [5.0, True]),
-    ("estimate", "estimate", "tail_tol", 2.0),
     ("renorm", "renorm", "vectors", [["a", 1, 0]]),
     ("renorm", "renorm", "vectors", [[True] + [0.0] * 11]),
     ("renorm", "renorm", "vectors", [[float("nan")] + [0.0] * 11]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,20 +59,39 @@ def test_derived_exponent_values():
 
 def test_lower_r_constant_zeta_point():
     # c = 1, p = 2, r = 4 sums i^{-2}: K = (pi^2/6)^(1/4)
-    k = lower_r_constant(1.0, 2.0, 4.0, tail_tol=1e-8)
+    k = lower_r_constant(1.0, 2.0, 4.0)
     assert k == pytest.approx((math.pi ** 2 / 6) ** 0.25, abs=1e-6)
 
 
 def test_lower_r_constant_scales_with_c_squared():
-    base = lower_r_constant(1.0, 2.0, 4.0, tail_tol=1e-8)
-    scaled = lower_r_constant(1.3, 2.0, 4.0, tail_tol=1e-8)
+    base = lower_r_constant(1.0, 2.0, 4.0)
+    scaled = lower_r_constant(1.3, 2.0, 4.0)
     assert scaled == pytest.approx(1.3 ** 2 * base, rel=1e-9)
 
 
-def test_lower_r_constant_tightening_tolerance_is_stable():
-    a = lower_r_constant(1.2, 2.0, 3.0, tail_tol=1e-6)
-    b = lower_r_constant(1.2, 2.0, 3.0, tail_tol=1e-10)
-    assert a == pytest.approx(b, rel=1e-5)
+# (p, r): s = r/p from next to 1, where the series is ill-conditioned, to 1e6
+ZETA_GRID = [(1.0, 1.0 + 1e-9), (1200.0, 1201.0), (2.0, 2.02), (4.0, 5.0), (2.0, 3.0),
+             (2.0, 4.0), (1.0, 13.3), (1.5, 1.5e6)]
+
+
+def test_lower_r_constant_matches_zeta_grid():
+    mp = pytest.importorskip("mpmath")
+    c = 1.2
+    tracemalloc.start()
+    try:
+        got = [lower_r_constant(c, p, r) for p, r in ZETA_GRID]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for (p, r), k in zip(ZETA_GRID, got):
+        # the reference is taken at the float s = r/p the function sums at
+        with mp.workdps(40):
+            want = mp.zeta(mp.mpf(r / p)) ** (1 / mp.mpf(r)) * mp.mpf(c) ** 2
+            assert abs(k - want) <= 1e-14 * want, (p, r)
+    # n^(-s) underflows: the tail vanishes and the series is 1
+    assert lower_r_constant(c, 1.0, 1e300) == c * c
+    assert lower_r_constant(c, 2.0, math.inf) == c * c
 
 
 def test_lower_r_constant_validation():
@@ -79,8 +99,9 @@ def test_lower_r_constant_validation():
         lower_r_constant(1.0, 2.0, 2.0)  # r must exceed p
     with pytest.raises(ValueError):
         lower_r_constant(0.5, 2.0, 4.0)
-    with pytest.raises(ValueError):
-        lower_r_constant(1.0, 2.0, 4.0, tail_tol=0.0)
+    for bad in ((math.nan, 2.0, 4.0), (1.0, math.nan, 4.0), (1.0, 2.0, math.nan)):
+        with pytest.raises(ValueError):
+            lower_r_constant(*bad)
 
 
 def test_check_inf_chain_unit_atoms():
@@ -139,7 +160,7 @@ def test_lower_p_constant_block_pairs():
 
 def test_verify_lower_r_estimate_zero_violations():
     N = LqNorm(2, 8)
-    K = lower_r_constant(math.sqrt(2), 4.0, 5.0, tail_tol=1e-6)
+    K = lower_r_constant(math.sqrt(2), 4.0, 5.0)
     assert verify_lower_r_estimate(N, 5.0, K, trials=300, seed=4) == 0
 
 

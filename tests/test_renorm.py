@@ -6,7 +6,6 @@ import pytest
 from ukklattice import (
     BlockNorm,
     LatticeVector,
-    LocalSearchConfig,
     LqNorm,
     PosNegMaxNorm,
     SupportTooLarge,
@@ -95,13 +94,12 @@ def test_exact_matches_brute_force(N, p):
         s = int(rng.integers(1, 9))
         row[rng.choice(8, size=s, replace=False)] = random_coords(rng, s)
     X[18:36] = np.round(X[18:36], 1)
-    cfg = LocalSearchConfig(seed=3)
-    batch = renorm_batch(N, p, X, threshold=threshold, config=cfg)
+    batch = renorm_batch(N, p, X, threshold=threshold, seed=3)
     assert len(batch) == 40
     assert {"exact", "heuristic"} <= set(batch.methods)
     for i, row in enumerate(X):
         x = LatticeVector(row)
-        one = renorm(N, p, x, threshold=threshold, config=cfg)
+        one = renorm(N, p, x, threshold=threshold, seed=3)
         # value, power sum, witness and method, bit for bit
         assert batch.result(i) == one
         assert (batch.values[i], batch.power_sums[i]) == (one.value, one.power_sum)
@@ -204,12 +202,11 @@ def test_dispatch_uses_exact_for_small_support():
 
 def test_heuristic_never_exceeds_exact():
     rng = np.random.default_rng(9)
-    cfg = LocalSearchConfig(seed=5)
     for N, p in BUILTINS:
         for _ in range(10):
             x = random_vector(rng, 8, support_size=int(rng.integers(1, 9)))
             ex = renorm_exact(N, p, x)
-            he = renorm_heuristic(N, p, x, config=cfg)
+            he = renorm_heuristic(N, p, x, seed=5)
             assert he.power_sum <= ex.power_sum
             assert he.value <= ex.value
 
