@@ -9,17 +9,21 @@ popcount and vectorized over the vectors that share a support size
 (value identical to brute-force partition enumeration; the pure
 enumeration survives in the test suite as an oracle).  ``renorm_exact``
 is its one-row case.  ``renorm_heuristic`` is a seeded steepest-ascent
-local search usable above the enumeration threshold.
+local search usable above the enumeration threshold; each of its steps
+scores every neighbour of the current partition in one vectorized fold.
 
 Tie-break: among the candidate first blocks of a subset (those holding
 its smallest atom), the DP keeps the first maximum in descending-submask
-order, so the whole remaining set wins every tie it is part of.  The
-witness partition is therefore deterministic.
+order, so the whole remaining set wins every tie it is part of.  A local
+search step takes the first candidate in its fixed move order with the
+largest total, and only if that total is strictly above the current
+one.  Both witness partitions are therefore deterministic.
 
 Bit-exact comparability: the objective of a partition is always folded
 in the same canonical order (block p-powers, blocks ordered by smallest
 atom, right-to-left accumulation), and block norms are always evaluated
-through the oracle's batch path.  Floating-point addition is monotone,
+through the oracle's batch path; every candidate total of the local
+search is this fold too.  Floating-point addition is monotone,
 so the heuristic's value never exceeds the exact value, and when both
 land on the same partition the two values are bitwise equal.
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -124,7 +129,11 @@ def block_terms(values: np.ndarray, p: float) -> list[float]:
 
 
 def fold_terms(terms) -> float:
-    """Right fold of block p-powers; the one true objective arithmetic."""
+    """Right fold of block p-powers; the one true objective arithmetic.
+
+    ``terms`` may also be the rows of a 2-d array, one column per
+    partition, which folds every column at once with the same additions.
+    """
     acc = 0.0
     for t in reversed(terms):
         acc = t + acc
@@ -361,90 +370,19 @@ def renorm_batch(
     return RenormBatch(values, power_sums, methods, p, N, sources)
 
 
-class _BlockTerms:
-    """Memoized block p-power terms keyed by support bitmask."""
+def _random_cut(rng: np.random.Generator, n: int) -> int:
+    """A uniform proper nonempty submask of n atoms, over bit positions 0..n-1.
 
-    def __init__(self, N: NormOracle, p: float, supp: np.ndarray, vals: np.ndarray, dim: int):
-        self.N = N
-        self.p = p
-        self.supp = supp
-        self.vals = vals
-        self.dim = dim
-        self.cache: dict[int, float] = {}
-
-    def ensure(self, masks) -> None:
-        new = [B for B in masks if B not in self.cache]
-        if not new:
-            return
-        rows = np.zeros((len(new), self.dim), dtype=np.float64)
-        s = self.supp.size
-        for r, B in enumerate(new):
-            bits = [j for j in range(s) if (B >> j) & 1]
-            idx = self.supp[bits]
-            rows[r, idx] = self.vals[bits]
-        self.cache.update(zip(new, block_terms(self.N.values(rows), self.p)))
-
-    def total(self, masks_sorted) -> float:
-        cache = self.cache
-        return fold_terms([cache[B] for B in masks_sorted])
-
-
-def _sorted_masks(masks) -> tuple[int, ...]:
-    # sorting by lowest set bit orders blocks by smallest atom
-    return tuple(sorted(masks, key=lambda B: B & -B))
-
-
-def _candidate_moves(cur: tuple[int, ...], s: int, rng: np.random.Generator):
-    """All single-step neighbors of the current partition, deterministic order."""
-    k = len(cur)
-    out = []
-    seen = {cur}
-
-    def push(masks):
-        cand = _sorted_masks(m for m in masks if m)
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-
-    # move one atom to another block or to a fresh singleton
-    for bi in range(k):
-        B = cur[bi]
-        bits = [j for j in range(s) if (B >> j) & 1]
-        for j in bits:
-            bit = 1 << j
-            src = B ^ bit
-            for ti in range(k):
-                if ti == bi:
-                    continue
-                moved = list(cur)
-                moved[bi] = src
-                moved[ti] = cur[ti] | bit
-                push(moved)
-            if src:  # split the atom off as its own block
-                push([*(m for i, m in enumerate(cur) if i != bi), src, bit])
-
-    # merge two blocks
-    for bi in range(k):
-        for ti in range(bi + 1, k):
-            merged = [m for i, m in enumerate(cur) if i not in (bi, ti)]
-            merged.append(cur[bi] | cur[ti])
-            push(merged)
-
-    # random proper bipartitions of multi-atom blocks
-    for bi in range(k):
-        B = cur[bi]
-        bits = [j for j in range(s) if (B >> j) & 1]
-        if len(bits) < 2:
-            continue
-        for _ in range(_CUT_ATTEMPTS):
-            r = int(rng.integers(1, (1 << len(bits)) - 1))
-            sub = 0
-            for pos, j in enumerate(bits):
-                if (r >> pos) & 1:
-                    sub |= 1 << j
-            push([*(m for i, m in enumerate(cur) if i != bi), sub, B ^ sub])
-
-    return out
+    ``rng.integers`` is bound to int64, so from 64 atoms on this draws n
+    random bits instead and rejects the empty and the full mask.
+    """
+    if n < 64:
+        return int(rng.integers(1, (1 << n) - 1))
+    full = (1 << n) - 1
+    while True:
+        r = int.from_bytes(rng.bytes((n + 7) // 8), "little") & full
+        if 0 < r < full:
+            return r
 
 
 def renorm_heuristic(
@@ -455,10 +393,17 @@ def renorm_heuristic(
 ) -> RenormResult:
     """Steepest-ascent local search over support partitions.
 
-    Moves: relocate one atom, merge two blocks, split a block at a
-    random cut.  Always started from the one-block and all-singletons
-    partitions plus random restarts drawn from ``seed``.  The result is
-    a certified lower bound on the exact supremum and never exceeds it.
+    Started from the one-block and all-singletons partitions plus random
+    restarts drawn from ``seed``.  Each step lists the neighbours of the
+    current partition in a fixed move order: for each block and each of
+    its atoms, the atom moved to every other block in turn and then split
+    off on its own; then every merge of two blocks; then random cuts of
+    each multi-atom block in two.  Every candidate's total is the
+    canonical right fold of its block terms, and the step takes the first
+    candidate in move order with the largest total, if that total is
+    strictly above the current one; otherwise the start is done.  The
+    result is a certified lower bound on the exact supremum and never
+    exceeds it.
     """
     p = _check_inputs(N, p, x)
     supp = np.flatnonzero(x.coords)
@@ -466,53 +411,108 @@ def renorm_heuristic(
     if s == 0:
         return _zero_result(N, p, "heuristic")
     vals = x.coords[supp]
-    terms = _BlockTerms(N, p, supp, vals, x.dim)
     rng = np.random.default_rng(seed)
 
-    full = (1 << s) - 1
-    starts: list[tuple[int, ...]] = [(full,), tuple(1 << j for j in range(s))]
-    for _ in range(_RESTARTS):
-        labels = np.zeros(s, dtype=np.int64)
-        top = 0
-        for j in range(1, s):
-            labels[j] = rng.integers(0, top + 2)
-            top = max(top, int(labels[j]))
-        masks = [0] * (top + 1)
-        for j, lab in enumerate(labels.tolist()):
-            masks[lab] |= 1 << j
-        starts.append(_sorted_masks(m for m in masks if m))
+    # the block table: mask -> id, with the term and lowest atom of each id;
+    # id 0 is the empty pad, whose term adds nothing and which sorts last
+    ids = {0: 0}
+    masks = [0]
+    term = np.zeros(1)
+    low = np.array([s])
+    width = (s + 7) // 8
 
+    def index(blocks: list) -> np.ndarray:
+        """Ids of ``blocks``; the masks not seen before go through one N.values call."""
+        nonlocal term, low
+        got = list(map(ids.get, blocks))
+        if None in got:
+            fresh = list(dict.fromkeys(B for B, i in zip(blocks, got) if i is None))
+            ids.update(zip(fresh, range(len(masks), len(masks) + len(fresh))))
+            masks.extend(fresh)
+            buf = np.frombuffer(b"".join(B.to_bytes(width, "little") for B in fresh), dtype=np.uint8)
+            bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little").astype(bool)
+            rows = np.zeros((len(fresh), x.dim))
+            rows[:, supp] = np.where(bits, vals, 0.0)
+            term = np.concatenate([term, block_terms(N.values(rows), p)])
+            low = np.concatenate([low, bits.argmax(axis=1)])
+            got = list(map(ids.get, blocks))
+        return np.array(got, dtype=np.intp)
+
+    # random restarts: each atom after the first joins one of the blocks so
+    # far or opens the next one, uniformly
+    starts = [[(1 << s) - 1], [1 << j for j in range(s)]]
+    for _ in range(_RESTARTS):
+        parts = [1]
+        for j in range(1, s):
+            lab = int(rng.integers(0, len(parts) + 1))
+            if lab == len(parts):
+                parts.append(0)
+            parts[lab] |= 1 << j
+        starts.append(parts)
+
+    # flips[i][j]: the id of block i with atom j toggled; flips[0] holds the
+    # singletons, evaluated in one call with the blocks of every start
+    flips = {0: index([*(1 << j for j in range(s)), *(B for part in starts for B in part)])[:s]}
     best_total = -1.0
-    best_masks: tuple[int, ...] | None = None
+    best: list[int] = []
     for start in starts:
-        cur = _sorted_masks(start)
-        terms.ensure(cur)
-        cur_total = terms.total(cur)
+        cur = index(sorted(start, key=lambda B: B & -B)).tolist()
+        cur_total = fold_terms(term[cur].tolist())
         for _ in range(_MAX_ITERS):
-            cands = _candidate_moves(cur, s, rng)
-            if not cands:
+            k = len(cur)
+            cm = [masks[i] for i in cur]
+            blocks = [[j for j in range(s) if B >> j & 1] for B in cm]
+            multi = [bi for bi, a in enumerate(blocks) if len(a) > 1]
+            # the blocks each merge or cut takes out (ids) and puts in (masks);
+            # merging a singleton repeats an earlier move of its atom, so only
+            # merges of two multi-atom blocks can be a step
+            tail, halves = [], []
+            for a, b in combinations(multi, 2):
+                tail.append((cur[a], cur[b]))
+                halves += [cm[a] | cm[b], 0]
+            for bi in multi:
+                for _ in range(_CUT_ATTEMPTS):
+                    r = _random_cut(rng, len(blocks[bi]))
+                    sub = sum(1 << j for pos, j in enumerate(blocks[bi]) if r >> pos & 1)
+                    tail.append((cur[bi], 0))
+                    halves += [sub, cm[bi] ^ sub]
+            need = [i for i in cur if i not in flips]
+            got = index([*(masks[i] ^ (1 << j) for i in need for j in range(s)), *halves])
+            flips.update(zip(need, got[: len(need) * s].reshape(len(need), s)))
+            # A candidate takes two blocks out of the current partition and puts
+            # two in, the pad standing in for a missing one.  Per atom in block
+            # order, the atom moves to each other block in turn and then to the
+            # pad, which splits it off; then come the merges, then the cuts.
+            ext = np.array([*cur, 0])
+            owner = np.repeat(np.arange(k), [len(a) for a in blocks])[:, None]
+            # per atom: its k targets (each other block, then the pad) and each block with it toggled
+            tgt = np.arange(k) + (np.arange(k) >= owner)
+            flip = np.stack([flips[i] for i in ext], axis=1)[[j for a in blocks for j in a]]
+            out = np.concatenate([
+                np.stack([np.broadcast_to(ext[owner], (s, k)), ext[tgt]], axis=2).reshape(-1, 2),
+                np.array(tail, dtype=np.intp).reshape(-1, 2)])
+            put = np.concatenate([
+                np.stack([np.broadcast_to(flip[np.arange(s), owner[:, 0], None], (s, k)),
+                          np.take_along_axis(flip, tgt, axis=1)], axis=2).reshape(-1, 2),
+                got[len(need) * s :].reshape(-1, 2)])
+            # the canonical fold, with each block term in the row of its lowest atom
+            at = np.arange(len(out))[:, None]
+            grid = np.zeros((s + 1, len(out)))
+            grid[low[cur]] = term[cur, None]
+            grid[low[out], at] = 0.0
+            grid[low[put], at] = term[put]
+            totals = fold_terms(grid)
+            pick = int(np.argmax(totals))
+            if not totals[pick] > cur_total:
                 break
-            need = {B for cand in cands for B in cand}
-            terms.ensure(need)
-            step_total = cur_total
-            step = None
-            for cand in cands:
-                v = terms.total(cand)
-                if v > step_total:
-                    step_total = v
-                    step = cand
-            if step is None:
-                break
-            cur, cur_total = step, step_total
+            gone, new = out[pick].tolist(), put[pick].tolist()
+            cur = sorted([i for i in cur if i not in gone] + [i for i in new if i], key=low.__getitem__)
+            cur_total = float(totals[pick])
         if cur_total > best_total:
             best_total = cur_total
-            best_masks = cur
+            best = [masks[i] for i in cur]
 
-    assert best_masks is not None
-    blocks = tuple(
-        tuple(int(supp[j]) for j in range(s) if (B >> j) & 1) for B in best_masks
-    )
-    witness = SupportPartition(blocks)
+    witness = SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
     return RenormResult(best_total ** (1.0 / p), best_total, witness, "heuristic", p, N)
 
 

@@ -12,7 +12,10 @@ The CLI ``estimate.json`` digest was recorded again when
 its ``kr_table``; the ``estimate`` report digest, recorded before that,
 pins the rest of the pipeline report.
 The pinned ``threshold=14`` results do the same for support sizes above
-the default exact threshold.
+the default exact threshold.  The local-search digests were recorded
+with the per-candidate Python step that one vectorized fold per step
+replaced; they pin its move order, tie-break and fold order at
+s = 13 to 24.
 """
 
 import hashlib
@@ -29,7 +32,9 @@ from ukklattice import (
     WeightedLqNorm,
     audit_equivalence,
     estimate_lower_p_constant,
+    renorm_batch,
     renorm_exact,
+    renorm_heuristic,
     run_bump_campaign,
     run_estimate_pipeline,
 )
@@ -214,3 +219,73 @@ def test_raised_threshold_unchanged(space, s):
     res = renorm_exact(N, 2.0, x, threshold=14)
     assert res.method == "exact"
     assert (res.value.hex(), res.power_sum.hex(), res.witness.to_lists()) == THRESHOLD_14[space, s]
+
+
+def _triples() -> BlockNorm:
+    return BlockNorm([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)], [LqNorm(2, 3)] * 8, LqNorm(1, 8))
+
+
+HEURISTIC_SPACES = {
+    "lq3": lambda: LqNorm(3, 24),
+    "block": _triples,
+    "posneg": lambda: PosNegMaxNorm(LqNorm(1.5, 24)),
+    "weighted": lambda: WeightedLqNorm(2.5, [0.5 + 0.125 * i for i in range(24)]),
+}
+
+
+def _heuristic_row(rng, s: int, dim: int = 24) -> np.ndarray:
+    coords = np.zeros(dim)
+    coords[rng.choice(dim, size=s, replace=False)] = rng.uniform(0.25, 2.0, size=s) * np.where(
+        rng.random(s) < 0.5, -1.0, 1.0)
+    return coords
+
+
+def _heuristic_reports(space: str, p: float):
+    """Local-search results at s = 13 to 24, seeds 0 and 7.
+
+    A quarter of the rows lie on a 0.25 grid, where partitions tie.
+    """
+    N = HEURISTIC_SPACES[space]()
+    rng = np.random.default_rng(round(10 * p))
+    reports = []
+    for s in (13, 16, 20, 24):
+        for seed in (0, 7):
+            coords = _heuristic_row(rng, s)
+            if seed == 7 and s in (16, 24):
+                coords = np.round(coords * 4.0) / 4.0
+            reports.append(renorm_heuristic(N, p, LatticeVector(coords), seed=seed).to_dict())
+    return reports
+
+
+def _mixed_batch_report(p: float):
+    """One ``renorm_batch`` call whose rows go exact, local search and zero."""
+    rng = np.random.default_rng(6)
+    rows = [_heuristic_row(rng, s) for s in (3, 6, 7, 10, 14, 1, 9)]
+    rows.insert(2, np.zeros(24))
+    rows.append(np.round(rows[-1] * 4.0) / 4.0)
+    res = renorm_batch(HEURISTIC_SPACES["weighted"](), p, np.array(rows), threshold=6, seed=3)
+    return [res.result(i).to_dict() for i in range(len(res))]
+
+
+# sha256 of the local-search results by (space, p), and of the mixed batch at p = 1.5
+HEURISTIC_DIGESTS = {
+    ("block", 1.5): "df347d4e37a58e52dbf4bcd37fb2b937c65f7a42cfe69f20655fce8c1109efdf",
+    ("block", 2.0): "f127ef9f72a361337a375b75b3b8e1a4b6ae7593b8ad4512d63b16b7c1f954ec",
+    ("block", 3.0): "554165197111ed528caeaa32b10ab61c3df74388c149bc52a768c1bd008dc58d",
+    ("lq3", 1.5): "fbe271cc53367af3cf5f57537918fc0cadf8f525cdac57f92396d5d7492bccb4",
+    ("lq3", 2.0): "ad12c0651201da94c827a829c317d286ed10a183708dc50d4fddef077025127b",
+    ("lq3", 3.0): "510b8354e910ab7460c12b75aaccd69e928fca63b25228453a30a78aa57a0076",
+    ("posneg", 1.5): "8762b25fc6ddc4f2e3c05c00d18cab36318bde17656ebfc4d9dca30cc9428128",
+    ("posneg", 2.0): "e97057f49076a88f2dc97b788c2f58ba6d5e7ebbec71db792177e6a73f10b109",
+    ("posneg", 3.0): "c88303cf39bd781800e69131df735912d041d35ce743da89736f7a9a44bf5cca",
+    ("weighted", 1.5): "68b951323e13c669ba18e18cb4f6aad13908bfe324a524daf5b6eea0105d6eb2",
+    ("weighted", 2.0): "ca45a5ddd4ada48a27a0618cf1bc86d8a9a9db65e8621986aba14733831b9b34",
+    ("weighted", 3.0): "20de066b26de4b56fe098b402e61817182941c3a37336ece071eee71b30e8955",
+    ("batch", 1.5): "93d1b8ce20490d750496ddfbcf3b26bb2f7956709a6af6d2a2d6897bcac48476",
+}
+
+
+@pytest.mark.parametrize("space,p", sorted(HEURISTIC_DIGESTS))
+def test_heuristic_unchanged(space, p):
+    doc = _mixed_batch_report(p) if space == "batch" else _heuristic_reports(space, p)
+    assert _digest(doc) == HEURISTIC_DIGESTS[space, p]

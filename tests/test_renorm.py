@@ -20,7 +20,7 @@ from ukklattice import (
     renorm_exact,
     renorm_heuristic,
 )
-from ukklattice.renorm import _mask_dtype
+from ukklattice.renorm import _mask_dtype, _random_cut
 from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
 
@@ -200,15 +200,36 @@ def test_dispatch_uses_exact_for_small_support():
     assert renorm(N, 2.0, x).method == "exact"
 
 
+def _same(a, b) -> bool:
+    return (a.value, a.power_sum, a.witness.to_lists()) == (b.value, b.power_sum, b.witness.to_lists())
+
+
 def test_heuristic_never_exceeds_exact():
     rng = np.random.default_rng(9)
     for N, p in BUILTINS:
-        for _ in range(10):
-            x = random_vector(rng, 8, support_size=int(rng.integers(1, 9)))
+        for s in [1, 2, *rng.integers(1, 9, size=10).tolist()]:
+            x = random_vector(rng, 8, support_size=s)
             ex = renorm_exact(N, p, x)
             he = renorm_heuristic(N, p, x, seed=5)
             assert he.power_sum <= ex.power_sum
             assert he.value <= ex.value
+            # one atom has no neighbour partition; two atoms have one, and
+            # both searches keep the one block in a tie
+            assert s > 2 or _same(he, ex)
+    tie = LatticeVector([0.5, 0.25] + [0.0] * 6)  # at p = 1 both partitions of L1 tie exactly
+    he = renorm_heuristic(LqNorm(1, 8), 1.0, tie)
+    assert _same(he, renorm_exact(LqNorm(1, 8), 1.0, tie)) and he.witness.to_lists() == [[0, 1]]
+    # above the default threshold, against the raised-threshold DP
+    pairs = BlockNorm([[2 * i, 2 * i + 1] for i in range(8)], [LqNorm(1, 2)] * 8, LqNorm(float("inf"), 8))
+    for N in (LqNorm(3, 16), pairs):
+        for s in (13, 14):
+            for p in (1.5, 2.0):
+                x = random_vector(rng, 16, support_size=s)
+                ex = renorm_exact(N, p, x, threshold=14)
+                he = renorm_heuristic(N, p, x, seed=5)
+                assert he.method == "heuristic" and ex.method == "exact"
+                assert he.power_sum <= ex.power_sum
+                assert he.value <= ex.value
 
 
 def test_heuristic_on_zero():
@@ -293,3 +314,28 @@ def test_batch_splits_large_groups():
     batch = renorm_batch(N, 2.0, X)
     for i, row in enumerate(X):
         assert batch.result(i) == renorm_exact(N, 2.0, LatticeVector(row))
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 100])
+def test_random_cut_is_a_uniform_proper_submask(n):
+    rng = np.random.default_rng(11)
+    draws = [_random_cut(rng, n) for _ in range(400)]
+    full = (1 << n) - 1
+    assert all(0 < r < full for r in draws)
+    if n < 64:  # the one rng.integers draw, so earlier results stay reproducible
+        ref = np.random.default_rng(11)
+        assert draws == [int(ref.integers(1, full)) for _ in range(400)]
+    # each atom falls on either side of the cut about half the time (6 sigma)
+    ones = [sum(r >> j & 1 for r in draws) for j in range(n)]
+    assert 140 <= min(ones) and max(ones) <= 260
+
+
+def test_heuristic_beyond_64_atoms():
+    # a 64-atom block used to overflow the int64 cut draw; at q = 3 > p the
+    # singletons win, so the one-block start splits all the way down
+    x = LatticeVector(np.linspace(0.1, 1.0, 64))
+    N = LqNorm(3, 64)
+    res = renorm(N, 2.0, x)
+    assert res.method == "heuristic"
+    assert res.value >= N(x)
+    assert partition_power_sum(N, 2.0, x, res.witness.to_lists()) == res.power_sum
