@@ -160,7 +160,7 @@ def _cmd_renorm(args) -> int:
         p = args.p
         vectors = _load_vector_file(args.vector)
         mode = "exact" if args.exact else "heuristic" if args.heuristic else "auto"
-        seed = args.seed if args.seed is not None else 0
+        seed = _resolve_seed(args, {"seed": 0})  # direct mode has no config; its seed defaults to 0
     else:
         if args.config is None:
             raise ConfigError("renorm", "provide --config, or --space/--p/--vector for direct mode")

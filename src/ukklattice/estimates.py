@@ -15,6 +15,9 @@ The chain implemented here:
 5. ``estimate_lower_p_constant``: direct search for the best constant C
    in (sum of norms^p)^(1/p) <= C * N(sum) over disjoint families.
 
+Steps 1, 4 and 5 share one lower-estimate ratio on coordinate rows;
+c is that ratio at p = 1 over two-member families.
+
 A measurement c_hat >= 2 is a legitimate scientific outcome (the sup
 norm attains 2); the pipeline then reports hypothesis failure instead
 of deriving an exponent.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormOracle, report_dict
-from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
+from .renorm import ABS_TOL, EXACT_THRESHOLD, REL_TOL, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, restrict
 
@@ -48,12 +51,35 @@ __all__ = [
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
 
-def _pair_ratio(N: NormOracle, ax: np.ndarray, ay: np.ndarray) -> float:
-    v = N.values(np.stack([ax, ay, ax + ay]))
-    denom = float(v[2])
-    if denom <= 0.0:
-        return 0.0
-    return (float(v[0]) + float(v[1])) / denom
+def _rows(family) -> np.ndarray:
+    """Coordinate rows of a nonempty, pairwise disjoint family."""
+    if not family:
+        raise ValueError("family must be nonempty")
+    if len({x.dim for x in family}) != 1:
+        raise ValueError("family members disagree on dimension")
+    X = np.stack([x.coords for x in family])
+    if np.any((X != 0.0).sum(axis=0) > 1):
+        raise ValueError("family is not pairwise disjoint")
+    return X
+
+
+def _lower_estimate(N: NormOracle, p: float, X: np.ndarray) -> tuple[float, float]:
+    """(fold of row norms^p)^(1/p) and N(sum of rows), for disjoint rows ``X``.
+
+    One ``N.values`` call evaluates the rows and their sum.  The terms fold in
+    order of smallest support atom (zero rows first), as the renorm objective
+    does; at p = 1 on two rows this is N(x) + N(y) exactly.
+    """
+    nz = X != 0.0
+    first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
+    v = N.values(np.vstack([X[np.argsort(first, kind="stable")], X.sum(axis=0)]))
+    return fold_terms(block_terms(v[:-1], p)) ** (1.0 / p), float(v[-1])
+
+
+def _ratio(N: NormOracle, p: float, X: np.ndarray) -> float:
+    """The lower-estimate ratio of disjoint rows ``X``; 0 when their sum has norm 0."""
+    num, denom = _lower_estimate(N, p, X)
+    return num / denom if denom > 0.0 else 0.0
 
 
 def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
@@ -77,29 +103,40 @@ def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
     return X, best
 
 
-def _refine_pair(
-    N: NormOracle, ax: np.ndarray, ay: np.ndarray, ratio: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Local improvement of a disjoint pair; supports never change."""
-    best = (ax, ay, ratio)
+def _search(N: NormOracle, p: float, candidates, refine) -> tuple[float, np.ndarray]:
+    """Best ratio at ``p`` over lazily yielded (rows, refine?) candidates.
 
-    def consider(bx, by):
-        nonlocal best
-        r = _pair_ratio(N, bx, by)
-        if r > best[2]:
-            best = (bx, by, r)
+    Each new best is first improved by ``refine(X, ratio, score)``.
+    """
 
-    # norm balancing: equal norms maximize the ratio for the q-norms
-    v = N.values(np.stack([best[0], best[1]]))
-    if v[0] > 0 and v[1] > 0:
-        consider(best[0] * (float(v[1]) / float(v[0])), best[1])
+    def score(X):
+        return _ratio(N, p, X)
 
-    # relative rescaling grid
-    for t in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0):
-        consider(best[0] * t, best[1])
+    best, best_X = -1.0, None
+    for X, polish in candidates:
+        r = score(X)
+        if r > best:
+            if polish:
+                X, r = refine(X, r, score)
+            best, best_X = r, X
+    return best, best_X
 
-    X, r = _hill_climb(np.stack(best[:2]), best[2], lambda M: _pair_ratio(N, M[0], M[1]))
-    return X[0], X[1], r
+
+def _refine_pair(N: NormOracle, X: np.ndarray, ratio: float, score) -> tuple[np.ndarray, float]:
+    """Local improvement of a disjoint pair of rows; supports never change.
+
+    The first row is rescaled to balance the two norms (equal norms maximize
+    the ratio for the q-norms), then by a grid on the best so far; then the climb.
+    """
+    v = N.values(X)
+    balance = [v[1] / v[0]] if v[0] > 0 and v[1] > 0 else []
+    for t in balance + [0.25, 0.5, 0.8, 1.25, 2.0, 4.0]:
+        cand = X.copy()
+        cand[0] *= t
+        r = score(cand)
+        if r > ratio:
+            X, ratio = cand, r
+    return _hill_climb(X, ratio, score)
 
 
 def estimate_two_disjoint_constant(
@@ -119,37 +156,18 @@ def estimate_two_disjoint_constant(
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     dim = N.dim
+    eye = np.eye(dim)
+    unit_pairs = [[i, j] for i in range(dim) for j in range(i + 1, dim)][: min(128, budget)]
 
-    best_ratio = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    used = 0
+    def candidates():
+        for pair in unit_pairs:
+            yield eye[pair], True
+        for _ in range(budget - len(unit_pairs)):
+            x, y = random_disjoint_pair(rng, dim)
+            yield np.stack([x.coords, y.coords]), True
 
-    def offer(ax, ay):
-        nonlocal best_ratio, best_pair
-        r = _pair_ratio(N, ax, ay)
-        if r > best_ratio:
-            ax, ay, r = _refine_pair(N, ax, ay, r)
-            best_ratio = r
-            best_pair = (ax, ay)
-
-    unit_pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)][:128]
-    for i, j in unit_pairs:
-        if used >= budget:
-            break
-        ax = np.zeros(dim)
-        ay = np.zeros(dim)
-        ax[i] = 1.0
-        ay[j] = 1.0
-        offer(ax, ay)
-        used += 1
-
-    while used < budget:
-        x, y = random_disjoint_pair(rng, dim)
-        offer(x.coords.copy(), y.coords.copy())
-        used += 1
-
-    assert best_pair is not None
-    return best_ratio, (LatticeVector(best_pair[0]), LatticeVector(best_pair[1]))
+    ratio, X = _search(N, 1.0, candidates(), lambda X, r, score: _refine_pair(N, X, r, score))
+    return ratio, (LatticeVector(X[0]), LatticeVector(X[1]))
 
 
 def derived_exponent(c: float) -> float:
@@ -205,21 +223,6 @@ def lower_r_constant(c: float, p: float, r: float) -> float:
     return c * c * math.fsum(terms) ** (1.0 / r)
 
 
-def _family_matrix(family) -> np.ndarray:
-    if not family:
-        raise ValueError("family must be nonempty")
-    dims = {x.dim for x in family}
-    if len(dims) != 1:
-        raise ValueError("family members disagree on dimension")
-    return np.stack([x.coords for x in family])
-
-
-def _assert_pairwise_disjoint(X: np.ndarray) -> None:
-    hits = (X != 0.0).sum(axis=0)
-    if np.any(hits > 1):
-        raise ValueError("family is not pairwise disjoint")
-
-
 @dataclass(frozen=True)
 class InfChainCheck:
     """Result of the smallest-member bound checks on one disjoint family."""
@@ -235,13 +238,7 @@ class InfChainCheck:
     k: int
 
 
-def check_inf_chain(
-    N: NormOracle,
-    c: float,
-    family,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> InfChainCheck:
+def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
     """Check the smallest member of a disjoint family against both bounds.
 
     Dyadic: min norm <= (c^(k+1) / 2^k) * N(sum), with 2^k <= m < 2^(k+1);
@@ -250,23 +247,22 @@ def check_inf_chain(
     for the true constant c of the space; an undershooting estimate can
     legitimately fail them.
     """
-    X = _family_matrix(family)
-    _assert_pairwise_disjoint(X)
+    X = _rows(family)
     m = X.shape[0]
     k = m.bit_length() - 1
-    norms = N.values(X)
-    inf_norm = float(norms.min())
-    total = float(N.values(X.sum(axis=0)[None, :])[0])
+    v = N.values(np.vstack([X, X.sum(axis=0)]))
+    inf_norm = float(v[:-1].min())
+    total = float(v[-1])
 
     dyadic_bound = (c ** (k + 1) / 2.0 ** k) * total
-    dyadic_ok = inf_norm <= dyadic_bound + rel_tol * dyadic_bound + abs_tol
+    dyadic_ok = inf_norm <= dyadic_bound + REL_TOL * dyadic_bound + ABS_TOL
 
     powerlaw_bound: float | None = None
     powerlaw_ok: bool | None = None
     if c < 2.0:
         p = derived_exponent(c)
         powerlaw_bound = (c / m ** (1.0 / p)) * total
-        powerlaw_ok = inf_norm <= powerlaw_bound + rel_tol * powerlaw_bound + abs_tol
+        powerlaw_ok = inf_norm <= powerlaw_bound + REL_TOL * powerlaw_bound + ABS_TOL
 
     return InfChainCheck(
         passed=bool(dyadic_ok and powerlaw_ok is not False),
@@ -282,54 +278,28 @@ def check_inf_chain(
 
 
 def family_power_ratio(N: NormOracle, p: float, family) -> float:
-    """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio.
-
-    Member terms fold in order of smallest support atom, matching the
-    renorm objective arithmetic bit for bit.
-    """
-    X = _family_matrix(family)
-    _assert_pairwise_disjoint(X)
-    first_atom = [int(np.flatnonzero(row)[0]) if np.any(row != 0.0) else -1 for row in X]
-    order = sorted(range(X.shape[0]), key=lambda i: first_atom[i])
-    norms = N.values(X[order])
-    num = fold_terms(block_terms(norms, p)) ** (1.0 / p)
-    denom = float(N.values(X.sum(axis=0)[None, :])[0])
-    if denom <= 0.0:
-        return 0.0
-    return num / denom
+    """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio of a disjoint family."""
+    return _ratio(N, p, _rows(family))
 
 
-def _greedy_unit_family(N: NormOracle, p: float) -> list[LatticeVector]:
+def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
     """Grow a family of unit atoms, adding whichever atom helps most."""
-    dim = N.dim
+    eye = np.eye(N.dim)
     chosen: list[int] = [0]
-    best = family_power_ratio(N, p, [LatticeVector.unit(dim, 0)])
-    while len(chosen) < dim:
-        step_best = best
-        step_atom = None
-        for j in range(dim):
+    best = _ratio(N, p, eye[chosen])
+    while len(chosen) < N.dim:
+        step_best, step_atom = best, None
+        for j in range(N.dim):
             if j in chosen:
                 continue
-            fam = [LatticeVector.unit(dim, i) for i in chosen + [j]]
-            r = family_power_ratio(N, p, fam)
+            r = _ratio(N, p, eye[chosen + [j]])
             if r > step_best:
-                step_best = r
-                step_atom = j
+                step_best, step_atom = r, j
         if step_atom is None:
             break
         chosen.append(step_atom)
         best = step_best
-    return [LatticeVector.unit(dim, i) for i in sorted(chosen)]
-
-
-def _refine_family(N: NormOracle, p: float, family, ratio: float):
-    """Coordinatewise rescaling hill climb on a family; supports fixed."""
-
-    def as_family(M):
-        return [LatticeVector(row) for row in M]
-
-    X, best = _hill_climb(_family_matrix(family), ratio, lambda M: family_power_ratio(N, p, as_family(M)))
-    return as_family(X), best
+    return eye[sorted(chosen)]
 
 
 def estimate_lower_p_constant(
@@ -347,57 +317,34 @@ def estimate_lower_p_constant(
     rng = np.random.default_rng(seed)
     dim = N.dim
 
-    best_ratio = -1.0
-    best_family: list[LatticeVector] | None = None
+    def candidates():
+        eye = np.eye(dim)
+        for i in range(dim):
+            yield eye[[i]], False
+        yield _greedy_unit_family(N, p), True
+        # scoring draws nothing from rng, so all candidates are drawn first
+        # and the renorm candidates share one batch call
+        draws = []
+        for t in range(budget):
+            if t % 2 == 0 and dim >= 2:
+                m = int(rng.integers(1, min(dim, 8) + 1))
+                draws.append(random_disjoint_family(rng, dim, m))
+            else:
+                size = int(rng.integers(1, min(dim, 8, EXACT_THRESHOLD) + 1))
+                draws.append(random_vector(rng, dim, support_size=size))
+        batch = renorm_batch(N, p, [d for d in draws if isinstance(d, LatticeVector)])
+        witnesses = (batch.witness(i).blocks for i in range(len(batch)))
+        for d in draws:
+            if isinstance(d, LatticeVector):
+                d = [restrict(d, blk) for blk in next(witnesses)]
+            if d:
+                yield np.stack([x.coords for x in d]), True
 
-    def offer(family, refine=True):
-        nonlocal best_ratio, best_family
-        r = family_power_ratio(N, p, family)
-        if r > best_ratio:
-            if refine:
-                family, r = _refine_family(N, p, family, r)
-            if r > best_ratio:
-                best_ratio = r
-                best_family = family
-
-    for i in range(dim):
-        offer([LatticeVector.unit(dim, i)], refine=False)
-    offer(_greedy_unit_family(N, p))
-
-    # offering draws nothing from rng, so all candidates are drawn first
-    # and the renorm candidates share one batch call
-    draws = []
-    for t in range(budget):
-        if t % 2 == 0 and dim >= 2:
-            m = int(rng.integers(1, min(dim, 8) + 1))
-            draws.append(random_disjoint_family(rng, dim, m))
-        else:
-            size = int(rng.integers(1, min(dim, 8, EXACT_THRESHOLD) + 1))
-            draws.append(random_vector(rng, dim, support_size=size))
-    batch = renorm_batch(N, p, [d for d in draws if isinstance(d, LatticeVector)])
-    row = 0
-    for d in draws:
-        if isinstance(d, LatticeVector):
-            fam = [restrict(d, blk) for blk in batch.witness(row).blocks]
-            row += 1
-            if fam:
-                offer(fam)
-        else:
-            offer(d)
-
-    assert best_family is not None
-    return best_ratio, best_family
+    ratio, X = _search(N, p, candidates(), _hill_climb)
+    return ratio, [LatticeVector(row) for row in X]
 
 
-def verify_lower_r_estimate(
-    N: NormOracle,
-    r: float,
-    K: float,
-    trials: int = 10_000,
-    seed: int = 0,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> int:
+def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_000, seed: int = 0) -> int:
     """Count sampled disjoint families violating (sum norms^r)^(1/r) <= K*N(sum)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -406,12 +353,10 @@ def verify_lower_r_estimate(
     violations = 0
     for _ in range(trials):
         m = int(rng.integers(1, min(dim, 8) + 1))
-        family = random_disjoint_family(rng, dim, m)
-        X = _family_matrix(family)
-        norms = N.values(X)
-        lhs = float(np.sum(norms ** r)) ** (1.0 / r)
-        rhs = K * float(N.values(X.sum(axis=0)[None, :])[0])
-        if lhs > rhs + rel_tol * abs(rhs) + abs_tol:
+        X = np.stack([x.coords for x in random_disjoint_family(rng, dim, m)])
+        lhs, total = _lower_estimate(N, r, X)
+        rhs = K * total
+        if lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL:
             violations += 1
     return violations
 
@@ -458,8 +403,7 @@ def run_estimate_pipeline(
     if satisfied:
         p_derived = derived_exponent(c_hat)
         chosen_rs = rs if rs is not None else (p_derived + 1.0, p_derived + 2.0)
-        for r in chosen_rs:
-            kr_table.append((float(r), lower_r_constant(c_hat, p_derived, float(r))))
+        kr_table = [(float(r), lower_r_constant(c_hat, p_derived, float(r))) for r in chosen_rs]
         C, witness = estimate_lower_p_constant(N, p_derived, budget=budget, seed=seed + 1)
         budgets["lower_p"] = budget
 

@@ -124,14 +124,12 @@ class WeightedLqNorm(NormOracle):
 
     kind = "WeightedLq"
 
-    def __init__(self, q, weights, dim: int | None = None):
+    def __init__(self, q, weights):
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)) or not np.all(w > 0):
             raise ValueError("weights must be finite and strictly positive")
-        if dim is not None and int(dim) != w.size:
-            raise ValueError(f"dim {dim} disagrees with {w.size} weights")
         self._w = w.copy()
         self._w.flags.writeable = False
         self.dim = w.size

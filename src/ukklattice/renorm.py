@@ -68,6 +68,10 @@ __all__ = [
 # inner steps at this size, comfortably interactive.
 EXACT_THRESHOLD = 12
 
+# inequality checks here and in ``estimates`` fail only past REL_TOL * |bound| + ABS_TOL
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
 # block rows per N.values call in renorm_batch; a larger group is split
 _MAX_BLOCK_ROWS = 1 << 16
 
@@ -542,14 +546,7 @@ class SuperadditivityCheck:
     p: float
 
 
-def check_superadditivity(
-    N: NormOracle,
-    p: float,
-    x: LatticeVector,
-    y: LatticeVector,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> SuperadditivityCheck:
+def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeVector) -> SuperadditivityCheck:
     """Check renorm(x)^p + renorm(y)^p <= renorm(x+y)^p for disjoint x, y.
 
     Uses exact renorms; the decompositions of x and y concatenate to a
@@ -565,7 +562,7 @@ def check_superadditivity(
     res = renorm_batch(N, p, trio)
     (px, py, ps), (vx, vy, vs) = res.power_sums, res.values
     slack = ps - px - py
-    tol = rel_tol * abs(ps) + abs_tol
+    tol = REL_TOL * abs(ps) + ABS_TOL
     return SuperadditivityCheck(
         passed=bool(slack >= -tol),
         slack=float(slack),
@@ -602,7 +599,6 @@ def audit_equivalence(
     samples: int = 1000,
     seed: int = 0,
     max_support: int = 6,
-    rel_tol: float = 1e-9,
 ) -> EquivalenceAudit:
     """Sample small-support vectors and check the equivalence sandwich.
 
@@ -613,21 +609,13 @@ def audit_equivalence(
     p = _check_p(p)
     rng = np.random.default_rng(seed)
     cap = min(max_support, N.dim, EXACT_THRESHOLD)
-    lower_violations = 0
-    upper_violations = 0
-    worst_lower = -math.inf
-    worst_upper = -math.inf
     xs = [random_vector(rng, N.dim, support_size=int(rng.integers(1, cap + 1))) for _ in range(samples)]
-    for x, r in zip(xs, renorm_batch(N, p, xs).values):
-        base = N(x)
-        lower = (base - r) / base
-        upper = (r - C * base) / (C * base)
-        worst_lower = max(worst_lower, lower)
-        worst_upper = max(worst_upper, upper)
-        if lower > rel_tol:
-            lower_violations += 1
-        if upper > rel_tol:
-            upper_violations += 1
+    base = N.values(np.array([x.coords for x in xs]).reshape(-1, N.dim))
+    r = np.asarray(renorm_batch(N, p, xs).values)
+    lower = (base - r) / base
+    upper = (r - C * base) / (C * base)
+    lower_violations = int(np.count_nonzero(lower > REL_TOL))
+    upper_violations = int(np.count_nonzero(upper > REL_TOL))
     return EquivalenceAudit(
         samples=samples,
         seed=seed,
@@ -636,7 +624,7 @@ def audit_equivalence(
         max_support=cap,
         lower_violations=lower_violations,
         upper_violations=upper_violations,
-        worst_lower_excess=worst_lower,
-        worst_upper_excess=worst_upper,
+        worst_lower_excess=float(lower.max(initial=-math.inf)),
+        worst_upper_excess=float(upper.max(initial=-math.inf)),
         passed=(lower_violations == 0 and upper_violations == 0),
     )

@@ -141,7 +141,7 @@ def test_criterion_04_superadditivity():
     for N in oracles:
         for _ in range(per):
             x, y = random_disjoint_pair(rng, 10)
-            chk = check_superadditivity(N, 2.0, x, y, rel_tol=1e-9)
+            chk = check_superadditivity(N, 2.0, x, y)
             if not chk.passed:
                 violations += 1
     report(4, violations == 0,
@@ -160,7 +160,7 @@ def test_criterion_05_equivalence_sandwich():
     samples = 2500
     for N, p in cases:
         C, _ = estimate_lower_p_constant(N, p, budget=200, seed=105)
-        audit = audit_equivalence(N, p, C, samples=samples, seed=106, rel_tol=1e-9)
+        audit = audit_equivalence(N, p, C, samples=samples, seed=106)
         total_violations += audit.lower_violations + audit.upper_violations
     report(5, total_violations == 0,
            f"{samples * len(cases)} samples, base <= renorm <= C*base at 1e-9 rel: "

@@ -61,7 +61,11 @@ def test_star_import_matches_all():
 
 # parameter names of every function and class in ``__all__``, so that adding or
 # removing an option shows as an edit here; None marks an exception class that
-# keeps the builtin constructor, which has no Python signature
+# keeps the builtin constructor, which has no Python signature.  The check
+# tolerances (``rel_tol``/``abs_tol`` of ``check_inf_chain``,
+# ``check_superadditivity``, ``verify_lower_r_estimate``, ``rel_tol`` of
+# ``audit_equivalence``) and ``WeightedLqNorm``'s ``dim`` were removed: no
+# caller set them to anything but the default
 SIGNATURES = {
     "BlockNorm": ("blocks", "inner", "outer"),
     "ConfigError": ("path", "message"),
@@ -89,14 +93,14 @@ SIGNATURES = {
                     "invalid", "advisory", "min_margin"),
     "UkkTrial": ("valid", "reason", "passed", "epsilon", "delta", "limit_renorm", "min_dist_to_limit",
                  "liminf_ok", "advisory", "seed", "p", "horizon", "norm", "sequence", "declared_limit"),
-    "WeightedLqNorm": ("q", "weights", "dim"),
+    "WeightedLqNorm": ("q", "weights"),
     "absolute": ("x",),
-    "audit_equivalence": ("N", "p", "C", "samples", "seed", "max_support", "rel_tol"),
+    "audit_equivalence": ("N", "p", "C", "samples", "seed", "max_support"),
     "audit_norm_axioms": ("N", "samples", "seed", "tol"),
     "bell_number": ("n",),
     "check_coordinatewise_convergence": ("sequence", "declared_limit", "tol"),
-    "check_inf_chain": ("N", "c", "family", "rel_tol", "abs_tol"),
-    "check_superadditivity": ("N", "p", "x", "y", "rel_tol", "abs_tol"),
+    "check_inf_chain": ("N", "c", "family"),
+    "check_superadditivity": ("N", "p", "x", "y"),
     "check_truncation_vanishing": ("u", "sequence", "declared_limit", "N", "tol"),
     "derived_exponent": ("c",),
     "disjoint_residuals": ("x", "y"),
@@ -129,7 +133,7 @@ SIGNATURES = {
     "run_ukk_trial": ("N", "p", "sequence", "declared_limit", "seed", "tol"),
     "truncate": ("u", "x"),
     "ukk_modulus": ("epsilon", "p"),
-    "verify_lower_r_estimate": ("N", "r", "K", "trials", "seed", "rel_tol", "abs_tol"),
+    "verify_lower_r_estimate": ("N", "r", "K", "trials", "seed"),
 }
 
 

@@ -158,6 +158,18 @@ def test_renorm_direct_mode(tmp_path, capsys):
     assert rec["value"] == pytest.approx((9 + 16 + 1) ** 0.5)
 
 
+def test_renorm_negative_seed_is_usage_error_in_both_modes(tmp_path, capsys):
+    space_doc = {"kind": "Lq", "q": 2, "dim": 4}
+    space = write(tmp_path, "space.json", space_doc)
+    vec = write(tmp_path, "vec.json", [1.0, 0.5, 0.0, 0.25])
+    cfg = write(tmp_path, "cfg.json", {"seed": 0, "space": space_doc, "renorm": {"p": 2, "vectors": [[1.0, 0.5, 0.0, 0.25]]}})
+    for argv in (["--space", space, "--p", "2", "--vector", vec], ["--config", cfg]):
+        assert main(["renorm", *argv, "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed: seed must be a nonnegative integer" in captured.err
+
+
 def test_renorm_direct_mode_needs_all_flags(tmp_path, capsys):
     space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 4})
     assert main(["renorm", "--space", space]) == 2

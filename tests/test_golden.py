@@ -15,7 +15,9 @@ The pinned ``threshold=14`` results do the same for support sizes above
 the default exact threshold.  The local-search digests were recorded
 with the per-candidate Python step that one vectorized fold per step
 replaced; they pin its move order, tie-break and fold order at
-s = 13 to 24.
+s = 13 to 24.  The estimate-layer pins (the two-disjoint search on five
+spaces and the verify counts) were recorded with the separate pair,
+family and numpy-power paths that one lower-estimate ratio replaced.
 """
 
 import hashlib
@@ -32,11 +34,16 @@ from ukklattice import (
     WeightedLqNorm,
     audit_equivalence,
     estimate_lower_p_constant,
+    estimate_two_disjoint_constant,
+    family_power_ratio,
+    parse_norm_spec,
+    random_disjoint_pair,
     renorm_batch,
     renorm_exact,
     renorm_heuristic,
     run_bump_campaign,
     run_estimate_pipeline,
+    verify_lower_r_estimate,
 )
 from ukklattice.cli import main as cli_main
 
@@ -289,3 +296,59 @@ HEURISTIC_DIGESTS = {
 def test_heuristic_unchanged(space, p):
     doc = _mixed_batch_report(p) if space == "batch" else _heuristic_reports(space, p)
     assert _digest(doc) == HEURISTIC_DIGESTS[space, p]
+
+
+ESTIMATE_SPECS = {
+    "lq2": {"kind": "Lq", "q": 2, "dim": 12},
+    "lqinf": {"kind": "Lq", "q": "inf", "dim": 12},
+    "wlq3": {"kind": "WeightedLq", "q": 3, "weights": [1.0 + 0.25 * i for i in range(12)]},
+    "posneg": {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 1.5, "dim": 12}},
+    "block": {"kind": "Block", "blocks": [[2 * i, 2 * i + 1] for i in range(6)], "inner": {"kind": "Lq", "q": 1},
+              "outer": {"kind": "Lq", "q": 2, "dim": 6}},
+}
+
+# estimate_two_disjoint_constant(budget=90, seed=3): (c_hat hex, sha256 of the witness pair);
+# 90 is past the 66 unit-atom pairs of dim 12, so random pairs are searched too
+TWO_DISJOINT = {
+    "lq2": ("0x1.6a09e667f3bccp+0", "c901995d1051445f74acf6909d4463d15660dec3722b2cd60ce5d046a3bb598b"),
+    "lqinf": ("0x1.0000000000000p+1", "c901995d1051445f74acf6909d4463d15660dec3722b2cd60ce5d046a3bb598b"),
+    "wlq3": ("0x1.965fea53d6e3dp+0", "8644d8d6cf2c50c8358016df6d6d8229324a60e4d35151006a7f53d0199b9b11"),
+    "posneg": ("0x1.ca317ccb694d8p+0", "372f5c419eefdd467996bcd537cb566b35f9141f046536e7d8c8a302620cb822"),
+    "block": ("0x1.6a09e667f3bccp+0", "23b48bfef6113452d7a1b900e699724e4844e56cc8e2be6fd0694238dd19a09e"),
+}
+
+
+@pytest.mark.parametrize("space", sorted(TWO_DISJOINT))
+def test_two_disjoint_search_unchanged(space):
+    c, (x, y) = estimate_two_disjoint_constant(parse_norm_spec(ESTIMATE_SPECS[space]), budget=90, seed=3)
+    assert (c.hex(), _digest([x.to_list(), y.to_list()])) == TWO_DISJOINT[space]
+
+
+# verify_lower_r_estimate(trials=300, seed=5) violation counts at (r, K) for
+# (3.5, 1), (3.5, 0.9), (6, 1), (6, 0.9); at K = 1 a one-member family sits on
+# the bound, so only the tolerance keeps it from counting
+VERIFY_COUNTS = {
+    "lq2": (0, 57, 0, 47),
+    "lqinf": (259, 300, 259, 300),
+    "wlq3": (0, 300, 0, 116),
+    "posneg": (15, 64, 11, 59),
+    "block": (0, 52, 0, 46),
+}
+
+
+@pytest.mark.parametrize("space", sorted(VERIFY_COUNTS))
+def test_verify_counts_unchanged(space):
+    N = parse_norm_spec(ESTIMATE_SPECS[space])
+    counts = tuple(verify_lower_r_estimate(N, r, K, trials=300, seed=5)
+                   for r in (3.5, 6.0) for K in (1.0, 0.9))
+    assert counts == VERIFY_COUNTS[space]
+
+
+@pytest.mark.parametrize("space", sorted(ESTIMATE_SPECS))
+def test_pair_ratio_is_family_ratio_at_p1(space):
+    """At p = 1 the lower-estimate ratio of a pair is (N(x)+N(y))/N(x+y), bit for bit."""
+    N = parse_norm_spec(ESTIMATE_SPECS[space])
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        x, y = random_disjoint_pair(rng, N.dim)
+        assert family_power_ratio(N, 1.0, [x, y]) == (N(x) + N(y)) / N(x + y)
