@@ -29,6 +29,7 @@ from .norms import audit_norm_axioms
 from .renorm import (
     EXACT_THRESHOLD,
     SupportTooLarge,
+    _check_p,
     renorm,
     renorm_exact,
     renorm_heuristic,
@@ -157,7 +158,7 @@ def _cmd_renorm(args) -> int:
         if args.p is None or args.vector is None:
             raise ConfigError("renorm", "direct mode needs --space, --p and --vector together")
         N = parse_norm_spec(load_json(args.space, "space"))
-        p = args.p
+        p, p_path = args.p, "--p"
         vectors = _load_vector_file(args.vector)
         mode = "exact" if args.exact else "heuristic" if args.heuristic else "auto"
         seed = _resolve_seed(args, {"seed": 0})  # direct mode has no config; its seed defaults to 0
@@ -167,7 +168,7 @@ def _cmd_renorm(args) -> int:
         cfg = load_config(args.config)
         N = parse_norm_spec(require(cfg, "space", dict, "config"))
         ren = require(cfg, "renorm", dict, "config")
-        p = require(ren, "p", float, "config.renorm")
+        p, p_path = require(ren, "p", float, "config.renorm"), "config.renorm.p"
         mode = require(ren, "mode", str, "config.renorm", "auto")
         if mode not in ("auto", "exact", "heuristic"):
             raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
@@ -186,6 +187,8 @@ def _cmd_renorm(args) -> int:
                 ]
         else:
             vectors = []
+    with _rejected_in(p_path):
+        _check_p(p)
 
     lines = [_dump(_renorm_one(N, p, v, mode, i, seed + i)) for i, v in enumerate(vectors)]
     _write(args.out, "renorm.jsonl", "".join(line + "\n" for line in lines))
@@ -276,10 +279,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ import numpy as np
 from .norms import NormOracle, report_dict
 from .renorm import ABS_TOL, EXACT_THRESHOLD, REL_TOL, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
-from .vectors import LatticeVector, restrict
+from .vectors import LatticeVector, _rows, restrict
 
 __all__ = [
     "estimate_two_disjoint_constant",
@@ -51,13 +51,11 @@ __all__ = [
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
 
-def _rows(family) -> np.ndarray:
+def _family_rows(N: NormOracle, family) -> np.ndarray:
     """Coordinate rows of a nonempty, pairwise disjoint family."""
-    if not family:
+    X = _rows(family, N.dim)
+    if not len(X):
         raise ValueError("family must be nonempty")
-    if len({x.dim for x in family}) != 1:
-        raise ValueError("family members disagree on dimension")
-    X = np.stack([x.coords for x in family])
     if np.any((X != 0.0).sum(axis=0) > 1):
         raise ValueError("family is not pairwise disjoint")
     return X
@@ -164,7 +162,7 @@ def estimate_two_disjoint_constant(
             yield eye[pair], True
         for _ in range(budget - len(unit_pairs)):
             x, y = random_disjoint_pair(rng, dim)
-            yield np.stack([x.coords, y.coords]), True
+            yield _rows([x, y], dim), True
 
     ratio, X = _search(N, 1.0, candidates(), lambda X, r, score: _refine_pair(N, X, r, score))
     return ratio, (LatticeVector(X[0]), LatticeVector(X[1]))
@@ -247,7 +245,7 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
     for the true constant c of the space; an undershooting estimate can
     legitimately fail them.
     """
-    X = _rows(family)
+    X = _family_rows(N, family)
     m = X.shape[0]
     k = m.bit_length() - 1
     v = N.values(np.vstack([X, X.sum(axis=0)]))
@@ -279,7 +277,7 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
 
 def family_power_ratio(N: NormOracle, p: float, family) -> float:
     """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio of a disjoint family."""
-    return _ratio(N, p, _rows(family))
+    return _ratio(N, p, _family_rows(N, family))
 
 
 def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
@@ -338,7 +336,7 @@ def estimate_lower_p_constant(
             if isinstance(d, LatticeVector):
                 d = [restrict(d, blk) for blk in next(witnesses)]
             if d:
-                yield np.stack([x.coords for x in d]), True
+                yield _rows(d, dim), True
 
     ratio, X = _search(N, p, candidates(), _hill_climb)
     return ratio, [LatticeVector(row) for row in X]
@@ -353,7 +351,7 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
     violations = 0
     for _ in range(trials):
         m = int(rng.integers(1, min(dim, 8) + 1))
-        X = np.stack([x.coords for x in random_disjoint_family(rng, dim, m)])
+        X = _rows(random_disjoint_family(rng, dim, m), dim)
         lhs, total = _lower_estimate(N, r, X)
         rhs = K * total
         if lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL:

@@ -46,7 +46,7 @@ import numpy as np
 from .norms import NormOracle, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
-from .vectors import DimensionMismatch, LatticeVector, is_disjoint, require_finite, restrict
+from .vectors import DimensionMismatch, LatticeVector, _rows, is_disjoint, restrict
 
 __all__ = [
     "EXACT_THRESHOLD",
@@ -154,8 +154,7 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     ordered = sorted((tuple(sorted(blk)) for blk in blocks), key=lambda b: b[0])
     if not ordered:
         return 0.0
-    rows = np.stack([restrict(x, blk).coords for blk in ordered])
-    return fold_terms(block_terms(N.values(rows), p))
+    return fold_terms(block_terms(N.values(_rows([restrict(x, blk) for blk in ordered], N.dim)), p))
 
 
 def _zero_result(N: NormOracle, p: float, method: str) -> RenormResult:
@@ -287,21 +286,6 @@ class RenormBatch:
         )
 
 
-def _rows(N: NormOracle, X) -> np.ndarray:
-    """A 2-d array or a sequence of vectors as validated (n, dim) float64 rows."""
-    if isinstance(X, np.ndarray):
-        X = X.astype(np.float64, copy=False)
-    else:
-        X = [x.coords if isinstance(x, LatticeVector) else np.asarray(x, dtype=np.float64) for x in X]
-        if any(x.shape != (N.dim,) for x in X):
-            raise DimensionMismatch(f"oracle dim {N.dim}, a row has another shape")
-        X = np.array(X, dtype=np.float64).reshape(len(X), N.dim)
-    if X.ndim != 2 or X.shape[1] != N.dim:
-        raise DimensionMismatch(f"oracle dim {N.dim}, batch shape {X.shape}")
-    require_finite(X)
-    return X
-
-
 def renorm_batch(
     N: NormOracle,
     p: float,
@@ -331,7 +315,7 @@ def renorm_batch(
     rows of the batch.
     """
     p = _check_p(p)
-    X = _rows(N, X)
+    X = _rows(X, N.dim)
     sizes = np.count_nonzero(X, axis=1)
     n = sizes.size
     values = [0.0] * n
@@ -528,7 +512,6 @@ def renorm(
     seed: int = 0,
 ) -> RenormResult:
     """Exact below the support threshold, local search above it."""
-    p = _check_inputs(N, p, x)
     if int(np.count_nonzero(x.coords)) <= threshold:
         return renorm_exact(N, p, x, threshold=threshold)
     return renorm_heuristic(N, p, x, seed=seed)
@@ -555,11 +538,9 @@ def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeV
     """
     if not is_disjoint(x, y):
         raise ValueError("superadditivity check requires disjoint inputs")
-    trio = [x, y, x + y]
-    for v in trio:
-        _check_inputs(N, p, v)
-        _require_exact(int(np.count_nonzero(v.coords)), EXACT_THRESHOLD)
-    res = renorm_batch(N, p, trio)
+    X = _rows([x, y, x + y], N.dim)
+    _require_exact(int(np.count_nonzero(X[2])), EXACT_THRESHOLD)  # the sum holds both supports
+    res = renorm_batch(N, p, X)
     (px, py, ps), (vx, vy, vs) = res.power_sums, res.values
     slack = ps - px - py
     tol = REL_TOL * abs(ps) + ABS_TOL
@@ -610,8 +591,9 @@ def audit_equivalence(
     rng = np.random.default_rng(seed)
     cap = min(max_support, N.dim, EXACT_THRESHOLD)
     xs = [random_vector(rng, N.dim, support_size=int(rng.integers(1, cap + 1))) for _ in range(samples)]
-    base = N.values(np.array([x.coords for x in xs]).reshape(-1, N.dim))
-    r = np.asarray(renorm_batch(N, p, xs).values)
+    X = _rows(xs, N.dim)
+    base = N.values(X)
+    r = np.asarray(renorm_batch(N, p, X).values)
     lower = (base - r) / base
     upper = (r - C * base) / (C * base)
     lower_violations = int(np.count_nonzero(lower > REL_TOL))

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormOracle, report_dict
-from .renorm import _rows, renorm, renorm_batch
+from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
-from .vectors import DimensionMismatch, LatticeVector, truncate
+from .vectors import DimensionMismatch, LatticeVector, _rows, truncate
 
 __all__ = [
     "ukk_modulus",
@@ -92,11 +92,22 @@ def generate_bump_sequence(
             f"ambient dim {core.dim} too small: need {first_fresh + horizon} atoms "
             f"for the core plus {horizon} fresh bumps"
         )
-    out = [core + LatticeVector.unit(core.dim, first_fresh + n, bump_height) for n in range(horizon)]
-    for n, value in enumerate(renorm_batch(N, p, out).values):
+    X = _bump_rows(core.coords, first_fresh, bump_height, horizon)
+    for n, value in enumerate(renorm_batch(N, p, X).values):
         if value > 1.0 + tol:
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
-    return out
+    return [LatticeVector(x) for x in X]
+
+
+def _bump_rows(core: np.ndarray, first_fresh: int, bump_height: float, horizon: int) -> np.ndarray:
+    """Rows core + bump_height * e_(first_fresh + n), n < horizon.
+
+    The bumps ride on a zero matrix added to the core, so each row equals
+    ``core + LatticeVector.unit(...)`` bit for bit, signed zeros included.
+    """
+    bumps = np.zeros((horizon, core.size))
+    bumps[np.arange(horizon), first_fresh + np.arange(horizon)] = bump_height
+    return core + bumps
 
 
 @dataclass(frozen=True)
@@ -114,23 +125,24 @@ def measure_separation(sequence, N: NormOracle, p: float) -> Separation:
     separation involving them is itself only a lower bound; the flag
     says so.
     """
-    if len(sequence) < 2:
+    X = _rows(sequence, N.dim)
+    if len(X) < 2:
         raise ValueError("separation needs at least two elements")
-    X = _rows(N, sequence)
     n, m = np.triu_indices(len(X), 1)
     res = renorm_batch(N, p, X[n] - X[m])
     return Separation(float(min(res.values)), "heuristic" in res.methods)
 
 
-def _track_settles(track, tol: float) -> bool:
-    """Finite-horizon reading of a deviation track: settled, or moving only in the final quarter."""
-    hits = [n for n, v in enumerate(track) if v > tol]
-    if not hits:
-        return True
-    L = len(track)
-    # first index of the final quarter; movements starting there are "in flight"
-    cutoff = max(1, int(math.ceil(0.75 * L)))
-    return not (hits[-1] == L - 1 and hits[0] < cutoff)
+def _tracks_settle(T: np.ndarray, tol: float) -> bool:
+    """Finite-horizon reading of the deviation tracks in the columns of ``T``.
+
+    A track fails only if it is above ``tol`` at its last entry and already
+    was before the final quarter; otherwise it settled or is still in flight.
+    """
+    moving = T > tol
+    # the final quarter starts at this row; movements starting there are "in flight"
+    cutoff = max(1, math.ceil(0.75 * len(T)))
+    return not np.any(moving[-1] & moving[:cutoff].any(axis=0))
 
 
 def check_coordinatewise_convergence(
@@ -143,13 +155,10 @@ def check_coordinatewise_convergence(
     quarter of the horizon (a bump still in flight).  A coordinate that
     deviates early and still deviates at the end fails.
     """
-    if not sequence:
+    X = _rows(sequence, declared_limit.dim)
+    if not len(X):
         raise ValueError("empty sequence")
-    X = np.stack([x.coords for x in sequence])
-    if X.shape[1] != declared_limit.dim:
-        raise DimensionMismatch("sequence and limit disagree on dimension")
-    dev = np.abs(X - declared_limit.coords[None, :])
-    return all(_track_settles(dev[:, i].tolist(), tol) for i in np.flatnonzero((dev > tol).any(axis=0)))
+    return _tracks_settle(np.abs(X - declared_limit.coords), tol)
 
 
 def check_truncation_vanishing(
@@ -172,15 +181,11 @@ def check_truncation_vanishing(
     check reports False even though the infinite extension vanishes.
     Choosing u on settled atoms avoids the artifact.
     """
-    if not sequence:
+    D = _rows(sequence, declared_limit.dim) - declared_limit.coords
+    if not len(D):
         raise ValueError("empty sequence")
-    track_a = []
-    track_b = []
-    for x in sequence:
-        d = x - declared_limit
-        track_a.append(N(truncate(u, d)))
-        track_b.append(N(truncate(d, u)))
-    return _track_settles(track_a, tol) and _track_settles(track_b, tol)
+    tracks = [(N(truncate(u, d)), N(truncate(d, u))) for d in map(LatticeVector, D)]
+    return _tracks_settle(np.array(tracks), tol)
 
 
 @dataclass
@@ -188,13 +193,6 @@ class UkkTrial:
     """One finite-horizon trial record; serializable for replay."""
 
     valid: bool
-    reason: str | None  # set when invalid
-    passed: bool | None  # None when invalid
-    epsilon: float | None
-    delta: float | None
-    limit_renorm: float | None
-    min_dist_to_limit: float | None
-    liminf_ok: bool | None  # epsilon/2 <= min distance to limit + tol
     advisory: bool
     seed: int
     p: float
@@ -202,6 +200,14 @@ class UkkTrial:
     norm: dict
     sequence: list[list[float]]
     declared_limit: list[float]
+    reason: str | None = None  # set when invalid
+    # the verdict, None when invalid
+    passed: bool | None = None
+    epsilon: float | None = None
+    delta: float | None = None
+    limit_renorm: float | None = None
+    min_dist_to_limit: float | None = None
+    liminf_ok: bool | None = None  # epsilon/2 <= min distance to limit + tol
 
     def to_dict(self) -> dict:
         return report_dict(self)
@@ -222,73 +228,52 @@ def run_ukk_trial(
     an invalid trial with the reason recorded; they are never counted
     as property violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + tol.
+    ``sequence`` is rows or vectors; a trial record's sequence replays as written.
     """
-    base = dict(
-        seed=seed,
-        p=float(p),
-        horizon=len(sequence),
-        norm=N.describe(),
-        sequence=[x.to_list() for x in sequence],
-        declared_limit=declared_limit.to_list(),
-    )
+    X = _rows(sequence, N.dim)
+    base = dict(seed=seed, p=float(p), horizon=len(X), norm=N.describe(), sequence=X.tolist(),
+                declared_limit=declared_limit.to_list())
+    advisory = False
 
-    def invalid(reason: str, advisory: bool = False) -> UkkTrial:
-        return UkkTrial(
-            valid=False,
-            reason=reason,
-            passed=None,
-            epsilon=None,
-            delta=None,
-            limit_renorm=None,
-            min_dist_to_limit=None,
-            liminf_ok=None,
-            advisory=advisory,
-            **base,
-        )
+    def invalid(reason: str) -> UkkTrial:  # flagged advisory if any renorm so far was heuristic
+        return UkkTrial(False, advisory, reason=reason, **base)
 
-    if len(sequence) < 2:
+    if len(X) < 2:
         return invalid("need at least two elements")
 
-    advisory = False
-    elements = renorm_batch(N, p, sequence)
+    elements = renorm_batch(N, p, X)
     for n, (value, method) in enumerate(zip(elements.values, elements.methods)):
         advisory = advisory or method == "heuristic"
         if value > 1.0 + tol:
-            return invalid(f"element {n} outside the renorm unit ball ({value})", advisory)
+            return invalid(f"element {n} outside the renorm unit ball ({value})")
 
-    if not check_coordinatewise_convergence(sequence, declared_limit, tol):
-        return invalid("coordinatewise convergence to the declared limit not established at this horizon", advisory)
+    if not check_coordinatewise_convergence(X, declared_limit, tol):
+        return invalid("coordinatewise convergence to the declared limit not established at this horizon")
 
-    sep = measure_separation(sequence, N, p)
+    sep = measure_separation(X, N, p)
     advisory = advisory or sep.advisory
     epsilon = sep.value
     if not epsilon > 0.0:
-        return invalid("sequence is not separated (epsilon = 0)", advisory)
+        return invalid("sequence is not separated (epsilon = 0)")
 
-    dists = renorm_batch(N, p, _rows(N, sequence) - declared_limit.coords)
+    dists = renorm_batch(N, p, X - declared_limit.coords)
     advisory = advisory or "heuristic" in dists.methods
     min_dist = float(min(dists.values))
-    liminf_ok = epsilon / 2.0 <= min_dist + tol
-    if not liminf_ok:
-        return invalid(
-            "separation inconsistent with distances to the limit (finite-horizon artifact)",
-            advisory,
-        )
+    if not epsilon / 2.0 <= min_dist + tol:
+        return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
     limit_res = renorm(N, p, declared_limit)
     advisory = advisory or limit_res.method == "heuristic"
-    passed = bool(limit_res.value <= 1.0 - delta + tol)
     return UkkTrial(
-        valid=True,
-        reason=None,
-        passed=passed,
+        True,
+        advisory,
+        passed=bool(limit_res.value <= 1.0 - delta + tol),
         epsilon=epsilon,
         delta=delta,
         limit_renorm=limit_res.value,
         min_dist_to_limit=min_dist,
-        liminf_ok=bool(liminf_ok),
-        advisory=advisory,
+        liminf_ok=True,
         **base,
     )
 
@@ -330,9 +315,7 @@ def _bump_trial(
     bump = float(rng.uniform(0.3, 1.0))
 
     # scale the whole family into the unit ball, with headroom for rounding
-    first_fresh = max(core.support()) + 1
-    family = np.tile(core.coords, (horizon, 1))
-    family[np.arange(horizon), first_fresh + np.arange(horizon)] = bump
+    family = _bump_rows(core.coords, max(core.support()) + 1, bump, horizon)
     worst = max(0.0, *renorm_batch(N, p, family).values)
     scale = (1.0 - 1e-12) / worst
     core = core * scale
@@ -360,6 +343,9 @@ def _fuzz_trial(
     return run_ukk_trial(N, p, seq, limit, seed=index, tol=tol)
 
 
+_TRIAL_KINDS = {"bump": _bump_trial, "fuzz": _fuzz_trial}
+
+
 def run_bump_campaign(
     N: NormOracle,
     p: float,
@@ -376,27 +362,15 @@ def run_bump_campaign(
     generates non-disjoint decaying perturbations whose trials may be
     invalid but, by the validity rules, never yield a false violation.
     """
-    if mode not in ("bump", "fuzz"):
+    if mode not in _TRIAL_KINDS:
         raise ValueError(f"unknown campaign mode {mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    records: list[UkkTrial] = []
-    for t in range(trials):
-        if mode == "bump":
-            records.append(_bump_trial(N, p, rng, t, horizon, tol))
-        else:
-            records.append(_fuzz_trial(N, p, rng, t, horizon, tol))
-
+    records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon, tol) for t in range(trials)]
     valid = [t for t in records if t.valid]
-    failed = sum(1 for t in valid if not t.passed)
-    margins = [
-        (1.0 - t.delta + tol) - t.limit_renorm
-        for t in valid
-        if t.delta is not None and t.limit_renorm is not None
-    ]
     return UkkCampaign(
         norm=N.describe(),
         p=float(p),
@@ -407,8 +381,8 @@ def run_bump_campaign(
         total=len(records),
         valid=len(valid),
         passed=sum(1 for t in valid if t.passed),
-        failed=failed,
+        failed=sum(1 for t in valid if not t.passed),
         invalid=len(records) - len(valid),
         advisory=sum(1 for t in records if t.advisory),
-        min_margin=min(margins) if margins else None,
+        min_margin=min(((1.0 - t.delta + tol) - t.limit_renorm for t in valid), default=None),
     )

@@ -136,6 +136,20 @@ def require_finite(a: np.ndarray) -> None:
         raise ValueError("coordinates must be finite reals (no NaN, no infinities)")
 
 
+def _rows(X, dim: int) -> np.ndarray:
+    """The package's one row gate: a 2-d array or a sequence of vectors as validated (n, dim) float64 rows."""
+    if not isinstance(X, np.ndarray):
+        X = [x._a if isinstance(x, LatticeVector) else np.asarray(x, dtype=np.float64) for x in X]
+        if any(x.shape != (dim,) for x in X):
+            raise DimensionMismatch(f"expected rows of {dim} coordinates, a row has another shape")
+        X = np.array(X, dtype=np.float64).reshape(len(X), dim)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionMismatch(f"expected rows of {dim} coordinates, got shape {X.shape}")
+    X = X.astype(np.float64, copy=False)
+    require_finite(X)
+    return X
+
+
 def _check_dims(x: LatticeVector, y: LatticeVector) -> None:
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} vs {y.dim}")

@@ -91,8 +91,8 @@ SIGNATURES = {
     "SupportTooLarge": None,
     "UkkCampaign": ("norm", "p", "mode", "horizon", "seed", "trials", "total", "valid", "passed", "failed",
                     "invalid", "advisory", "min_margin"),
-    "UkkTrial": ("valid", "reason", "passed", "epsilon", "delta", "limit_renorm", "min_dist_to_limit",
-                 "liminf_ok", "advisory", "seed", "p", "horizon", "norm", "sequence", "declared_limit"),
+    "UkkTrial": ("valid", "advisory", "seed", "p", "horizon", "norm", "sequence", "declared_limit", "reason",
+                 "passed", "epsilon", "delta", "limit_renorm", "min_dist_to_limit", "liminf_ok"),
     "WeightedLqNorm": ("q", "weights"),
     "absolute": ("x",),
     "audit_equivalence": ("N", "p", "C", "samples", "seed", "max_support"),

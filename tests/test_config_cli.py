@@ -170,6 +170,21 @@ def test_renorm_negative_seed_is_usage_error_in_both_modes(tmp_path, capsys):
         assert "--seed: seed must be a nonnegative integer" in captured.err
 
 
+@pytest.mark.parametrize("mode,p", [("direct", "0.5"), ("direct", "nan"), ("direct", "inf"), ("config", 0.5)])
+def test_renorm_bad_exponent_is_usage_error(tmp_path, capsys, mode, p):
+    space_doc = {"kind": "Lq", "q": 2, "dim": 4}
+    if mode == "direct":
+        vec = write(tmp_path, "vec.json", [1.0, 0.5, 0.0, 0.25])
+        argv, name = ["--space", write(tmp_path, "space.json", space_doc), "--p", p, "--vector", vec], "--p"
+    else:
+        doc = {"seed": 0, "space": space_doc, "renorm": {"p": p, "vectors": [[1.0, 0.5, 0.0, 0.25]]}}
+        argv, name = ["--config", write(tmp_path, "cfg.json", doc)], "config.renorm.p"
+    assert main(["renorm", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}: ")
+
+
 def test_renorm_direct_mode_needs_all_flags(tmp_path, capsys):
     space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 4})
     assert main(["renorm", "--space", space]) == 2

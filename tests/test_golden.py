@@ -43,6 +43,7 @@ from ukklattice import (
     renorm_heuristic,
     run_bump_campaign,
     run_estimate_pipeline,
+    run_ukk_trial,
     verify_lower_r_estimate,
 )
 from ukklattice.cli import main as cli_main
@@ -93,6 +94,17 @@ CAMPAIGN_DIGESTS = {
 def test_campaign_report_unchanged(mode, space, seed):
     camp = run_bump_campaign(SPACES[space](), 2.0, trials=4, seed=seed, mode=mode, horizon=12)
     assert _digest(camp.to_dict()) == CAMPAIGN_DIGESTS[mode, space, seed]
+
+
+@pytest.mark.parametrize("mode", ["bump", "fuzz"])
+@pytest.mark.parametrize("space", sorted(SPACES))
+def test_trial_record_replays_to_itself(mode, space):
+    N = SPACES[space]()
+    camp = run_bump_campaign(N, 2.0, trials=4, seed=3, mode=mode, horizon=12)
+    assert camp.invalid == (0 if mode == "bump" else 4)  # every fuzz trial here is invalid
+    for d in camp.to_dict()["trials"]:
+        replay = run_ukk_trial(N, d["p"], d["sequence"], LatticeVector(d["declared_limit"]), seed=d["seed"])
+        assert replay.to_dict() == d
 
 
 def _lower_p_report():

@@ -1,9 +1,12 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ukklattice import (
     BlockNorm,
+    DimensionMismatch,
     LatticeVector,
     LqNorm,
     check_coordinatewise_convergence,
@@ -14,6 +17,7 @@ from ukklattice import (
     run_ukk_trial,
     ukk_modulus,
 )
+from ukklattice.ukk import _tracks_settle
 
 
 def test_modulus_closed_forms():
@@ -201,6 +205,15 @@ def test_campaign_block_norm():
     assert camp.valid == 15 and camp.failed == 0
 
 
+def test_wrong_dimension_sequence_raises_even_when_short():
+    N = LqNorm(2, 4)
+    for seq in ([[0.5, 0.0]], [[0.5, 0.0, 0.0, 0.0], [0.5, 0.0]]):
+        with pytest.raises(DimensionMismatch):
+            run_ukk_trial(N, 2.0, seq, LatticeVector.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            measure_separation(seq, N, 2.0)
+
+
 def test_campaign_fuzz_never_falsely_fails():
     camp = run_bump_campaign(LqNorm(2, 24), 2.0, trials=20, seed=2, horizon=10, mode="fuzz")
     assert camp.total == 20
@@ -219,3 +232,30 @@ def test_campaign_serializes():
     assert d["total"] == 3 and len(d["trials"]) == 3
     d2 = camp.to_dict(include_trials=False)
     assert "trials" not in d2
+
+
+def _reference_track_settles(track, tol):
+    """The per-track settle rule that ``_tracks_settle`` replaced, kept as an oracle."""
+    hits = [n for n, v in enumerate(track) if v > tol]
+    if not hits:
+        return True
+    L = len(track)
+    cutoff = max(1, int(math.ceil(0.75 * L)))
+    return not (hits[-1] == L - 1 and hits[0] < cutoff)
+
+
+def test_settle_rule_matches_reference_on_every_short_track():
+    # 1 marks a moving entry; every 0/1 track of length 1 to 8
+    for L in range(1, 9):
+        for bits in itertools.product((0.0, 1.0), repeat=L):
+            T = np.array(bits)[:, None]
+            assert _tracks_settle(T, 0.5) == _reference_track_settles(bits, 0.5), bits
+
+
+def test_settle_rule_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        L, k = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+        T = (rng.random((L, k)) < rng.random()).astype(float)
+        expected = all(_reference_track_settles(T[:, j].tolist(), 0.5) for j in range(k))
+        assert _tracks_settle(T, 0.5) == expected
