@@ -25,15 +25,8 @@ import numpy as np
 
 from .config import ConfigError, coordinate_arrays, load_config, load_json, number_array, parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
-from .norms import audit_norm_axioms
-from .renorm import (
-    EXACT_THRESHOLD,
-    SupportTooLarge,
-    _check_p,
-    renorm,
-    renorm_exact,
-    renorm_heuristic,
-)
+from .norms import _check_p, audit_norm_axioms
+from .renorm import EXACT_THRESHOLD, SupportTooLarge, renorm, renorm_exact, renorm_heuristic
 from .sampling import random_vector
 from .ukk import run_bump_campaign
 from .vectors import DimensionMismatch, LatticeVector
@@ -70,6 +63,14 @@ def _resolve_seed(args, cfg: dict) -> int:
     return seed
 
 
+def _setup(args, section: str, *default) -> tuple:
+    """The shared start of a subcommand: load the config, parse its space,
+    read ``section`` (``default`` when absent, else required) and resolve the seed."""
+    cfg = load_config(args.config)
+    N = parse_norm_spec(require(cfg, "space", dict, "config"))
+    return N, require(cfg, section, dict, "config", *default), _resolve_seed(args, cfg)
+
+
 @contextlib.contextmanager
 def _rejected_in(section: str):
     """Report a config value the library rejects as a ConfigError on its section."""
@@ -86,12 +87,9 @@ def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> No
 
 
 def _cmd_space_check(args) -> int:
-    cfg = load_config(args.config)
-    N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    audit_cfg = require(cfg, "audit", dict, "config", {})
+    N, audit_cfg, seed = _setup(args, "audit", {})
     samples = require(audit_cfg, "samples", int, "config.audit", 10_000)
     tol = require(audit_cfg, "tol", float, "config.audit", 1e-9)
-    seed = _resolve_seed(args, cfg)
     with _rejected_in("config.audit"):
         report = audit_norm_axioms(N, samples=samples, seed=seed, tol=tol)
     doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
@@ -100,15 +98,12 @@ def _cmd_space_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    est = require(cfg, "estimate", dict, "config", {})
+    N, est, seed = _setup(args, "estimate", {})
     budget = require(est, "budget", int, "config.estimate", 400)
     rs = require(est, "rs", list, "config.estimate", None)
     if rs is not None:
         rs = tuple(float(r) for r in number_array(rs, "config.estimate.rs"))
     verify_trials = require(est, "verify_trials", int, "config.estimate", 1000)
-    seed = _resolve_seed(args, cfg)
 
     with _rejected_in("config.estimate"):
         report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs)
@@ -165,14 +160,11 @@ def _cmd_renorm(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("renorm", "provide --config, or --space/--p/--vector for direct mode")
-        cfg = load_config(args.config)
-        N = parse_norm_spec(require(cfg, "space", dict, "config"))
-        ren = require(cfg, "renorm", dict, "config")
+        N, ren, seed = _setup(args, "renorm")
         p, p_path = require(ren, "p", float, "config.renorm"), "config.renorm.p"
         mode = require(ren, "mode", str, "config.renorm", "auto")
         if mode not in ("auto", "exact", "heuristic"):
             raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
-        seed = _resolve_seed(args, cfg)
         if "vectors" in ren:
             vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
         elif "random" in ren:
@@ -214,15 +206,12 @@ def _ukk_csv(campaign) -> str:
 
 
 def _cmd_ukk(args) -> int:
-    cfg = load_config(args.config)
-    N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    ukk_cfg = require(cfg, "ukk", dict, "config")
+    N, ukk_cfg, seed = _setup(args, "ukk")
     p = require(ukk_cfg, "p", float, "config.ukk")
     trials = require(ukk_cfg, "trials", int, "config.ukk")
     horizon = require(ukk_cfg, "horizon", int, "config.ukk", 16)
     mode = require(ukk_cfg, "mode", str, "config.ukk", "bump")
     tol = require(ukk_cfg, "tol", float, "config.ukk", 1e-9)
-    seed = _resolve_seed(args, cfg)
 
     with _rejected_in("config.ukk"):
         campaign = run_bump_campaign(N, p, trials, seed=seed, mode=mode, horizon=horizon, tol=tol)

@@ -11,23 +11,21 @@ A norm spec is a JSON object with a ``kind`` plus kind-specific fields:
     {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 1, "dim": 4}}
 
 ``inner`` may be one spec (applied to every block, ``dim`` filled in
-from the block size) or a list with one spec per block.  Errors carry
-the JSON path of the offending field.
+from the block size) or a list with one spec per block.  A field of the
+wrong JSON type is an error on its own path; a value the oracle
+constructor rejects (an exponent below 1, say) is an error on the path
+of its spec.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from typing import Any
 
 from .norms import BlockNorm, LqNorm, NormOracle, PosNegMaxNorm, WeightedLqNorm
 
 __all__ = ["ConfigError", "parse_norm_spec", "load_config"]
-
-_KINDS = ("Lq", "WeightedLq", "Block", "PosNegMax")
-
 
 class ConfigError(ValueError):
     """Configuration problem, annotated with the JSON field path."""
@@ -37,94 +35,66 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _expect_keys(spec: dict, path: str, allowed: set[str], required: set[str]) -> None:
-    missing = required - spec.keys()
-    if missing:
-        raise ConfigError(path, f"missing required field(s): {', '.join(sorted(missing))}")
-    unknown = spec.keys() - allowed
-    if unknown:
-        raise ConfigError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
-
-
-def _parse_q(q: Any, path: str) -> float | str:
-    if isinstance(q, str):
-        if q.lower() in ("inf", "infinity"):
-            return "inf"
-        raise ConfigError(f"{path}.q", f"unrecognized exponent {q!r} (use a number >= 1 or \"inf\")")
-    if not isinstance(q, (int, float)) or isinstance(q, bool):
-        raise ConfigError(f"{path}.q", "exponent must be a number or \"inf\"")
-    if math.isnan(float(q)) or float(q) < 1.0:
-        raise ConfigError(f"{path}.q", f"exponent must be >= 1, got {q}")
-    return float(q)
-
-
-def _parse_dim(spec: dict, path: str) -> int:
-    dim = spec.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"{path}.dim", f"dim must be a positive integer, got {dim!r}")
-    return dim
+# per kind: the required fields besides ``kind``, and the optional ones
+_FIELDS = {
+    "Lq": ({"q", "dim"}, set()),
+    "WeightedLq": ({"q", "weights"}, {"dim"}),
+    "Block": ({"blocks", "inner", "outer"}, {"dim"}),
+    "PosNegMax": ({"base"}, {"dim"}),
+}
+_KINDS = tuple(_FIELDS)
 
 
 def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
-    """Build a norm oracle from its JSON spec; raises ConfigError with field paths."""
+    """Build a norm oracle from its JSON spec; raises ConfigError with field paths.
+
+    Only the JSON shape is checked here; the oracle constructors own the
+    value rules, and their ValueError becomes a ConfigError on ``path``.
+    """
     if not isinstance(spec, dict):
         raise ConfigError(path, f"expected an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind not in _KINDS:
         raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    required, optional = _FIELDS[kind]
+    missing = required - spec.keys()
+    if missing:
+        raise ConfigError(path, f"missing required field(s): {', '.join(sorted(missing))}")
+    unknown = spec.keys() - required - optional - {"kind"}
+    if unknown:
+        raise ConfigError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+    dim = spec.get("dim")
+    if "dim" in spec and type(dim) is not int:
+        raise ConfigError(f"{path}.dim", f"dim must be an integer, got {dim!r}")
 
     try:
         if kind == "Lq":
-            _expect_keys(spec, path, {"kind", "q", "dim"}, {"kind", "q", "dim"})
-            return LqNorm(_parse_q(spec["q"], path), _parse_dim(spec, path))
-
-        if kind == "WeightedLq":
-            _expect_keys(spec, path, {"kind", "q", "weights", "dim"}, {"kind", "q", "weights"})
-            weights = spec["weights"]
-            if not isinstance(weights, list) or not weights or not all(_is_number(w) for w in weights):
-                raise ConfigError(f"{path}.weights", "weights must be a nonempty array of positive numbers")
-            if "dim" in spec and _parse_dim(spec, path) != len(weights):
-                raise ConfigError(f"{path}.dim", f"dim {spec['dim']} disagrees with {len(weights)} weights")
-            return WeightedLqNorm(_parse_q(spec["q"], path), weights)
-
-        if kind == "PosNegMax":
-            _expect_keys(spec, path, {"kind", "base", "dim"}, {"kind", "base"})
-            base = parse_norm_spec(spec["base"], f"{path}.base")
-            if "dim" in spec and _parse_dim(spec, path) != base.dim:
-                raise ConfigError(f"{path}.dim", f"dim {spec['dim']} disagrees with base dim {base.dim}")
-            return PosNegMaxNorm(base)
-
-        # Block
-        _expect_keys(spec, path, {"kind", "blocks", "inner", "outer", "dim"}, {"kind", "blocks", "inner", "outer"})
-        blocks = spec["blocks"]
-        if (
-            not isinstance(blocks, list)
-            or not blocks
-            or not all(isinstance(b, list) and b and all(type(i) is int for i in b) for b in blocks)
-        ):
-            raise ConfigError(f"{path}.blocks", "blocks must be a nonempty array of nonempty integer arrays")
-        inner_spec = spec["inner"]
-        if isinstance(inner_spec, dict):
-            inner = []
-            for j, blk in enumerate(blocks):
-                filled = dict(inner_spec)
-                filled.setdefault("dim", len(blk))
-                inner.append(parse_norm_spec(filled, f"{path}.inner"))
-        elif isinstance(inner_spec, list):
-            if len(inner_spec) != len(blocks):
-                raise ConfigError(f"{path}.inner", f"{len(blocks)} blocks but {len(inner_spec)} inner specs")
-            inner = [parse_norm_spec(s, f"{path}.inner[{j}]") for j, s in enumerate(inner_spec)]
+            oracle = LqNorm(spec["q"], dim)
+        elif kind == "WeightedLq":
+            oracle = WeightedLqNorm(spec["q"], number_array(spec["weights"], f"{path}.weights"))
+        elif kind == "PosNegMax":
+            oracle = PosNegMaxNorm(parse_norm_spec(spec["base"], f"{path}.base"))
         else:
-            raise ConfigError(f"{path}.inner", "inner must be a spec object or an array of spec objects")
-        outer = parse_norm_spec(spec["outer"], f"{path}.outer")
-        oracle = BlockNorm(blocks, inner, outer)
-        if "dim" in spec and _parse_dim(spec, path) != oracle.dim:
-            raise ConfigError(f"{path}.dim", f"dim {spec['dim']} disagrees with the blocks ({oracle.dim} atoms)")
-        return oracle
+            blocks = spec["blocks"]
+            if not isinstance(blocks, list) or not all(
+                isinstance(b, list) and b and all(type(i) is int for i in b) for b in blocks
+            ):
+                raise ConfigError(f"{path}.blocks", "blocks must be an array of nonempty integer arrays")
+            inner = spec["inner"]
+            if isinstance(inner, dict):  # one spec for every block, its dim the block size
+                inner = [parse_norm_spec({"dim": len(blk), **inner}, f"{path}.inner") for blk in blocks]
+            elif isinstance(inner, list):
+                inner = [parse_norm_spec(s, f"{path}.inner[{j}]") for j, s in enumerate(inner)]
+            else:
+                raise ConfigError(f"{path}.inner", "inner must be a spec object or an array of spec objects")
+            oracle = BlockNorm(blocks, inner, parse_norm_spec(spec["outer"], f"{path}.outer"))
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(path, str(e)) from e
+    if "dim" in spec and dim != oracle.dim:
+        raise ConfigError(f"{path}.dim", f"dim {dim} disagrees with the {oracle.dim} atoms of the {kind} spec")
+    return oracle
 
 
 def load_json(path: str, what: str) -> Any:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle, report_dict
+from .norms import NormOracle, _check_p, report_dict
 from .renorm import ABS_TOL, EXACT_THRESHOLD, REL_TOL, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _rows, restrict
@@ -168,13 +168,17 @@ def estimate_two_disjoint_constant(
     return ratio, (LatticeVector(X[0]), LatticeVector(X[1]))
 
 
+def _check_c(c: float) -> float:
+    """The one rule for a two-disjoint constant: c >= 1, which every norm has."""
+    c = float(c)
+    if not c >= 1.0:
+        raise ValueError(f"two-disjoint constant c must be >= 1, got {c}")
+    return c
+
+
 def derived_exponent(c: float) -> float:
     """Exponent p = 2 ln2 / ln(2/c) of the lower p-estimate implied by c < 2."""
-    c = float(c)
-    if math.isnan(c) or c < 1.0:
-        raise ValueError(
-            f"two-disjoint constant {c} below 1 is impossible; the measuring oracle is broken"
-        )
+    c = _check_c(c)
     if c >= 2.0:
         raise ValueError(
             f"two-disjoint constant {c} >= 2: the lower-estimate hypothesis fails, no exponent exists"
@@ -198,13 +202,9 @@ def lower_r_constant(c: float, p: float, r: float) -> float:
     0 and the omitted B8 term; half of that term is added.
     Fixed cost, deterministic, and accurate to a few ulp for every s > 1.
     """
-    c = float(c)
-    p = float(p)
+    c = _check_c(c)
+    p = _check_p(p)
     r = float(r)
-    if not c >= 1.0:
-        raise ValueError(f"constant c must be >= 1, got {c}")
-    if not p >= 1.0:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
     if not r > p:
         raise ValueError(f"need r > p for the series to converge, got r={r}, p={p}")
     s = r / p
@@ -243,8 +243,10 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
     power law: min norm <= (c / m^(1/p)) * N(sum) with p derived from c.
     The power-law half is skipped (None) when c >= 2.  Both bounds hold
     for the true constant c of the space; an undershooting estimate can
-    legitimately fail them.
+    legitimately fail them.  A c below 1 or NaN is no norm's constant
+    and raises ValueError.
     """
+    c = _check_c(c)
     X = _family_rows(N, family)
     m = X.shape[0]
     k = m.bit_length() - 1
@@ -277,7 +279,7 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
 
 def family_power_ratio(N: NormOracle, p: float, family) -> float:
     """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio of a disjoint family."""
-    return _ratio(N, p, _family_rows(N, family))
+    return _ratio(N, _check_p(p), _family_rows(N, family))
 
 
 def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
@@ -343,7 +345,8 @@ def estimate_lower_p_constant(
 
 
 def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_000, seed: int = 0) -> int:
-    """Count sampled disjoint families violating (sum norms^r)^(1/r) <= K*N(sum)."""
+    """Count sampled disjoint families violating (sum norms^r)^(1/r) <= K*N(sum); needs 1 <= r < inf."""
+    r = _check_p(r)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)

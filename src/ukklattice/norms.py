@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
+from numbers import Real
 
 import numpy as np
 
 from .partitions import SupportPartition
-from .vectors import DimensionMismatch, LatticeVector
+from .vectors import LatticeVector, _rows
 
 __all__ = [
     "NormOracle",
@@ -65,27 +66,32 @@ class NormOracle(ABC):
         return 1.0
 
     def __call__(self, x) -> float:
-        if isinstance(x, LatticeVector):
-            a = x.coords
-        else:
-            a = np.asarray(x, dtype=np.float64)
-        if a.shape != (self.dim,):
-            raise DimensionMismatch(f"oracle dim {self.dim}, vector shape {a.shape}")
-        return float(self.values(a[None, :])[0])
+        return float(self.values(_rows([x], self.dim))[0])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
 
 
 def _q_value(q) -> float:
+    """The one rule for a norm exponent: a number q >= 1, or "inf"."""
     if isinstance(q, str):
         if q.lower() in ("inf", "infinity"):
             return math.inf
-        raise ValueError(f"unrecognized exponent string {q!r}")
+        raise ValueError(f"unrecognized exponent q = {q!r} (use a number >= 1 or \"inf\")")
+    if isinstance(q, bool) or not isinstance(q, Real):
+        raise ValueError(f"exponent q must be a number or \"inf\", got {q!r}")
     qf = float(q)
     if math.isnan(qf) or qf < 1.0:
         raise ValueError(f"exponent must satisfy q >= 1 (or be inf), got {q!r}")
     return qf
+
+
+def _check_p(p: float) -> float:
+    """The one rule for a decomposition or estimate exponent: 1 <= p < infinity."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"exponent must satisfy 1 <= p < infinity, got {p}")
+    return p
 
 
 def _q_json(q: float):

@@ -35,7 +35,6 @@ distinction in the general definition does not arise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -43,10 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .norms import NormOracle, report_dict
+from .norms import NormOracle, _check_p, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
-from .vectors import DimensionMismatch, LatticeVector, _rows, is_disjoint, restrict
+from .vectors import LatticeVector, _rows, is_disjoint
 
 __all__ = [
     "EXACT_THRESHOLD",
@@ -84,21 +83,6 @@ _CUT_ATTEMPTS = 3
 
 class SupportTooLarge(ValueError):
     """Support exceeds the exact enumeration threshold."""
-
-
-def _check_inputs(N: NormOracle, p: float, x: LatticeVector) -> float:
-    if N.dim != x.dim:
-        raise DimensionMismatch(f"oracle dim {N.dim}, vector dim {x.dim}")
-    return _check_p(p)
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"decomposition exponent must satisfy p >= 1, got {p}")
-    if math.isinf(p):
-        raise ValueError("p = infinity is not supported by the decomposition supremum")
-    return p
 
 
 @dataclass(frozen=True)
@@ -147,18 +131,21 @@ def fold_terms(terms) -> float:
 def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> float:
     """Objective of one decomposition, in canonical fold order.
 
-    ``blocks`` are atom index sets partitioning supp(x).  Exposed for
-    tests and replay of serialized witnesses.
+    ``blocks`` are atom index sets that must partition supp(x); anything
+    else raises ValueError.  Exposed for tests and replay of serialized
+    witnesses.
     """
-    p = _check_inputs(N, p, x)
-    ordered = sorted((tuple(sorted(blk)) for blk in blocks), key=lambda b: b[0])
-    if not ordered:
+    p = _check_p(p)
+    a = _rows([x], N.dim)[0]
+    part = SupportPartition.from_blocks(blocks)
+    if not part.is_partition_of(np.flatnonzero(a).tolist()):
+        raise ValueError(f"blocks {part.to_lists()} do not partition the support of x")
+    if not part.blocks:
         return 0.0
-    return fold_terms(block_terms(N.values(_rows([restrict(x, blk) for blk in ordered], N.dim)), p))
-
-
-def _zero_result(N: NormOracle, p: float, method: str) -> RenormResult:
-    return RenormResult(0.0, 0.0, SupportPartition(()), method, p, N)
+    X = np.zeros((len(part), N.dim))
+    for j, blk in enumerate(part.blocks):
+        X[j, list(blk)] = a[list(blk)]
+    return fold_terms(block_terms(N.values(X), p))
 
 
 def _require_exact(s: int, threshold: int) -> None:
@@ -179,11 +166,12 @@ def renorm_exact(
     Raises :class:`SupportTooLarge` above ``threshold`` instead of
     falling back to the local search.
     """
-    p = _check_inputs(N, p, x)
-    s = int(np.count_nonzero(x.coords))
+    p = _check_p(p)
+    X = _rows([x], N.dim)
+    s = int(np.count_nonzero(X))
     _require_exact(s, threshold)
     # threshold s keeps even a zero row exact, whatever the caller's threshold
-    return renorm_batch(N, p, x.coords[None, :], threshold=s).result(0)
+    return renorm_batch(N, p, X, threshold=s).result(0)
 
 
 class _Tables(NamedTuple):
@@ -393,12 +381,13 @@ def renorm_heuristic(
     result is a certified lower bound on the exact supremum and never
     exceeds it.
     """
-    p = _check_inputs(N, p, x)
-    supp = np.flatnonzero(x.coords)
+    p = _check_p(p)
+    a = _rows([x], N.dim)[0]
+    supp = np.flatnonzero(a)
     s = int(supp.size)
     if s == 0:
-        return _zero_result(N, p, "heuristic")
-    vals = x.coords[supp]
+        return RenormResult(0.0, 0.0, SupportPartition(()), "heuristic", p, N)
+    vals = a[supp]
     rng = np.random.default_rng(seed)
 
     # the block table: mask -> id, with the term and lowest atom of each id;
@@ -419,7 +408,7 @@ def renorm_heuristic(
             masks.extend(fresh)
             buf = np.frombuffer(b"".join(B.to_bytes(width, "little") for B in fresh), dtype=np.uint8)
             bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little").astype(bool)
-            rows = np.zeros((len(fresh), x.dim))
+            rows = np.zeros((len(fresh), N.dim))
             rows[:, supp] = np.where(bits, vals, 0.0)
             term = np.concatenate([term, block_terms(N.values(rows), p)])
             low = np.concatenate([low, bits.argmax(axis=1)])
@@ -588,6 +577,8 @@ def audit_equivalence(
     p-estimate constant, e.g. C from ``estimate_lower_p_constant``.
     """
     p = _check_p(p)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     cap = min(max_support, N.dim, EXACT_THRESHOLD)
     xs = [random_vector(rng, N.dim, support_size=int(rng.integers(1, cap + 1))) for _ in range(samples)]
@@ -606,7 +597,7 @@ def audit_equivalence(
         max_support=cap,
         lower_violations=lower_violations,
         upper_violations=upper_violations,
-        worst_lower_excess=float(lower.max(initial=-math.inf)),
-        worst_upper_excess=float(upper.max(initial=-math.inf)),
+        worst_lower_excess=float(lower.max()),
+        worst_upper_excess=float(upper.max()),
         passed=(lower_violations == 0 and upper_violations == 0),
     )

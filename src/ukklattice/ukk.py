@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle, report_dict
+from .norms import NormOracle, _check_p, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import DimensionMismatch, LatticeVector, _rows, truncate
@@ -57,9 +57,7 @@ def ukk_modulus(epsilon: float, p: float) -> float:
     renorm, hence the domain cap.
     """
     epsilon = float(epsilon)
-    p = float(p)
-    if math.isnan(p) or p < 1.0 or math.isinf(p):
-        raise ValueError(f"need 1 <= p < infinity, got {p}")
+    p = _check_p(p)
     if not 0.0 < epsilon <= 2.0:
         raise ValueError(f"separation must lie in (0, 2], got {epsilon}")
     return 1.0 - (1.0 - (epsilon / 2.0) ** p) ** (1.0 / p)

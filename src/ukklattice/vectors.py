@@ -132,7 +132,7 @@ class LatticeVector:
 
 def require_finite(a: np.ndarray) -> None:
     """Raise the package's one ValueError for NaN or infinite coordinates."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("coordinates must be finite reals (no NaN, no infinities)")
 
 

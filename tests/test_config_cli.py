@@ -61,6 +61,8 @@ def test_parse_block_inner_template():
 def test_parse_errors_carry_paths():
     cases = [
         ({"kind": "Lq", "q": 0.5, "dim": 3}, "q"),
+        ({"kind": "Lq", "q": True, "dim": 3}, "q"),
+        ({"kind": "WeightedLq", "q": "two", "weights": [1.0, 2.0]}, "q"),
         ({"kind": "Lq", "q": 2}, "dim"),
         ({"kind": "Lq", "q": 2, "dim": 3, "bogus": 1}, "bogus"),
         ({"kind": "Mystery", "dim": 3}, "kind"),
@@ -78,10 +80,23 @@ def test_parse_errors_carry_paths():
 
 
 def test_parse_dim_cross_check():
-    with pytest.raises(ConfigError):
-        parse_norm_spec(
-            {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}, "dim": 4}
-        )
+    for spec in (
+        {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}, "dim": 4},
+        {"kind": "WeightedLq", "q": 2, "weights": [1.0, 2.0], "dim": 3},
+        {"kind": "Block", "blocks": [[0, 1]], "inner": {"kind": "Lq", "q": 1},
+         "outer": {"kind": "Lq", "q": 1, "dim": 1}, "dim": 3},
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_norm_spec(spec)
+        assert exc.value.path == "space.dim"
+
+
+def test_block_inner_count_is_checked_by_the_oracle():
+    spec = {"kind": "Block", "blocks": [[0], [1]], "inner": [{"kind": "Lq", "q": 1, "dim": 1}],
+            "outer": {"kind": "Lq", "q": 1, "dim": 2}}
+    with pytest.raises(ConfigError) as exc:
+        parse_norm_spec(spec)
+    assert exc.value.path == "space" and "inner" in str(exc.value)
 
 
 def test_load_config_errors(tmp_path):

@@ -139,6 +139,21 @@ def test_family_power_ratio():
     assert family_power_ratio(N, 2.0, fam) == 2.0
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_family_power_ratio_rejects_bad_exponent(p):
+    fam = [LatticeVector(np.eye(4)[i]) for i in range(2)]
+    with pytest.raises(ValueError):
+        family_power_ratio(LqNorm(2, 4), p, fam)
+
+
+@pytest.mark.parametrize("c", [math.nan, 0.5])
+def test_check_inf_chain_rejects_bad_constant(c):
+    # these used to read as a failed check, that is as a violation
+    fam = [LatticeVector(np.eye(4)[i]) for i in range(2)]
+    with pytest.raises(ValueError):
+        check_inf_chain(LqNorm(2, 4), c, fam)
+
+
 def test_lower_p_constant_linf():
     # sup norm, p = 2: the d unit atoms give sqrt(d)
     C, fam = estimate_lower_p_constant(LqNorm(float("inf"), 4), 2.0, budget=40, seed=0)
@@ -168,6 +183,13 @@ def test_verify_lower_r_estimate_detects_bad_k():
     # K far below 1 must be violated by a single unit atom
     N = LqNorm(2, 8)
     assert verify_lower_r_estimate(N, 5.0, 0.5, trials=300, seed=4) > 0
+
+
+@pytest.mark.parametrize("r", [0.5, math.nan, math.inf])
+def test_verify_lower_r_estimate_rejects_bad_exponent(r):
+    # r = 0.5 used to report violations, r = nan none
+    with pytest.raises(ValueError):
+        verify_lower_r_estimate(LqNorm(2, 4), r, 1.0, trials=3)
 
 
 def test_pipeline_l2():

@@ -149,9 +149,24 @@ def _renorm_vectors():
     return vectors
 
 
-def _cli_config(command: str) -> dict:
-    if command == "renorm":
+def _mode_vectors():
+    """A zero row, a row of support 9 and one of support 14, above the exact threshold."""
+    rng = np.random.default_rng(41)
+    rows = [[0.0] * 16]
+    for s in (9, 14):
+        coords = np.zeros(16)
+        coords[rng.choice(16, size=s, replace=False)] = rng.uniform(0.1, 1.0, size=s)
+        rows.append(coords.tolist())
+    return rows
+
+
+def _cli_config(case: str) -> dict:
+    """The config of a CLI case: a subcommand, or ``renorm:<mode>``."""
+    if case == "renorm":
         return {"seed": 4, "space": _block(8).describe(), "renorm": {"p": 3, "vectors": _renorm_vectors()}}
+    if case.startswith("renorm:"):
+        mode = case.partition(":")[2]
+        return {"seed": 4, "space": _block(8).describe(), "renorm": {"p": 3, "mode": mode, "vectors": _mode_vectors()}}
     # a weighted 2-norm has c = sqrt(2) < 2, so the estimate report carries every field
     return {
         "seed": 4,
@@ -162,9 +177,14 @@ def _cli_config(command: str) -> dict:
     }
 
 
-# sha256 of each report file the CLI writes with --out, by (subcommand, file)
+# sha256 of each report file the CLI writes with --out, by (case, file); the
+# renorm mode cases were recorded before the subcommands shared one preamble,
+# and in exact mode the support-14 row writes the SupportTooLarge record
 CLI_DIGESTS = {
     ("renorm", "renorm.jsonl"): "f4ff864fbfe90cd5419b0ec780f70f11c36a57d041713f99f39230f66ab9753e",
+    ("renorm:exact", "renorm.jsonl"): "e04a7019bc33cde828726685b3c7121012c80013e806b8e7450a3cd1b35514c0",
+    ("renorm:heuristic", "renorm.jsonl"): "b83767d28c9c9407b1469b204bfbe88beb1f339beb67b70b7d3972593001a3d0",
+    ("renorm:auto", "renorm.jsonl"): "5662d2ab2772d6c15c8a5aeee189a5c70bb188a4fe897a0318dec7e61a4a73e6",
     ("space-check", "space_check.json"): "06edb1391b50dd94eb210f1394146d9a88b8226f49a8529c5572fbb818467824",
     ("estimate", "estimate.json"): "87da9c9aa358491df4b39529e93e40a8bc9ce6a195c7b03fcb461d03607a8cad",
     ("ukk", "ukk_summary.json"): "798b043a6ddd162ed6230282200658d51d2a5d2a9cec8dc23c62b41e4c41cce8",
@@ -173,13 +193,27 @@ CLI_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command,name", sorted(CLI_DIGESTS))
-def test_cli_report_unchanged(tmp_path, command, name):
+@pytest.mark.parametrize("case,name", sorted(CLI_DIGESTS))
+def test_cli_report_unchanged(tmp_path, case, name):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_cli_config(command)), encoding="utf-8")
+    cfg_path.write_text(json.dumps(_cli_config(case)), encoding="utf-8")
+    command = case.partition(":")[0]
     assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     blob = (tmp_path / "out" / name).read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[command, name]
+    assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[case, name]
+
+
+@pytest.mark.parametrize("flag,mode", [("--exact", "exact"), ("--heuristic", "heuristic"), (None, "auto")])
+def test_cli_direct_mode_matches_config_mode(tmp_path, flag, mode):
+    """``--space/--p/--vector`` with the config's seed writes the config mode's file."""
+    space, vec = tmp_path / "space.json", tmp_path / "vec.json"
+    space.write_text(json.dumps(_block(8).describe()), encoding="utf-8")
+    vec.write_text(json.dumps(_mode_vectors()), encoding="utf-8")
+    argv = ["renorm", "--space", str(space), "--p", "3", "--vector", str(vec), "--seed", "4",
+            "--out", str(tmp_path / "out"), *([flag] if flag else [])]
+    assert cli_main(argv) == 0
+    blob = (tmp_path / "out" / "renorm.jsonl").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[f"renorm:{mode}", "renorm.jsonl"]
 
 
 TIES_DIGEST = "af87a7454026b9eca3dfeea7f7539b5e460b7b92a058d9bd4fc32fd586f4cef8"

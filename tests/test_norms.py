@@ -31,6 +31,15 @@ def test_lq_rejects_bad_exponent():
         LqNorm(2, 0)
 
 
+@pytest.mark.parametrize("q", [True, False, None, [2], "two", math.nan])
+def test_exponent_must_be_a_number_or_inf(q):
+    # a bool is not an exponent, although float(True) == 1.0 would pass q >= 1
+    with pytest.raises(ValueError, match="q"):
+        LqNorm(q, 3)
+    with pytest.raises(ValueError, match="q"):
+        WeightedLqNorm(q, [1.0, 2.0, 3.0])
+
+
 def test_call_matches_batch():
     # __call__ must route through the batch path bit-for-bit
     N = LqNorm(1.7, 5)
@@ -142,6 +151,16 @@ def test_dim_mismatch_raises():
 
     with pytest.raises(DimensionMismatch):
         LqNorm(2, 3)(LatticeVector([1.0, 2.0]))
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0):
+        with pytest.raises(DimensionMismatch):
+            LqNorm(2, 3)(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_call_rejects_non_finite_coordinates(bad):
+    # the row gate's error, not a nan or inf norm value
+    with pytest.raises(ValueError, match="finite"):
+        LqNorm(2, 4)([bad, 1.0, 0.0, 0.0])
 
 
 def test_lq_large_q_stable():

@@ -5,6 +5,7 @@ import pytest
 
 from ukklattice import (
     BlockNorm,
+    DimensionMismatch,
     LatticeVector,
     LqNorm,
     PosNegMaxNorm,
@@ -246,6 +247,30 @@ def test_rejects_bad_p():
         renorm_exact(N, float("inf"), x)
 
 
+@pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []]])
+def test_power_sum_rejects_blocks_that_do_not_partition_the_support(blocks):
+    # overlapping blocks, a missed support atom, an atom off the support, an empty block
+    with pytest.raises(ValueError):
+        partition_power_sum(LqNorm(2, 4), 4.0, LatticeVector([1.0, 1.0, 0.0, 0.0]), blocks)
+
+
+def test_power_sum_canonicalizes_block_order():
+    N, x = LqNorm(2, 4), LatticeVector([1.0, 2.0, 0.0, 3.0])
+    assert partition_power_sum(N, 3.0, x, [[3, 0], [1]]) == partition_power_sum(N, 3.0, x, [[0, 3], [1]])
+    assert partition_power_sum(N, 3.0, LatticeVector.zeros(4), []) == 0.0
+
+
+def test_entry_points_gate_their_vector():
+    N = LqNorm(2, 4)
+    for entry in (renorm_exact, renorm_heuristic):
+        with pytest.raises(DimensionMismatch):
+            entry(N, 2.0, LatticeVector([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            entry(N, 2.0, [1.0, math.nan, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        partition_power_sum(N, 2.0, LatticeVector([1.0, 2.0]), [[0, 1]])
+
+
 def test_superadditivity_check():
     N = LqNorm(1, 6)
     x = LatticeVector([1.0, -2.0, 0.0, 0.0, 0.0, 0.0])
@@ -278,6 +303,12 @@ def test_equivalence_audit_flags_small_c():
     audit = audit_equivalence(LqNorm(float("inf"), 8), 2.0, 1.05, samples=300, seed=2)
     assert audit.upper_violations > 0
     assert not audit.passed
+
+
+def test_equivalence_audit_needs_a_sample():
+    # no samples used to pass with worst excesses of -inf
+    with pytest.raises(ValueError, match="samples"):
+        audit_equivalence(LqNorm(2, 4), 2.0, 1.5, samples=0)
 
 
 def test_batch_rejects_non_finite_rows():

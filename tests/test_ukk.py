@@ -40,8 +40,9 @@ def test_modulus_validation():
         ukk_modulus(0.0, 2.0)
     with pytest.raises(ValueError):
         ukk_modulus(2.5, 2.0)
-    with pytest.raises(ValueError):
-        ukk_modulus(1.0, 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ukk_modulus(1.0, p)
 
 
 def test_bump_sequence_shape():
