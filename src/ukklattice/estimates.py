@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -347,6 +348,8 @@ def estimate_lower_p_constant(
 def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_000, seed: int = 0) -> int:
     """Count sampled disjoint families violating (sum norms^r)^(1/r) <= K*N(sum); needs 1 <= r < inf."""
     r = _check_p(r)
+    if not (isinstance(K, Real) and math.isfinite(K)):
+        raise ValueError(f"K must be a finite number, got {K!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)

@@ -128,6 +128,20 @@ def fold_terms(terms) -> float:
     return acc
 
 
+def _mask_terms(N: NormOracle, p: float, vals: np.ndarray, supp: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Block terms of K rows under M masks of their support, as an (M, K) array.
+
+    ``vals`` and ``supp`` (K, s) are the support values and atoms of each
+    row, ``bits`` (M, s) marks the atoms of each mask.  Block row (m, r)
+    is row r restricted to mask m; its off-block support atoms hold
+    ``0 * value``, a signed zero that no built-in norm tells from 0.  The M * K
+    block rows go through one ``N.values`` call.
+    """
+    Z = np.zeros((bits.shape[0], vals.shape[0], N.dim))
+    Z[:, np.arange(vals.shape[0])[:, None], supp] = bits[:, None, :] * vals
+    return np.array(block_terms(N.values(Z.reshape(-1, N.dim)), p)).reshape(Z.shape[:2])
+
+
 def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> float:
     """Objective of one decomposition, in canonical fold order.
 
@@ -137,15 +151,14 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     """
     p = _check_p(p)
     a = _rows([x], N.dim)[0]
+    supp = np.flatnonzero(a)
     part = SupportPartition.from_blocks(blocks)
-    if not part.is_partition_of(np.flatnonzero(a).tolist()):
+    if not part.is_partition_of(supp.tolist()):
         raise ValueError(f"blocks {part.to_lists()} do not partition the support of x")
     if not part.blocks:
         return 0.0
-    X = np.zeros((len(part), N.dim))
-    for j, blk in enumerate(part.blocks):
-        X[j, list(blk)] = a[list(blk)]
-    return fold_terms(block_terms(N.values(X), p))
+    bits = np.array([np.isin(supp, blk) for blk in part.blocks])
+    return fold_terms(_mask_terms(N, p, a[None, supp], supp[None], bits)[:, 0].tolist())
 
 
 def _require_exact(s: int, threshold: int) -> None:
@@ -168,10 +181,8 @@ def renorm_exact(
     """
     p = _check_p(p)
     X = _rows([x], N.dim)
-    s = int(np.count_nonzero(X))
-    _require_exact(s, threshold)
-    # threshold s keeps even a zero row exact, whatever the caller's threshold
-    return renorm_batch(N, p, X, threshold=s).result(0)
+    _require_exact(int(np.count_nonzero(X)), threshold)
+    return renorm_batch(N, p, X, threshold=threshold).result(0)
 
 
 class _Tables(NamedTuple):
@@ -180,15 +191,15 @@ class _Tables(NamedTuple):
     A mask m is a subset of the s support atoms; its candidate first
     blocks B are the submasks holding m's lowest atom, in descending-
     submask order.  Layer k lists the masks of popcount k in ascending
-    order, with one row of 2^(k-1) candidate blocks per mask and the
-    start of each mask's segment in the flattened rows.  The remainders
-    m XOR B are recomputed on use rather than stored.  Masks are uint16
-    while they fit, wider above s = 16.
+    order, with one row of 2^(k-1) candidate blocks per mask.  The
+    remainders m XOR B are recomputed on use rather than stored.  Masks
+    are uint16 while they fit, wider above s = 16.  At s = 0 the one
+    mask is the empty set and there are no layers.
     """
 
     bits: np.ndarray  # (2^s, s) bool: row m marks the atoms of mask m
     pos: np.ndarray  # pos[m]: the row of mask m in its layer
-    layers: tuple  # per popcount k: (masks, starts, blocks)
+    layers: tuple  # per popcount k: (masks, blocks)
 
 
 def _mask_dtype(s: int):
@@ -214,8 +225,7 @@ def _dp_tables(s: int) -> _Tables:
         for i in range(1, k):
             blocks = blocks | (((j >> (i - 1)) & 1)[None, :] << atoms[:, i : i + 1])
         blocks = np.broadcast_to(blocks, (masks.size, j.size)).astype(dtype)
-        starts = np.arange(masks.size, dtype=np.intp) << (k - 1)
-        layers.append((masks.astype(dtype), starts, blocks))
+        layers.append((masks.astype(dtype), blocks))
     for a in (bits, pos, *(a for layer in layers for a in layer)):
         a.flags.writeable = False
     return _Tables(bits, pos, tuple(layers))
@@ -230,7 +240,7 @@ def _dp_witness(tp: np.ndarray, g: np.ndarray, supp: np.ndarray, tables: _Tables
     blocks = []
     m = g.size - 1
     while m:
-        cand = tables.layers[bin(m).count("1") - 1][2][tables.pos[m]]
+        cand = tables.layers[bin(m).count("1") - 1][1][tables.pos[m]]
         B = int(cand[np.argmax(tp[cand] + g[cand ^ m] == g[m])])
         blocks.append(tuple(supp[tables.bits[B]].tolist()))
         m ^= B
@@ -241,8 +251,8 @@ def _dp_witness(tp: np.ndarray, g: np.ndarray, supp: np.ndarray, tables: _Tables
 class RenormBatch:
     """Per-row values, power sums and methods of one :func:`renorm_batch` call.
 
-    Witness partitions are built only when asked for, through
-    :meth:`witness` or :meth:`result`.
+    A DP row's witness partition is built only when asked for, through
+    :meth:`witness` or :meth:`result`; a local-search row keeps its own.
     """
 
     values: list[float]
@@ -250,8 +260,7 @@ class RenormBatch:
     methods: list[str]
     p: float
     norm: NormOracle
-    # per row: None for a zero row, a finished RenormResult, or the
-    # (tp, g, supp, tables) of its DP
+    # per row: the witness of a local search, or the (tp, g, supp, tables) of its DP
     _sources: list = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -259,19 +268,10 @@ class RenormBatch:
 
     def witness(self, i: int) -> SupportPartition:
         src = self._sources[i]
-        if src is None:
-            return SupportPartition(())
-        if isinstance(src, RenormResult):
-            return src.witness
-        return _dp_witness(*src)
+        return src if isinstance(src, SupportPartition) else _dp_witness(*src)
 
     def result(self, i: int) -> RenormResult:
-        src = self._sources[i]
-        if isinstance(src, RenormResult):
-            return src
-        return RenormResult(
-            self.values[i], self.power_sums[i], self.witness(i), self.methods[i], self.p, self.norm
-        )
+        return RenormResult(self.values[i], self.power_sums[i], self.witness(i), self.methods[i], self.p, self.norm)
 
 
 def renorm_batch(
@@ -312,29 +312,22 @@ def renorm_batch(
     sources: list = [None] * n
 
     chunks = []
-    for s in sorted(set(sizes.tolist())):
-        if 0 < s <= threshold:
-            rows = np.flatnonzero(sizes == s)
-            step = max(1, _MAX_BLOCK_ROWS >> s)
-            chunks += [(s, rows[lo : lo + step]) for lo in range(0, rows.size, step)]
+    for s in sorted(set(sizes[sizes <= threshold].tolist())):
+        rows = np.flatnonzero(sizes == s)
+        step = max(1, _MAX_BLOCK_ROWS >> s)
+        chunks += [(s, rows[lo : lo + step]) for lo in range(0, rows.size, step)]
     for s, rows in chunks:
         K = rows.size
         tables = _dp_tables(s)
         Xs = X[rows]
         nz = np.nonzero(Xs)
         supp = nz[1].reshape(K, s)
-        # block rows, mask-major: block row (m, r) is row r restricted to mask m
-        Z = np.zeros((1 << s, K, N.dim), dtype=np.float64)
-        Z[np.arange(1 << s)[:, None, None], np.arange(K)[None, :, None], supp[None, :, :]] = (
-            tables.bits[:, None, :] * Xs[nz].reshape(1, K, s)
-        )
-        tp = np.array(block_terms(N.values(Z.reshape(-1, N.dim)), p)).reshape(1 << s, K)
+        tp = _mask_terms(N, p, Xs[nz].reshape(K, s), supp, tables.bits)
         g = np.zeros_like(tp)
         # a lone row runs on 1-d views, which numpy indexes about three times faster
         dp_tp, dp_g = (tp[:, 0], g[:, 0]) if K == 1 else (tp, g)
-        for masks, starts, blocks in tables.layers:
-            rests = blocks ^ masks[:, None]
-            dp_g[masks] = np.maximum.reduceat(dp_tp[blocks.ravel()] + dp_g[rests.ravel()], starts, axis=0)
+        for masks, blocks in tables.layers:
+            dp_g[masks] = (dp_tp[blocks] + dp_g[blocks ^ masks[:, None]]).max(axis=1)
         for r, (i, total) in enumerate(zip(rows.tolist(), g[-1].tolist())):
             values[i] = total ** (1.0 / p)
             power_sums[i] = total
@@ -342,7 +335,7 @@ def renorm_batch(
 
     for i in np.flatnonzero(sizes > threshold).tolist():
         res = renorm_heuristic(N, p, LatticeVector(X[i]), seed=seed)
-        values[i], power_sums[i], methods[i], sources[i] = res.value, res.power_sum, res.method, res
+        values[i], power_sums[i], methods[i], sources[i] = res.value, res.power_sum, res.method, res.witness
     return RenormBatch(values, power_sums, methods, p, N, sources)
 
 
@@ -387,7 +380,7 @@ def renorm_heuristic(
     s = int(supp.size)
     if s == 0:
         return RenormResult(0.0, 0.0, SupportPartition(()), "heuristic", p, N)
-    vals = a[supp]
+    vals = a[None, supp]
     rng = np.random.default_rng(seed)
 
     # the block table: mask -> id, with the term and lowest atom of each id;
@@ -408,9 +401,7 @@ def renorm_heuristic(
             masks.extend(fresh)
             buf = np.frombuffer(b"".join(B.to_bytes(width, "little") for B in fresh), dtype=np.uint8)
             bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little").astype(bool)
-            rows = np.zeros((len(fresh), N.dim))
-            rows[:, supp] = np.where(bits, vals, 0.0)
-            term = np.concatenate([term, block_terms(N.values(rows), p)])
+            term = np.concatenate([term, _mask_terms(N, p, vals, supp[None], bits)[:, 0]])
             low = np.concatenate([low, bits.argmax(axis=1)])
             got = list(map(ids.get, blocks))
         return np.array(got, dtype=np.intp)
@@ -501,7 +492,7 @@ def renorm(
     seed: int = 0,
 ) -> RenormResult:
     """Exact below the support threshold, local search above it."""
-    if int(np.count_nonzero(x.coords)) <= threshold:
+    if int(np.count_nonzero(_rows([x], N.dim))) <= threshold:
         return renorm_exact(N, p, x, threshold=threshold)
     return renorm_heuristic(N, p, x, seed=seed)
 

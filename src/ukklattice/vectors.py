@@ -48,27 +48,18 @@ class LatticeVector:
     __slots__ = ("_a",)
 
     def __init__(self, coords: Iterable[float]):
-        a = np.asarray(coords, dtype=np.float64)
+        a = np.array(coords, dtype=np.float64)  # owned copy
         if a.ndim != 1:
             raise ValueError(f"expected a 1-d coordinate sequence, got shape {a.shape}")
         if a.size == 0:
             raise ValueError("a lattice vector needs at least one atom")
         require_finite(a)
-        a = np.array(a, dtype=np.float64)  # owned copy
         a.flags.writeable = False
         self._a = a
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> "LatticeVector":
-        # internal fast path: `a` is a fresh finite float64 array we own
-        v = object.__new__(cls)
-        a.flags.writeable = False
-        v._a = a
-        return v
-
-    @classmethod
     def zeros(cls, dim: int) -> "LatticeVector":
-        return cls._wrap(np.zeros(dim, dtype=np.float64))
+        return cls(np.zeros(dim))
 
     @classmethod
     def unit(cls, dim: int, atom: int, height: float = 1.0) -> "LatticeVector":
@@ -111,7 +102,7 @@ class LatticeVector:
     __rmul__ = __mul__
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector._wrap(-self._a)
+        return LatticeVector(-self._a)
 
     # -- value semantics -----------------------------------------------
 
@@ -157,29 +148,29 @@ def _check_dims(x: LatticeVector, y: LatticeVector) -> None:
 
 def pos_part(x: LatticeVector) -> LatticeVector:
     """Componentwise ``max(x, 0)``; the positive part ``x = pos - neg``."""
-    return LatticeVector._wrap(np.maximum(x._a, 0.0))
+    return LatticeVector(np.maximum(x._a, 0.0))
 
 
 def neg_part(x: LatticeVector) -> LatticeVector:
     """Componentwise ``max(-x, 0)``; satisfies ``x = pos_part(x) - neg_part(x)`` exactly."""
-    return LatticeVector._wrap(np.maximum(-x._a, 0.0))
+    return LatticeVector(np.maximum(-x._a, 0.0))
 
 
 def absolute(x: LatticeVector) -> LatticeVector:
     """Componentwise absolute value ``|x|``."""
-    return LatticeVector._wrap(np.abs(x._a))
+    return LatticeVector(np.abs(x._a))
 
 
 def meet(x: LatticeVector, y: LatticeVector) -> LatticeVector:
     """Componentwise minimum ``x ∧ y``."""
     _check_dims(x, y)
-    return LatticeVector._wrap(np.minimum(x._a, y._a))
+    return LatticeVector(np.minimum(x._a, y._a))
 
 
 def join(x: LatticeVector, y: LatticeVector) -> LatticeVector:
     """Componentwise maximum ``x ∨ y``."""
     _check_dims(x, y)
-    return LatticeVector._wrap(np.maximum(x._a, y._a))
+    return LatticeVector(np.maximum(x._a, y._a))
 
 
 def is_disjoint(x: LatticeVector, y: LatticeVector) -> bool:
@@ -197,7 +188,7 @@ def truncate(u: LatticeVector, x: LatticeVector) -> LatticeVector:
     """
     _check_dims(u, x)
     env = np.abs(u._a)
-    return LatticeVector._wrap(np.clip(x._a, -env, env))
+    return LatticeVector(np.clip(x._a, -env, env))
 
 
 def disjoint_residuals(x: LatticeVector, y: LatticeVector) -> tuple[LatticeVector, LatticeVector]:
@@ -224,4 +215,4 @@ def restrict(x: LatticeVector, block: Iterable[int]) -> LatticeVector:
     a = np.zeros(x.dim, dtype=np.float64)
     if idx.size:
         a[idx] = x._a[idx]
-    return LatticeVector._wrap(a)
+    return LatticeVector(a)

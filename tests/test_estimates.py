@@ -192,6 +192,13 @@ def test_verify_lower_r_estimate_rejects_bad_exponent(r):
         verify_lower_r_estimate(LqNorm(2, 4), r, 1.0, trials=3)
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+def test_verify_lower_r_estimate_rejects_non_finite_k(K):
+    # NaN and inf used to report no violations
+    with pytest.raises(ValueError, match="K must be a finite number"):
+        verify_lower_r_estimate(LqNorm(2, 4), 3.0, K, trials=50)
+
+
 def test_pipeline_l2():
     rep = run_estimate_pipeline(LqNorm(2, 6), budget=80, seed=0)
     assert rep.hypothesis_satisfied

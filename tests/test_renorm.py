@@ -262,13 +262,23 @@ def test_power_sum_canonicalizes_block_order():
 
 def test_entry_points_gate_their_vector():
     N = LqNorm(2, 4)
-    for entry in (renorm_exact, renorm_heuristic):
-        with pytest.raises(DimensionMismatch):
-            entry(N, 2.0, LatticeVector([1.0, 2.0]))
+    for entry in (renorm, renorm_exact, renorm_heuristic):
+        for short in (LatticeVector([1.0, 2.0]), [1.0, 2.0]):
+            with pytest.raises(DimensionMismatch):
+                entry(N, 2.0, short)
         with pytest.raises(ValueError, match="finite"):
             entry(N, 2.0, [1.0, math.nan, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         partition_power_sum(N, 2.0, LatticeVector([1.0, 2.0]), [[0, 1]])
+
+
+def test_renorm_accepts_coordinate_lists():
+    # the dispatcher used to read x.coords before the row gate
+    N = LqNorm(3, 16)
+    rng = np.random.default_rng(19)
+    for s in (3, 12, 13):
+        x = random_vector(rng, 16, s)
+        assert renorm(N, 2.0, x.to_list(), seed=1) == renorm(N, 2.0, x, seed=1)
 
 
 def test_superadditivity_check():
@@ -345,6 +355,47 @@ def test_batch_splits_large_groups():
     batch = renorm_batch(N, 2.0, X)
     for i, row in enumerate(X):
         assert batch.result(i) == renorm_exact(N, 2.0, LatticeVector(row))
+
+
+def test_batch_with_zero_rows_matches_scalar_bit_for_bit():
+    # zero rows among rows of the DP's support sizes and two above the threshold
+    N = LqNorm(3, 16)
+    rng = np.random.default_rng(17)
+    sizes = [0, 1, 0, 2, 3, 0, 5, 8, 0, 12, 13, 0, 14, 4, 0, 0]
+    X = np.stack([random_vector(rng, 16, s).coords if s else np.zeros(16) for s in sizes])
+    batch = renorm_batch(N, 2.0, X, seed=2)
+    for i, row in enumerate(X):
+        one = renorm(N, 2.0, LatticeVector(row), seed=2)
+        got = batch.values[i].hex(), batch.power_sums[i].hex(), batch.witness(i).to_lists(), batch.methods[i]
+        assert got == (one.value.hex(), one.power_sum.hex(), one.witness.to_lists(), one.method)
+        assert batch.result(i) == one
+
+
+@pytest.mark.parametrize("N,p", [
+    (LqNorm(3, 8), 1.5),
+    (WeightedLqNorm(3, _WEIGHTS), 2.0),
+    (_PAIRS, 1.5),
+    (PosNegMaxNorm(LqNorm(1.5, 8)), 2.0),
+])
+def test_witnesses_replay_on_negative_coordinates(N, p):
+    # every support atom negative: the block rows of the DP and the local
+    # search hold -0.0 or 0.0 off their block, the replay's rows 0.0
+    rng = np.random.default_rng(23)
+    for s in (2, 5, 8):
+        x = LatticeVector(-np.abs(random_vector(rng, 8, s).coords))
+        for res in (renorm_exact(N, p, x), renorm_heuristic(N, p, x, seed=1)):
+            assert partition_power_sum(N, p, x, res.witness.to_lists()) == res.power_sum
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batch_heuristic_row_is_the_scalar_local_search(seed):
+    N = PosNegMaxNorm(LqNorm(2, 8))
+    rng = np.random.default_rng(seed)
+    X = np.stack([random_vector(rng, 8, s).coords for s in (3, 7, 8)])
+    batch = renorm_batch(N, 2.0, X, threshold=6, seed=seed)
+    for i in (1, 2):
+        assert batch.methods[i] == "heuristic"
+        assert batch.result(i) == renorm_heuristic(N, 2.0, LatticeVector(X[i]), seed=seed)
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 100])

@@ -50,6 +50,9 @@ def test_zeros_and_unit():
     assert e.to_list() == [0.0, 0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         LatticeVector.unit(2, 5)
+    # zeros goes through the constructor, which needs at least one atom
+    with pytest.raises(ValueError, match="at least one atom"):
+        LatticeVector.zeros(0)
 
 
 def test_arithmetic_and_dim_guard():
