@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, coordinate_arrays, load_config, load_json, number_array, parse_norm_spec, require
+from .config import ConfigError, coordinate_arrays, count, known_fields, load_config, load_json, number_array
+from .config import parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
 from .norms import _check_p, audit_norm_axioms
 from .renorm import EXACT_THRESHOLD, SupportTooLarge, renorm, renorm_exact, renorm_heuristic
@@ -63,12 +64,13 @@ def _resolve_seed(args, cfg: dict) -> int:
     return seed
 
 
-def _setup(args, section: str, *default) -> tuple:
-    """The shared start of a subcommand: load the config, parse its space,
-    read ``section`` (``default`` when absent, else required) and resolve the seed."""
+def _setup(args, section: str, fields: tuple, *default) -> tuple:
+    """The shared start of a subcommand: load the config, parse its space, read ``section``
+    (``default`` when absent, else required; no field outside ``fields``), resolve the seed."""
     cfg = load_config(args.config)
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    return N, require(cfg, section, dict, "config", *default), _resolve_seed(args, cfg)
+    doc = known_fields(require(cfg, section, dict, "config", *default), fields, f"config.{section}")
+    return N, doc, _resolve_seed(args, cfg)
 
 
 @contextlib.contextmanager
@@ -87,7 +89,7 @@ def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> No
 
 
 def _cmd_space_check(args) -> int:
-    N, audit_cfg, seed = _setup(args, "audit", {})
+    N, audit_cfg, seed = _setup(args, "audit", ("samples", "tol"), {})
     samples = require(audit_cfg, "samples", int, "config.audit", 10_000)
     tol = require(audit_cfg, "tol", float, "config.audit", 1e-9)
     with _rejected_in("config.audit"):
@@ -98,12 +100,12 @@ def _cmd_space_check(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    N, est, seed = _setup(args, "estimate", {})
+    N, est, seed = _setup(args, "estimate", ("budget", "rs", "verify_trials"), {})
     budget = require(est, "budget", int, "config.estimate", 400)
     rs = require(est, "rs", list, "config.estimate", None)
     if rs is not None:
         rs = tuple(float(r) for r in number_array(rs, "config.estimate.rs"))
-    verify_trials = require(est, "verify_trials", int, "config.estimate", 1000)
+    verify_trials = count(est, "verify_trials", "config.estimate", 1000)
 
     with _rejected_in("config.estimate"):
         report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs)
@@ -160,7 +162,7 @@ def _cmd_renorm(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("renorm", "provide --config, or --space/--p/--vector for direct mode")
-        N, ren, seed = _setup(args, "renorm")
+        N, ren, seed = _setup(args, "renorm", ("p", "mode", "vectors", "random"))
         p, p_path = require(ren, "p", float, "config.renorm"), "config.renorm.p"
         mode = require(ren, "mode", str, "config.renorm", "auto")
         if mode not in ("auto", "exact", "heuristic"):
@@ -168,14 +170,14 @@ def _cmd_renorm(args) -> int:
         if "vectors" in ren:
             vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
         elif "random" in ren:
-            rnd = require(ren, "random", dict, "config.renorm")
-            count = require(rnd, "count", int, "config.renorm.random", 10)
+            rnd = known_fields(require(ren, "random", dict, "config.renorm"), ("count", "support"), "config.renorm.random")
+            n = count(rnd, "count", "config.renorm.random", 10)
             support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
             rng = np.random.default_rng(seed)
             with _rejected_in("config.renorm.random"):
                 vectors = [
                     random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
-                    for _ in range(count)
+                    for _ in range(n)
                 ]
         else:
             vectors = []
@@ -206,7 +208,7 @@ def _ukk_csv(campaign) -> str:
 
 
 def _cmd_ukk(args) -> int:
-    N, ukk_cfg, seed = _setup(args, "ukk")
+    N, ukk_cfg, seed = _setup(args, "ukk", ("p", "trials", "horizon", "mode", "tol"))
     p = require(ukk_cfg, "p", float, "config.ukk")
     trials = require(ukk_cfg, "trials", int, "config.ukk")
     horizon = require(ukk_cfg, "horizon", int, "config.ukk", 16)

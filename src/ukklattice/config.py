@@ -1,12 +1,11 @@
 """Experiment configuration: JSON parsing and the norm spec grammar.
 
-A norm spec is a JSON object with a ``kind`` plus kind-specific fields:
+A norm spec is a JSON object with a ``kind`` plus the fields its class
+lists in ``spec_fields``; ``dim`` is optional where it is not one of them:
 
-    {"kind": "Lq", "q": 2, "dim": 8}
     {"kind": "Lq", "q": "inf", "dim": 4}
     {"kind": "WeightedLq", "q": 1, "weights": [1, 2, 3]}
-    {"kind": "Block", "blocks": [[0, 1], [2, 3]],
-     "inner": {"kind": "Lq", "q": 1},
+    {"kind": "Block", "blocks": [[0, 1], [2, 3]], "inner": {"kind": "Lq", "q": 1},
      "outer": {"kind": "Lq", "q": "inf", "dim": 2}}
     {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 1, "dim": 4}}
 
@@ -14,7 +13,7 @@ A norm spec is a JSON object with a ``kind`` plus kind-specific fields:
 from the block size) or a list with one spec per block.  A field of the
 wrong JSON type is an error on its own path; a value the oracle
 constructor rejects (an exponent below 1, say) is an error on the path
-of its spec.
+of its spec.  A spec, like each config section, rejects unknown fields.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import sys
 from typing import Any
 
-from .norms import BlockNorm, LqNorm, NormOracle, PosNegMaxNorm, WeightedLqNorm
+from .norms import _KINDS, NormOracle
 
 __all__ = ["ConfigError", "parse_norm_spec", "load_config"]
 
@@ -35,59 +34,28 @@ class ConfigError(ValueError):
         self.path = path
 
 
-# per kind: the required fields besides ``kind``, and the optional ones
-_FIELDS = {
-    "Lq": ({"q", "dim"}, set()),
-    "WeightedLq": ({"q", "weights"}, {"dim"}),
-    "Block": ({"blocks", "inner", "outer"}, {"dim"}),
-    "PosNegMax": ({"base"}, {"dim"}),
-}
-_KINDS = tuple(_FIELDS)
-
-
 def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
     """Build a norm oracle from its JSON spec; raises ConfigError with field paths.
 
-    Only the JSON shape is checked here; the oracle constructors own the
-    value rules, and their ValueError becomes a ConfigError on ``path``.
+    Only the JSON shape is checked here, each field by the rule of its
+    name; the oracle constructors own the value rules, and their
+    ValueError becomes a ConfigError on ``path``.
     """
     if not isinstance(spec, dict):
         raise ConfigError(path, f"expected an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
-    required, optional = _FIELDS[kind]
-    missing = required - spec.keys()
+    missing = set(cls.spec_fields) - spec.keys()
     if missing:
         raise ConfigError(path, f"missing required field(s): {', '.join(sorted(missing))}")
-    unknown = spec.keys() - required - optional - {"kind"}
-    if unknown:
-        raise ConfigError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+    known_fields(spec, ("kind", "dim", *cls.spec_fields), path)
     dim = spec.get("dim")
     if "dim" in spec and type(dim) is not int:
         raise ConfigError(f"{path}.dim", f"dim must be an integer, got {dim!r}")
-
     try:
-        if kind == "Lq":
-            oracle = LqNorm(spec["q"], dim)
-        elif kind == "WeightedLq":
-            oracle = WeightedLqNorm(spec["q"], number_array(spec["weights"], f"{path}.weights"))
-        elif kind == "PosNegMax":
-            oracle = PosNegMaxNorm(parse_norm_spec(spec["base"], f"{path}.base"))
-        else:
-            blocks = spec["blocks"]
-            if not isinstance(blocks, list) or not all(
-                isinstance(b, list) and b and all(type(i) is int for i in b) for b in blocks
-            ):
-                raise ConfigError(f"{path}.blocks", "blocks must be an array of nonempty integer arrays")
-            inner = spec["inner"]
-            if isinstance(inner, dict):  # one spec for every block, its dim the block size
-                inner = [parse_norm_spec({"dim": len(blk), **inner}, f"{path}.inner") for blk in blocks]
-            elif isinstance(inner, list):
-                inner = [parse_norm_spec(s, f"{path}.inner[{j}]") for j, s in enumerate(inner)]
-            else:
-                raise ConfigError(f"{path}.inner", "inner must be a spec object or an array of spec objects")
-            oracle = BlockNorm(blocks, inner, parse_norm_spec(spec["outer"], f"{path}.outer"))
+        oracle = cls(*(_read(spec, f, f"{path}.{f}") for f in cls.spec_fields))
     except ConfigError:
         raise
     except ValueError as e:
@@ -95,6 +63,35 @@ def parse_norm_spec(spec: Any, path: str = "space") -> NormOracle:
     if "dim" in spec and dim != oracle.dim:
         raise ConfigError(f"{path}.dim", f"dim {dim} disagrees with the {oracle.dim} atoms of the {kind} spec")
     return oracle
+
+
+def _read(spec: dict, field: str, path: str):
+    """A spec field as its constructor argument, by the rule of its name; ``q``
+    and ``dim`` pass as written.  ``inner`` reads ``blocks``, which is read first."""
+    val = spec[field]
+    if field in ("base", "outer"):
+        return parse_norm_spec(val, path)
+    if field == "weights":
+        return number_array(val, path)
+    if field == "blocks" and not (isinstance(val, list) and all(
+        isinstance(b, list) and b and all(type(i) is int for i in b) for b in val
+    )):
+        raise ConfigError(path, "blocks must be an array of nonempty integer arrays")
+    if field == "inner":
+        if isinstance(val, dict):  # one spec for every block, its dim the block size
+            return [parse_norm_spec({"dim": len(blk), **val}, path) for blk in spec["blocks"]]
+        if not isinstance(val, list):
+            raise ConfigError(path, "inner must be a spec object or an array of spec objects")
+        return [parse_norm_spec(s, f"{path}[{j}]") for j, s in enumerate(val)]
+    return val
+
+
+def known_fields(doc: dict, known, path: str) -> dict:
+    """``doc``, checked to have no field outside ``known``: a misspelt field never takes its default."""
+    unknown = doc.keys() - set(known)
+    if unknown:
+        raise ConfigError(path, f"unknown field(s): {', '.join(sorted(unknown))}")
+    return doc
 
 
 def load_json(path: str, what: str) -> Any:
@@ -139,6 +136,14 @@ def require(doc: dict, key: str, kind: type, path: str, default=_MISSING):
         name = "finite number" if kind is float else kind.__name__
         raise ConfigError(f"{path}.{key}", f"expected {name}, got {val!r}")
     return val
+
+
+def count(doc: dict, key: str, path: str, default) -> int:
+    """A nonnegative integer field; 0 is a count of nothing, a negative count an error."""
+    n = require(doc, key, int, path, default)
+    if n < 0:
+        raise ConfigError(f"{path}.{key}", f"expected a nonnegative integer, got {n!r}")
+    return n
 
 
 def _is_number(v) -> bool:

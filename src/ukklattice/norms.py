@@ -5,7 +5,8 @@ Every oracle evaluates through a single batch method :meth:`NormOracle.values`
 one-row batch.  Routing both through the same arithmetic keeps comparisons
 between exact and heuristic optimizers bitwise meaningful.
 
-Built-in kinds:
+Built-in kinds, each one class in the ``_KINDS`` registry; its ``spec_fields``, the
+constructor's parameter names, drive ``describe`` and ``config.parse_norm_spec``:
 
 ``Lq``          (sum |x_i|^q)^(1/q), with q = inf meaning max |x_i|
 ``WeightedLq``  Lq of the coordinatewise product w * x, all w_i > 0
@@ -51,14 +52,19 @@ class NormOracle(ABC):
 
     dim: int
     kind: str
+    spec_fields: tuple[str, ...]  # the constructor's parameter names, each also an attribute
 
     @abstractmethod
     def values(self, X: np.ndarray) -> np.ndarray:
         """Norms of the rows of ``X`` (shape ``(n, dim)`` float64)."""
 
-    @abstractmethod
     def describe(self) -> dict:
-        """JSON-ready spec dict; parseable back by ``config.parse_norm_spec``."""
+        """JSON-ready spec dict, ``kind``, the spec fields, ``dim``; ``config.parse_norm_spec`` reads it."""
+        spec = {"kind": self.kind}
+        for f in self.spec_fields:
+            spec[f] = _spec_json(getattr(self, f))
+        spec["dim"] = self.dim
+        return spec
 
     @property
     def monotone_constant(self) -> float:
@@ -94,22 +100,37 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _q_json(q: float):
-    if math.isinf(q):
-        return "inf"
-    return int(q) if float(q).is_integer() else q
+def _integer(v, what: str) -> int:
+    """``v`` as a plain int: a Python or NumPy integer, never a bool, float or string."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _spec_json(v):
+    """A spec field's JSON form; exact type tests, commonest first, keep ``describe`` cheap."""
+    if type(v) is int:
+        return v
+    if type(v) is float:  # an exponent: an int or "inf" where it can be
+        return "inf" if math.isinf(v) else int(v) if v.is_integer() else v
+    if type(v) is tuple:
+        return [_spec_json(m) for m in v]
+    if type(v) is np.ndarray:
+        return v.tolist()
+    return v.describe()
 
 
 class LqNorm(NormOracle):
     """The q-sum norm; ``q = inf`` (or the string "inf") gives the sup norm."""
 
     kind = "Lq"
+    spec_fields = ("q", "dim")
 
     def __init__(self, q, dim: int):
         self.q = _q_value(q)
-        if int(dim) < 1:
+        self.dim = _integer(dim, "dim")
+        if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        self.dim = int(dim)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         A = np.abs(X)
@@ -121,41 +142,27 @@ class LqNorm(NormOracle):
             return np.sqrt((A * A).sum(axis=1))
         return (A ** self.q).sum(axis=1) ** (1.0 / self.q)
 
-    def describe(self) -> dict:
-        return {"kind": "Lq", "q": _q_json(self.q), "dim": self.dim}
-
 
 class WeightedLqNorm(NormOracle):
     """Lq norm of ``w * x`` for a fixed positive weight per atom."""
 
     kind = "WeightedLq"
+    spec_fields = ("q", "weights")
 
     def __init__(self, q, weights):
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(w)) or not np.all(w > 0):
             raise ValueError("weights must be finite and strictly positive")
-        self._w = w.copy()
-        self._w.flags.writeable = False
+        w.flags.writeable = False
+        self.weights = w
         self.dim = w.size
         self._base = LqNorm(q, self.dim)
         self.q = self._base.q
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w
-
     def values(self, X: np.ndarray) -> np.ndarray:
-        return self._base.values(X * self._w[None, :])
-
-    def describe(self) -> dict:
-        return {
-            "kind": "WeightedLq",
-            "q": _q_json(self.q),
-            "weights": [float(w) for w in self._w],
-            "dim": self.dim,
-        }
+        return self._base.values(X * self.weights[None, :])
 
 
 class BlockNorm(NormOracle):
@@ -168,9 +175,10 @@ class BlockNorm(NormOracle):
     """
 
     kind = "Block"
+    spec_fields = ("blocks", "inner", "outer")
 
     def __init__(self, blocks, inner, outer: NormOracle):
-        blocks = tuple(tuple(int(i) for i in blk) for blk in blocks)
+        blocks = tuple(tuple(_integer(i, "block atom") for i in blk) for blk in blocks)
         if not blocks or any(len(blk) == 0 for blk in blocks):
             raise ValueError("blocks must be nonempty and contain no empty block")
         flat = sorted(i for blk in blocks for i in blk)
@@ -185,10 +193,7 @@ class BlockNorm(NormOracle):
                 raise ValueError(f"inner[{j}] has dim {N.dim}, block has {len(blk)} atoms")
         if outer.dim != len(blocks):
             raise ValueError(f"outer has dim {outer.dim}, need one coordinate per block ({len(blocks)})")
-        self.blocks = blocks
-        self.inner = inner
-        self.outer = outer
-        self.dim = dim
+        self.blocks, self.inner, self.outer, self.dim = blocks, inner, outer, dim
         self._idx = [np.asarray(blk, dtype=np.intp) for blk in blocks]
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -201,15 +206,6 @@ class BlockNorm(NormOracle):
     def monotone_constant(self) -> float:
         return self.outer.monotone_constant * max(N.monotone_constant for N in self.inner)
 
-    def describe(self) -> dict:
-        return {
-            "kind": "Block",
-            "blocks": [list(blk) for blk in self.blocks],
-            "inner": [N.describe() for N in self.inner],
-            "outer": self.outer.describe(),
-            "dim": self.dim,
-        }
-
 
 class PosNegMaxNorm(NormOracle):
     """``max(base(pos_part(x)), base(neg_part(x)))``.
@@ -221,6 +217,7 @@ class PosNegMaxNorm(NormOracle):
     """
 
     kind = "PosNegMax"
+    spec_fields = ("base",)
 
     def __init__(self, base: NormOracle):
         self.base = base
@@ -235,8 +232,9 @@ class PosNegMaxNorm(NormOracle):
     def monotone_constant(self) -> float:
         return 2.0 * self.base.monotone_constant
 
-    def describe(self) -> dict:
-        return {"kind": "PosNegMax", "base": self.base.describe(), "dim": self.dim}
+
+# the kind registry, kind name -> class; its order is the order error messages list the kinds in
+_KINDS = {cls.kind: cls for cls in (LqNorm, WeightedLqNorm, BlockNorm, PosNegMaxNorm)}
 
 
 def report_dict(report, omit=()) -> dict:

@@ -26,24 +26,174 @@ BASE_CFG = {
 # -- norm spec grammar --------------------------------------------------
 
 
+L1 = {"kind": "Lq", "q": 1}
+SUP2 = {"kind": "Lq", "q": "inf", "dim": 2}
+PAIRS = [[0, 1], [2, 3]]
+
+
+def block(**fields):
+    """A valid 4-atom Block spec (1-norm pair blocks, sup outer) with ``fields`` replaced."""
+    return {"kind": "Block", "blocks": PAIRS, "inner": L1, "outer": SUP2, **fields}
+
+
+# (spec, its describe(), None when that is the spec itself); json.dumps of
+# both must agree, so key order and int-versus-float are pinned, not only the values
+ROUND_TRIP = [
+    ({"kind": "Lq", "q": 2, "dim": 4}, None),
+    ({"kind": "Lq", "q": "inf", "dim": 4}, None),
+    ({"kind": "Lq", "q": 2.5, "dim": 2}, None),
+    ({"kind": "Lq", "q": 1e20, "dim": 2}, {"kind": "Lq", "q": 10 ** 20, "dim": 2}),
+    ({"kind": "Lq", "q": "Infinity", "dim": 2}, {"kind": "Lq", "q": "inf", "dim": 2}),
+    ({"kind": "Lq", "q": 3.0, "dim": 2}, {"kind": "Lq", "q": 3, "dim": 2}),
+    ({"kind": "WeightedLq", "q": 1, "weights": [1.0, 2.0, 0.5], "dim": 3}, None),
+    ({"kind": "WeightedLq", "q": 3, "weights": [1.0, 2.0]},
+     {"kind": "WeightedLq", "q": 3, "weights": [1.0, 2.0], "dim": 2}),
+    ({"kind": "WeightedLq", "q": 2, "weights": [1, 2]},
+     {"kind": "WeightedLq", "q": 2, "weights": [1.0, 2.0], "dim": 2}),
+    (block(inner=[{"kind": "Lq", "q": 1, "dim": 2}] * 2, dim=4), None),
+    (block(inner={"kind": "WeightedLq", "q": 2, "weights": [1.0, 0.5]}, outer={"kind": "Lq", "q": 1, "dim": 2}),
+     block(inner=[{"kind": "WeightedLq", "q": 2, "weights": [1.0, 0.5], "dim": 2}] * 2,
+           outer={"kind": "Lq", "q": 1, "dim": 2}, dim=4)),
+    ({"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}, "dim": 3}, None),
+    ({"kind": "PosNegMax", "base": {"kind": "Block", "blocks": [[1], [0]], "inner": {"kind": "Lq", "q": "inf"},
+                                    "outer": {"kind": "Lq", "q": 3, "dim": 2}}},
+     {"kind": "PosNegMax", "base": {"kind": "Block", "blocks": [[1], [0]],
+                                    "inner": [{"kind": "Lq", "q": "inf", "dim": 1}] * 2,
+                                    "outer": {"kind": "Lq", "q": 3, "dim": 2}, "dim": 2}, "dim": 2}),
+]
+
+
 def test_parse_round_trip_all_kinds():
-    specs = [
-        {"kind": "Lq", "q": 2, "dim": 4},
-        {"kind": "Lq", "q": "inf", "dim": 4},
-        {"kind": "WeightedLq", "q": 1, "weights": [1.0, 2.0, 0.5], "dim": 3},
-        {
-            "kind": "Block",
-            "blocks": [[0, 1], [2, 3]],
-            "inner": [{"kind": "Lq", "q": 1, "dim": 2}, {"kind": "Lq", "q": 1, "dim": 2}],
-            "outer": {"kind": "Lq", "q": "inf", "dim": 2},
-            "dim": 4,
-        },
-        {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}, "dim": 3},
-    ]
-    for spec in specs:
+    for spec, described in ROUND_TRIP:
+        expected = json.dumps(spec if described is None else described)
         N = parse_norm_spec(spec)
-        again = parse_norm_spec(N.describe())
-        assert again.describe() == N.describe()
+        assert json.dumps(N.describe()) == expected
+        assert json.dumps(parse_norm_spec(N.describe()).describe()) == expected
+
+
+# (bad spec, the exact ConfigError text), one row per rule of the grammar
+SPEC_ERRORS = [
+    ([1],
+     'space: expected an object, got list'),
+    ("Lq",
+     'space: expected an object, got str'),
+    ({"kind": ["Lq"], "q": 2, "dim": 2},
+     "space.kind: unknown kind ['Lq']; expected one of Lq, WeightedLq, Block, PosNegMax"),
+    ({"kind": {"a": 1}, "q": 2, "dim": 2},
+     "space.kind: unknown kind {'a': 1}; expected one of Lq, WeightedLq, Block, PosNegMax"),
+    ({"kind": None, "q": 2, "dim": 2},
+     'space.kind: unknown kind None; expected one of Lq, WeightedLq, Block, PosNegMax'),
+    ({"q": 2, "dim": 2},
+     'space.kind: unknown kind None; expected one of Lq, WeightedLq, Block, PosNegMax'),
+    ({"kind": "Mystery", "dim": 3},
+     "space.kind: unknown kind 'Mystery'; expected one of Lq, WeightedLq, Block, PosNegMax"),
+    ({"kind": "Lq", "q": 2},
+     'space: missing required field(s): dim'),
+    ({"kind": "Block", "blocks": [[0]]},
+     'space: missing required field(s): inner, outer'),
+    ({"kind": "Lq", "q": 2, "dim": 3, "bogus": 1, "extra": 2},
+     'space: unknown field(s): bogus, extra'),
+    ({"kind": "PosNegMax", "base": L1, "weights": [1.0]},
+     'space: unknown field(s): weights'),
+    ({"kind": "Lq", "q": 2, "dim": 2.0},
+     'space.dim: dim must be an integer, got 2.0'),
+    ({"kind": "Lq", "q": 2, "dim": True},
+     'space.dim: dim must be an integer, got True'),
+    ({"kind": "Lq", "q": 2, "dim": 0},
+     'space: dim must be a positive integer'),
+    ({"kind": "Lq", "q": 2, "dim": -1},
+     'space: dim must be a positive integer'),
+    ({"kind": "WeightedLq", "q": 2, "weights": [1.0, 2.0], "dim": 3},
+     'space.dim: dim 3 disagrees with the 2 atoms of the WeightedLq spec'),
+    ({"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}, "dim": 4},
+     'space.dim: dim 4 disagrees with the 3 atoms of the PosNegMax spec'),
+    (block(dim=5),
+     'space.dim: dim 5 disagrees with the 4 atoms of the Block spec'),
+    ({"kind": "Lq", "q": 0.5, "dim": 3},
+     'space: exponent must satisfy q >= 1 (or be inf), got 0.5'),
+    ({"kind": "Lq", "q": True, "dim": 3},
+     'space: exponent q must be a number or "inf", got True'),
+    ({"kind": "Lq", "q": "two", "dim": 3},
+     'space: unrecognized exponent q = \'two\' (use a number >= 1 or "inf")'),
+    ({"kind": "Lq", "q": None, "dim": 3},
+     'space: exponent q must be a number or "inf", got None'),
+    ({"kind": "Lq", "q": [2], "dim": 3},
+     'space: exponent q must be a number or "inf", got [2]'),
+    ({"kind": "WeightedLq", "q": 2, "weights": 3},
+     'space.weights: expected an array of finite numbers'),
+    ({"kind": "WeightedLq", "q": 2, "weights": [[1.0]]},
+     'space.weights: expected an array of finite numbers'),
+    ({"kind": "WeightedLq", "q": 2, "weights": []},
+     'space: weights must be a nonempty 1-d sequence'),
+    ({"kind": "WeightedLq", "q": 2, "weights": [True, 2.0]},
+     'space.weights: expected an array of finite numbers'),
+    ({"kind": "WeightedLq", "q": 2, "weights": [1.0, -1.0]},
+     'space: weights must be finite and strictly positive'),
+    ({"kind": "WeightedLq", "q": 2, "weights": [1.0, 0.0]},
+     'space: weights must be finite and strictly positive'),
+    ({"kind": "WeightedLq", "q": 0, "weights": "w"},
+     'space.weights: expected an array of finite numbers'),
+    (block(blocks=[[0, 1], 2]),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(blocks=[[0, 1], []]),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(blocks=[[0, True], [2, 3]]),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(blocks=[[0, 1.0], [2, 3]]),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(blocks={"a": 1}),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(blocks=[]),
+     'space: blocks must be nonempty and contain no empty block'),
+    (block(blocks=[[0, 1], [1, 2]]),
+     'space: blocks must partition 0..dim-1 with no repeats or gaps'),
+    (block(blocks=[[0, 1], [3, 4]]),
+     'space: blocks must partition 0..dim-1 with no repeats or gaps'),
+    (block(blocks=[[0, 1.5]], inner=3),
+     'space.blocks: blocks must be an array of nonempty integer arrays'),
+    (block(inner=3),
+     'space.inner: inner must be a spec object or an array of spec objects'),
+    (block(inner="Lq"),
+     'space.inner: inner must be a spec object or an array of spec objects'),
+    (block(inner=[{"kind": "Lq", "q": 1, "dim": 2}, 5]),
+     'space.inner[1]: expected an object, got int'),
+    (block(inner=[L1, L1]),
+     'space.inner[0]: missing required field(s): dim'),
+    (block(inner=[{"kind": "Lq", "q": 1, "dim": 2}, {"kind": "Lq", "q": 0, "dim": 2}]),
+     'space.inner[1]: exponent must satisfy q >= 1 (or be inf), got 0'),
+    (block(inner=[{"kind": "Lq", "q": 1, "dim": 2}]),
+     'space: 2 blocks but 1 inner oracles'),
+    (block(inner={"kind": "Lq", "q": 1, "dim": 3}),
+     'space: inner[0] has dim 3, block has 2 atoms'),
+    (block(inner={"kind": "WeightedLq", "q": 1, "weights": [1.0, 2.0, 3.0]}),
+     'space.inner.dim: dim 2 disagrees with the 3 atoms of the WeightedLq spec'),
+    (block(inner={"kind": "Lq", "q": 1}, outer={"kind": "Lq", "q": 0.5, "dim": 2}),
+     'space.outer: exponent must satisfy q >= 1 (or be inf), got 0.5'),
+    (block(outer=2),
+     'space.outer: expected an object, got int'),
+    (block(outer={"kind": "Lq", "q": 1, "dim": 3}),
+     'space: outer has dim 3, need one coordinate per block (2)'),
+    (block(outer={"kind": "Lq", "q": 1}),
+     'space.outer: missing required field(s): dim'),
+    ({"kind": "PosNegMax", "base": 4},
+     'space.base: expected an object, got int'),
+    ({"kind": "PosNegMax", "base": {"kind": "Lq", "q": 0.5, "dim": 2}},
+     'space.base: exponent must satisfy q >= 1 (or be inf), got 0.5'),
+    ({"kind": "PosNegMax", "base": {"kind": "Nope"}},
+     "space.base.kind: unknown kind 'Nope'; expected one of Lq, WeightedLq, Block, PosNegMax"),
+    (block(blocks=[[0, 1]], inner={"kind": "PosNegMax", "base": L1}, outer={"kind": "Lq", "q": 1, "dim": 1}),
+     'space.inner.base: missing required field(s): dim'),
+    (block(blocks=[[0, 1]], inner={"kind": "PosNegMax", "base": {"kind": "Lq", "q": 2, "dim": 3}},
+           outer={"kind": "Lq", "q": 1, "dim": 1}),
+     'space.inner.dim: dim 2 disagrees with the 3 atoms of the PosNegMax spec'),
+]
+
+
+@pytest.mark.parametrize("spec,message", SPEC_ERRORS, ids=lambda v: json.dumps(v) if not isinstance(v, str) else None)
+def test_parse_error_message(spec, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_norm_spec(spec)
+    assert str(exc.value) == message
 
 
 def test_parse_block_inner_template():
@@ -262,6 +412,16 @@ BAD_FIELDS = [
     ("ukk", "ukk", "tol", "tiny"),
     ("ukk", "ukk", "tol", float("inf")),
     ("ukk", "ukk", "mode", "sweep"),
+    # a negative count is an error, not an empty run
+    ("renorm", "renorm", "random", {"count": -3}),
+    ("estimate", "estimate", "verify_trials", -5),
+    # a misspelt or retired field is an error, not a silent default
+    ("space-check", "audit", "sampels", 100),
+    ("estimate", "estimate", "verify_trails", 5),
+    ("estimate", "estimate", "tail_tol", 1e-9),
+    ("renorm", "renorm", "mdoe", "exact"),
+    ("renorm", "renorm", "random", {"cuont": 5}),
+    ("ukk", "ukk", "horizn", 3),
 ]
 
 

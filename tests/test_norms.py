@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -106,6 +107,38 @@ def test_describe_round_trip_fields():
     assert d["kind"] == "Lq" and d["q"] == "inf" and d["dim"] == 3
     d2 = LqNorm(2, 3).describe()
     assert d2["q"] == 2
+
+
+def test_spec_fields_are_the_constructor_parameters():
+    from ukklattice.norms import _KINDS, NormOracle
+
+    assert set(_KINDS.values()) == set(NormOracle.__subclasses__())
+    for kind, cls in _KINDS.items():
+        assert cls.kind == kind
+        assert cls.spec_fields == tuple(inspect.signature(cls).parameters), kind
+
+
+@pytest.mark.parametrize("dim", [3.9, 2.0, True, np.bool_(True), "3", None])
+def test_lq_dim_must_be_an_integer(dim):
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        LqNorm(2, dim)
+
+
+@pytest.mark.parametrize("atom", [1.7, 1.0, True, "1", np.float64(1.0)])
+def test_block_atoms_must_be_integers(atom):
+    with pytest.raises(ValueError, match="block atom must be an integer"):
+        BlockNorm([[0, atom]], [LqNorm(1, 2)], LqNorm(1, 1))
+
+
+def test_numpy_integers_are_sizes_and_atoms():
+    N = LqNorm(2, np.int64(3))
+    assert N.dim == 3 and type(N.describe()["dim"]) is int
+    blk = BlockNorm([np.array([1, 0], dtype=np.int64), [np.int32(2)]], [LqNorm(1, 2), LqNorm(1, 1)], LqNorm(1, 2))
+    assert blk.blocks == ((1, 0), (2,))
+    described = blk.describe()["blocks"]
+    assert described == [[1, 0], [2]]
+    assert all(type(i) is int for b in described for i in b)
+    assert blk(LatticeVector([1.0, -2.0, 4.0])) == 7.0
 
 
 @pytest.mark.parametrize(
