@@ -65,9 +65,9 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 
 def _setup(args, section: str, fields: tuple, *default) -> tuple:
-    """The shared start of a subcommand: load the config, parse its space, read ``section``
-    (``default`` when absent, else required; no field outside ``fields``), resolve the seed."""
-    cfg = load_config(args.config)
+    """The shared start of a subcommand: load the config (one file may hold every section), parse its
+    space, read ``section`` (``default`` when absent, else required; no field outside ``fields``), resolve the seed."""
+    cfg = known_fields(load_config(args.config), ("seed", "space", "audit", "estimate", "renorm", "ukk"), "config")
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
     doc = known_fields(require(cfg, section, dict, "config", *default), fields, f"config.{section}")
     return N, doc, _resolve_seed(args, cfg)

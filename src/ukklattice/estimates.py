@@ -34,7 +34,7 @@ import numpy as np
 from .norms import NormOracle, _check_p, report_dict
 from .renorm import ABS_TOL, EXACT_THRESHOLD, REL_TOL, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
-from .vectors import LatticeVector, _rows, restrict
+from .vectors import LatticeVector, _family_rows, _rows, restrict
 
 __all__ = [
     "estimate_two_disjoint_constant",
@@ -50,16 +50,6 @@ __all__ = [
 ]
 
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
-
-
-def _family_rows(N: NormOracle, family) -> np.ndarray:
-    """Coordinate rows of a nonempty, pairwise disjoint family."""
-    X = _rows(family, N.dim)
-    if not len(X):
-        raise ValueError("family must be nonempty")
-    if np.any((X != 0.0).sum(axis=0) > 1):
-        raise ValueError("family is not pairwise disjoint")
-    return X
 
 
 def _lower_estimate(N: NormOracle, p: float, X: np.ndarray) -> tuple[float, float]:
@@ -248,7 +238,7 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
     and raises ValueError.
     """
     c = _check_c(c)
-    X = _family_rows(N, family)
+    X = _family_rows(family, N.dim)
     m = X.shape[0]
     k = m.bit_length() - 1
     v = N.values(np.vstack([X, X.sum(axis=0)]))
@@ -280,7 +270,7 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
 
 def family_power_ratio(N: NormOracle, p: float, family) -> float:
     """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio of a disjoint family."""
-    return _ratio(N, _check_p(p), _family_rows(N, family))
+    return _ratio(N, _check_p(p), _family_rows(family, N.dim))
 
 
 def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:

@@ -3,14 +3,14 @@
 For a vector x in a purely atomic lattice, every disjoint decomposition
 of x is (dropping zero summands) a set partition of supp(x) with x
 restricted to each block, so the defining supremum is a finite maximum
-over set partitions.  ``renorm_batch`` computes that maximum for many
-vectors at once by dynamic programming over support subsets, layered by
-popcount and vectorized over the vectors that share a support size
-(value identical to brute-force partition enumeration; the pure
-enumeration survives in the test suite as an oracle).  ``renorm_exact``
-is its one-row case.  ``renorm_heuristic`` is a seeded steepest-ascent
-local search usable above the enumeration threshold; each of its steps
-scores every neighbour of the current partition in one vectorized fold.
+over set partitions.  ``renorm_batch``, the engine's one way in and out,
+computes that maximum for many rows at once: by dynamic programming over
+support subsets up to the enumeration threshold, layered by popcount and
+vectorized over the rows that share a support size (value identical to
+brute-force partition enumeration, which survives in the test suite as
+an oracle), and above it by a seeded steepest-ascent local search that
+scores all the neighbour partitions of a step in one vectorized fold.
+``renorm_exact`` and ``renorm_heuristic`` are its one-row cases.
 
 Tie-break: among the candidate first blocks of a subset (those holding
 its smallest atom), the DP keeps the first maximum in descending-submask
@@ -45,7 +45,7 @@ import numpy as np
 from .norms import NormOracle, _check_p, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
-from .vectors import LatticeVector, _rows, is_disjoint
+from .vectors import LatticeVector, _family_rows, _rows
 
 __all__ = [
     "EXACT_THRESHOLD",
@@ -74,7 +74,7 @@ ABS_TOL = 1e-12
 # block rows per N.values call in renorm_batch; a larger group is split
 _MAX_BLOCK_ROWS = 1 << 16
 
-# renorm_heuristic: random starts besides the one-block and all-singletons
+# the local search: random starts besides the one-block and all-singletons
 # partitions, ascent steps per start, random bipartitions per block per step
 _RESTARTS = 4
 _MAX_ITERS = 80
@@ -251,8 +251,8 @@ def _dp_witness(tp: np.ndarray, g: np.ndarray, supp: np.ndarray, tables: _Tables
 class RenormBatch:
     """Per-row values, power sums and methods of one :func:`renorm_batch` call.
 
-    A DP row's witness partition is built only when asked for, through
-    :meth:`witness` or :meth:`result`; a local-search row keeps its own.
+    A DP row's witness is built only when asked for; a local-search row
+    keeps its own.  :meth:`result` is the one builder of a RenormResult.
     """
 
     values: list[float]
@@ -298,15 +298,14 @@ def renorm_batch(
     maximum of a segment is its first one in descending-submask order
     (the whole remaining set is tried first), and ``witness`` recovers
     that block.
-    Rows above the threshold go through :func:`renorm_heuristic` one at a
-    time, each with ``seed``; a row's result never depends on the other
-    rows of the batch.
+    Rows above the threshold (every row at ``threshold=-1``) go through
+    the local search one at a time, each with ``seed``; a row's result
+    never depends on the other rows.  Every 1/p root is taken once, here.
     """
     p = _check_p(p)
     X = _rows(X, N.dim)
     sizes = np.count_nonzero(X, axis=1)
     n = sizes.size
-    values = [0.0] * n
     power_sums = [0.0] * n
     methods = ["exact"] * n
     sources: list = [None] * n
@@ -329,13 +328,13 @@ def renorm_batch(
         for masks, blocks in tables.layers:
             dp_g[masks] = (dp_tp[blocks] + dp_g[blocks ^ masks[:, None]]).max(axis=1)
         for r, (i, total) in enumerate(zip(rows.tolist(), g[-1].tolist())):
-            values[i] = total ** (1.0 / p)
             power_sums[i] = total
             sources[i] = (tp[:, r], g[:, r], supp[r], tables)
 
     for i in np.flatnonzero(sizes > threshold).tolist():
-        res = renorm_heuristic(N, p, LatticeVector(X[i]), seed=seed)
-        values[i], power_sums[i], methods[i], sources[i] = res.value, res.power_sum, res.method, res.witness
+        power_sums[i], sources[i] = _local_search(N, p, X[i], seed)
+        methods[i] = "heuristic"
+    values = [total ** (1.0 / p) for total in power_sums]
     return RenormBatch(values, power_sums, methods, p, N, sources)
 
 
@@ -360,7 +359,12 @@ def renorm_heuristic(
     x: LatticeVector,
     seed: int = 0,
 ) -> RenormResult:
-    """Steepest-ascent local search over support partitions.
+    """Certified lower bound: the local search on one vector (a zero one too) as a one-row batch."""
+    return renorm_batch(N, p, [x], threshold=-1, seed=seed).result(0)
+
+
+def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[float, SupportPartition]:
+    """Power sum and witness of a steepest-ascent search over the partitions of supp(a).
 
     Started from the one-block and all-singletons partitions plus random
     restarts drawn from ``seed``.  Each step lists the neighbours of the
@@ -370,16 +374,12 @@ def renorm_heuristic(
     each multi-atom block in two.  Every candidate's total is the
     canonical right fold of its block terms, and the step takes the first
     candidate in move order with the largest total, if that total is
-    strictly above the current one; otherwise the start is done.  The
-    result is a certified lower bound on the exact supremum and never
-    exceeds it.
+    strictly above the current one; otherwise the start is done.
     """
-    p = _check_p(p)
-    a = _rows([x], N.dim)[0]
     supp = np.flatnonzero(a)
     s = int(supp.size)
     if s == 0:
-        return RenormResult(0.0, 0.0, SupportPartition(()), "heuristic", p, N)
+        return 0.0, SupportPartition(())
     vals = a[None, supp]
     rng = np.random.default_rng(seed)
 
@@ -480,8 +480,7 @@ def renorm_heuristic(
             best_total = cur_total
             best = [masks[i] for i in cur]
 
-    witness = SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
-    return RenormResult(best_total ** (1.0 / p), best_total, witness, "heuristic", p, N)
+    return best_total, SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
 
 
 def renorm(
@@ -492,6 +491,8 @@ def renorm(
     seed: int = 0,
 ) -> RenormResult:
     """Exact below the support threshold, local search above it."""
+    # not one renorm_batch call: the benchmark's tracer reads x.coords here and must see
+    # renorm_exact entered, so folding it waits for a benchmark-only change to the tracer
     if int(np.count_nonzero(_rows([x], N.dim))) <= threshold:
         return renorm_exact(N, p, x, threshold=threshold)
     return renorm_heuristic(N, p, x, seed=seed)
@@ -516,9 +517,8 @@ def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeV
     decomposition of x + y, so a genuine violation beyond rounding is an
     implementation bug, not a discovery.
     """
-    if not is_disjoint(x, y):
-        raise ValueError("superadditivity check requires disjoint inputs")
-    X = _rows([x, y, x + y], N.dim)
+    X = _family_rows([x, y], N.dim)
+    X = np.vstack([X, X.sum(axis=0)])  # the sum row is x + y bit for bit: no atom adds two nonzeros
     _require_exact(int(np.count_nonzero(X[2])), EXACT_THRESHOLD)  # the sum holds both supports
     res = renorm_batch(N, p, X)
     (px, py, ps), (vx, vy, vs) = res.power_sums, res.values

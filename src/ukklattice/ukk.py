@@ -33,7 +33,7 @@ import numpy as np
 from .norms import NormOracle, _check_p, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
-from .vectors import DimensionMismatch, LatticeVector, _rows, truncate
+from .vectors import LatticeVector, _rows, truncate
 
 __all__ = [
     "ukk_modulus",
@@ -77,20 +77,19 @@ def generate_bump_sequence(
     element, so the elements' differences from the core are pairwise
     disjoint and every coordinate is eventually constant.  Each element's
     renorm is checked against 1 + tol; a violation raises with the
-    offending index.
+    offending index.  ``core`` is a vector or a coordinate list.
     """
-    if N.dim != core.dim:
-        raise DimensionMismatch(f"oracle dim {N.dim}, core dim {core.dim}")
+    c = _rows([core], N.dim)[0]
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    supp = core.support()
-    first_fresh = (max(supp) + 1) if supp else 0
-    if first_fresh + horizon > core.dim:
+    supp = np.flatnonzero(c)
+    first_fresh = int(supp[-1]) + 1 if supp.size else 0
+    if first_fresh + horizon > N.dim:
         raise ValueError(
-            f"ambient dim {core.dim} too small: need {first_fresh + horizon} atoms "
+            f"ambient dim {N.dim} too small: need {first_fresh + horizon} atoms "
             f"for the core plus {horizon} fresh bumps"
         )
-    X = _bump_rows(core.coords, first_fresh, bump_height, horizon)
+    X = _bump_rows(c, first_fresh, bump_height, horizon)
     for n, value in enumerate(renorm_batch(N, p, X).values):
         if value > 1.0 + tol:
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
@@ -144,25 +143,27 @@ def _tracks_settle(T: np.ndarray, tol: float) -> bool:
 
 
 def check_coordinatewise_convergence(
-    sequence, declared_limit: LatticeVector, tol: float = 1e-9
+    sequence, declared_limit, tol: float = 1e-9
 ) -> bool:
     """Finite-horizon coordinatewise convergence check.
 
     A coordinate passes if its deviations from the limit stop before the
     final element (it settled), or if they begin only in the final
     quarter of the horizon (a bump still in flight).  A coordinate that
-    deviates early and still deviates at the end fails.
+    deviates early and still deviates at the end fails.  The limit, a
+    vector or a coordinate list, sets the length of every element.
     """
-    X = _rows(sequence, declared_limit.dim)
+    limit = _rows([declared_limit], len(declared_limit))[0]
+    X = _rows(sequence, limit.size)
     if not len(X):
         raise ValueError("empty sequence")
-    return _tracks_settle(np.abs(X - declared_limit.coords), tol)
+    return _tracks_settle(np.abs(X - limit), tol)
 
 
 def check_truncation_vanishing(
     u: LatticeVector,
     sequence,
-    declared_limit: LatticeVector,
+    declared_limit,
     N: NormOracle,
     tol: float = 1e-9,
 ) -> bool:
@@ -179,7 +180,7 @@ def check_truncation_vanishing(
     check reports False even though the infinite extension vanishes.
     Choosing u on settled atoms avoids the artifact.
     """
-    D = _rows(sequence, declared_limit.dim) - declared_limit.coords
+    D = _rows(sequence, N.dim) - _rows([declared_limit], N.dim)[0]
     if not len(D):
         raise ValueError("empty sequence")
     tracks = [(N(truncate(u, d)), N(truncate(d, u))) for d in map(LatticeVector, D)]
@@ -215,7 +216,7 @@ def run_ukk_trial(
     N: NormOracle,
     p: float,
     sequence,
-    declared_limit: LatticeVector,
+    declared_limit,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> UkkTrial:
@@ -226,11 +227,12 @@ def run_ukk_trial(
     an invalid trial with the reason recorded; they are never counted
     as property violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + tol.
-    ``sequence`` is rows or vectors; a trial record's sequence replays as written.
+    ``sequence`` is rows or vectors, ``declared_limit`` a vector or a list: a record replays as written.
     """
     X = _rows(sequence, N.dim)
+    limit = _rows([declared_limit], N.dim)[0]
     base = dict(seed=seed, p=float(p), horizon=len(X), norm=N.describe(), sequence=X.tolist(),
-                declared_limit=declared_limit.to_list())
+                declared_limit=limit.tolist())
     advisory = False
 
     def invalid(reason: str) -> UkkTrial:  # flagged advisory if any renorm so far was heuristic
@@ -245,7 +247,8 @@ def run_ukk_trial(
         if value > 1.0 + tol:
             return invalid(f"element {n} outside the renorm unit ball ({value})")
 
-    if not check_coordinatewise_convergence(X, declared_limit, tol):
+    D = X - limit  # deviations from the limit: read for convergence, then renormed as distances
+    if not _tracks_settle(np.abs(D), tol):
         return invalid("coordinatewise convergence to the declared limit not established at this horizon")
 
     sep = measure_separation(X, N, p)
@@ -254,14 +257,15 @@ def run_ukk_trial(
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)")
 
-    dists = renorm_batch(N, p, X - declared_limit.coords)
+    dists = renorm_batch(N, p, D)
     advisory = advisory or "heuristic" in dists.methods
     min_dist = float(min(dists.values))
     if not epsilon / 2.0 <= min_dist + tol:
         return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
-    limit_res = renorm(N, p, declared_limit)
+    # a list limit is wrapped once: the benchmark's tracer reads the coordinates of a scalar renorm's vector
+    limit_res = renorm(N, p, declared_limit if isinstance(declared_limit, LatticeVector) else LatticeVector(limit))
     advisory = advisory or limit_res.method == "heuristic"
     return UkkTrial(
         True,
@@ -370,7 +374,7 @@ def run_bump_campaign(
     records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon, tol) for t in range(trials)]
     valid = [t for t in records if t.valid]
     return UkkCampaign(
-        norm=N.describe(),
+        norm=records[0].norm,  # each trial has described N already
         p=float(p),
         mode=mode,
         horizon=horizon,

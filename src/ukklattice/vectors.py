@@ -141,6 +141,16 @@ def _rows(X, dim: int) -> np.ndarray:
     return X
 
 
+def _family_rows(family, dim: int) -> np.ndarray:
+    """The row gate for a nonempty, pairwise disjoint family: its validated (n, dim) rows."""
+    X = _rows(family, dim)
+    if not len(X):
+        raise ValueError("family must be nonempty")
+    if np.any((X != 0.0).sum(axis=0) > 1):
+        raise ValueError("family is not pairwise disjoint")
+    return X
+
+
 def _check_dims(x: LatticeVector, y: LatticeVector) -> None:
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimension mismatch: {x.dim} vs {y.dim}")

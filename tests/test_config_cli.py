@@ -439,6 +439,14 @@ def test_bad_field_is_exit_2(tmp_path, capsys, command, section, field, value):
     assert f"config.{section}" in err and field in err
 
 
+@pytest.mark.parametrize("command", ["space-check", "estimate", "renorm", "ukk"])
+def test_misspelt_top_level_section_is_exit_2(tmp_path, capsys, command):
+    # BASE_CFG holds every section, and stays valid for each subcommand
+    doc = {**BASE_CFG, "audti": {"samples": 5}}
+    assert main([command, "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    assert "config: unknown field(s): audti" in capsys.readouterr().err
+
+
 def test_renorm_direct_mode_rejects_non_numeric_vector(tmp_path, capsys):
     space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 3})
     for bad in (["a", 1, 0], [[1.0, 0.0, 0.0], [False, 1, 0]]):

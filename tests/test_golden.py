@@ -103,8 +103,9 @@ def test_trial_record_replays_to_itself(mode, space):
     camp = run_bump_campaign(N, 2.0, trials=4, seed=3, mode=mode, horizon=12)
     assert camp.invalid == (0 if mode == "bump" else 4)  # every fuzz trial here is invalid
     for d in camp.to_dict()["trials"]:
-        replay = run_ukk_trial(N, d["p"], d["sequence"], LatticeVector(d["declared_limit"]), seed=d["seed"])
-        assert replay.to_dict() == d
+        for limit in (d["declared_limit"], LatticeVector(d["declared_limit"])):  # as written and wrapped
+            replay = run_ukk_trial(N, d["p"], d["sequence"], limit, seed=d["seed"])
+            assert replay.to_dict() == d
 
 
 def _lower_p_report():

@@ -292,6 +292,23 @@ def test_superadditivity_check():
         check_superadditivity(N, 2.0, x, x)
 
 
+def test_superadditivity_check_accepts_coordinate_lists():
+    N = LqNorm(1, 6)
+    x = LatticeVector([1.0, -2.0, 0.0, 0.0, 0.0, -0.0])
+    y = LatticeVector([0.0, 0.0, 0.5, 0.0, 3.0, -0.0])
+    assert check_superadditivity(N, 2.0, x.to_list(), y.to_list()) == check_superadditivity(N, 2.0, x, y)
+
+
+def test_superadditivity_check_gates_its_pair():
+    N = LqNorm(1, 4)
+    x = [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="family is not pairwise disjoint"):
+        check_superadditivity(N, 2.0, x, [0.5, 0.5, 0.0, 0.0])
+    for short in ([0.0, 1.0], LatticeVector([0.0, 1.0])):
+        with pytest.raises(DimensionMismatch):
+            check_superadditivity(N, 2.0, x, short)
+
+
 def test_superadditivity_random_pairs():
     rng = np.random.default_rng(13)
     N = LqNorm(float("inf"), 8)
@@ -396,6 +413,17 @@ def test_batch_heuristic_row_is_the_scalar_local_search(seed):
     for i in (1, 2):
         assert batch.methods[i] == "heuristic"
         assert batch.result(i) == renorm_heuristic(N, 2.0, LatticeVector(X[i]), seed=seed)
+
+
+@pytest.mark.parametrize("s", [0, 1, 5, 13, 20])
+def test_heuristic_is_the_one_row_local_search_batch(s):
+    N = BlockNorm([[2 * i, 2 * i + 1] for i in range(12)], [LqNorm(1, 2)] * 12, LqNorm(3, 12))
+    x = random_vector(np.random.default_rng(s), 24, s) if s else LatticeVector.zeros(24)
+    one = renorm_heuristic(N, 2.5, x, seed=4)
+    batch = renorm_batch(N, 2.5, [x], threshold=-1, seed=4)
+    got = batch.values[0].hex(), batch.power_sums[0].hex(), batch.witness(0).to_lists(), batch.methods[0]
+    assert got == (one.value.hex(), one.power_sum.hex(), one.witness.to_lists(), "heuristic")
+    assert batch.result(0) == one
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 100])

@@ -215,6 +215,32 @@ def test_wrong_dimension_sequence_raises_even_when_short():
             measure_separation(seq, N, 2.0)
 
 
+def test_single_vector_arguments_accept_coordinate_lists():
+    N = LqNorm(2, 20)
+    core = LatticeVector([0.8] + [0.0] * 19)
+    seq = generate_bump_sequence(N, 2.0, core, bump_height=0.6, horizon=8)
+    assert generate_bump_sequence(N, 2.0, core.to_list(), bump_height=0.6, horizon=8) == seq
+    assert check_coordinatewise_convergence(seq, core.to_list())
+    u_core = LatticeVector([1.0] + [0.0] * 19)
+    assert check_truncation_vanishing(u_core, seq, core.to_list(), N)
+    assert run_ukk_trial(N, 2.0, seq, core.to_list()) == run_ukk_trial(N, 2.0, seq, core)
+
+
+def test_wrong_dimension_limit_or_core_is_blamed_on_itself():
+    N = LqNorm(2, 4)
+    seq = [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]
+    for limit in ([0.0] * 3, LatticeVector.zeros(3)):
+        with pytest.raises(DimensionMismatch, match="rows of 4 coordinates, a row"):
+            run_ukk_trial(N, 2.0, seq, limit)
+        with pytest.raises(DimensionMismatch, match="rows of 4 coordinates, a row"):
+            check_truncation_vanishing(LatticeVector.zeros(4), seq, limit, N)
+        with pytest.raises(DimensionMismatch, match="rows of 3 coordinates"):
+            check_coordinatewise_convergence(seq, limit)  # no oracle: the limit sets the length
+    for core in ([0.5] + [0.0] * 4, LatticeVector([0.5] + [0.0] * 4)):
+        with pytest.raises(DimensionMismatch, match="rows of 6 coordinates, a row"):
+            generate_bump_sequence(LqNorm(2, 6), 2.0, core, bump_height=0.5, horizon=2)
+
+
 def test_campaign_fuzz_never_falsely_fails():
     camp = run_bump_campaign(LqNorm(2, 24), 2.0, trials=20, seed=2, horizon=10, mode="fuzz")
     assert camp.total == 20
