@@ -264,8 +264,7 @@ def run_ukk_trial(
         return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
-    # a list limit is wrapped once: the benchmark's tracer reads the coordinates of a scalar renorm's vector
-    limit_res = renorm(N, p, declared_limit if isinstance(declared_limit, LatticeVector) else LatticeVector(limit))
+    limit_res = renorm(N, p, LatticeVector(limit))  # a vector: the benchmark's tracer reads its coords
     advisory = advisory or limit_res.method == "heuristic"
     return UkkTrial(
         True,
@@ -374,7 +373,7 @@ def run_bump_campaign(
     records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon, tol) for t in range(trials)]
     valid = [t for t in records if t.valid]
     return UkkCampaign(
-        norm=records[0].norm,  # each trial has described N already
+        norm=dict(records[0].norm),  # trial 0 described N already; a copy keeps its record its own
         p=float(p),
         mode=mode,
         horizon=horizon,

@@ -406,24 +406,17 @@ def test_witnesses_replay_on_negative_coordinates(N, p):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_batch_heuristic_row_is_the_scalar_local_search(seed):
-    N = PosNegMaxNorm(LqNorm(2, 8))
-    rng = np.random.default_rng(seed)
-    X = np.stack([random_vector(rng, 8, s).coords for s in (3, 7, 8)])
-    batch = renorm_batch(N, 2.0, X, threshold=6, seed=seed)
-    for i in (1, 2):
-        assert batch.methods[i] == "heuristic"
-        assert batch.result(i) == renorm_heuristic(N, 2.0, LatticeVector(X[i]), seed=seed)
-
-
-@pytest.mark.parametrize("s", [0, 1, 5, 13, 20])
-def test_heuristic_is_the_one_row_local_search_batch(s):
+    # at threshold -1 every row takes the local search, the zero row included
     N = BlockNorm([[2 * i, 2 * i + 1] for i in range(12)], [LqNorm(1, 2)] * 12, LqNorm(3, 12))
-    x = random_vector(np.random.default_rng(s), 24, s) if s else LatticeVector.zeros(24)
-    one = renorm_heuristic(N, 2.5, x, seed=4)
-    batch = renorm_batch(N, 2.5, [x], threshold=-1, seed=4)
-    got = batch.values[0].hex(), batch.power_sums[0].hex(), batch.witness(0).to_lists(), batch.methods[0]
-    assert got == (one.value.hex(), one.power_sum.hex(), one.witness.to_lists(), "heuristic")
-    assert batch.result(0) == one
+    rng = np.random.default_rng(seed)
+    X = np.stack([random_vector(rng, 24, s).coords if s else np.zeros(24) for s in (0, 1, 5, 13, 20)])
+    for threshold, rows in ((6, (3, 4)), (-1, range(5))):
+        batch = renorm_batch(N, 2.5, X, threshold=threshold, seed=seed)
+        for i in rows:
+            one = renorm_heuristic(N, 2.5, LatticeVector(X[i]), seed=seed)
+            assert batch.methods[i] == "heuristic"
+            assert (batch.values[i].hex(), batch.power_sums[i].hex()) == (one.value.hex(), one.power_sum.hex())
+            assert batch.result(i) == one
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 100])

@@ -259,6 +259,9 @@ def test_campaign_serializes():
     assert d["total"] == 3 and len(d["trials"]) == 3
     d2 = camp.to_dict(include_trials=False)
     assert "trials" not in d2
+    # the campaign's spec equals trial 0's but is its own dict: annotating one leaves the other
+    assert d["norm"] == d["trials"][0]["norm"] == LqNorm(2, 20).describe()
+    assert d["norm"] is not d["trials"][0]["norm"]
 
 
 def _reference_track_settles(track, tol):
