@@ -128,17 +128,25 @@ def fold_terms(terms) -> float:
     return acc
 
 
+def _write_blocks(Z: np.ndarray, vals: np.ndarray, supp: np.ndarray, bits: np.ndarray) -> None:
+    """Write the block rows of K rows under M masks of their support into ``Z``.
+
+    ``Z`` is a zero (M, K, dim) array or view, ``vals`` and ``supp``
+    (K, s) are the support values and atoms of each row, ``bits`` (M, s)
+    marks the atoms of each mask.  Block row (m, r) is row r restricted
+    to mask m; its off-block support atoms hold ``0 * value``, a signed
+    zero that no built-in norm tells from 0.
+    """
+    Z[:, np.arange(vals.shape[0])[:, None], supp] = bits[:, None, :] * vals
+
+
 def _mask_terms(N: NormOracle, p: float, vals: np.ndarray, supp: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Block terms of K rows under M masks of their support, as an (M, K) array.
 
-    ``vals`` and ``supp`` (K, s) are the support values and atoms of each
-    row, ``bits`` (M, s) marks the atoms of each mask.  Block row (m, r)
-    is row r restricted to mask m; its off-block support atoms hold
-    ``0 * value``, a signed zero that no built-in norm tells from 0.  The M * K
-    block rows go through one ``N.values`` call.
+    The M * K block rows of :func:`_write_blocks` go through one ``N.values`` call.
     """
     Z = np.zeros((bits.shape[0], vals.shape[0], N.dim))
-    Z[:, np.arange(vals.shape[0])[:, None], supp] = bits[:, None, :] * vals
+    _write_blocks(Z, vals, supp, bits)
     return np.array(block_terms(N.values(Z.reshape(-1, N.dim)), p)).reshape(Z.shape[:2])
 
 
@@ -231,12 +239,15 @@ def _dp_tables(s: int) -> _Tables:
     return _Tables(bits, pos, tuple(layers))
 
 
-def _dp_witness(tp: np.ndarray, g: np.ndarray, supp: np.ndarray, tables: _Tables) -> SupportPartition:
-    """Replay the first maximizing block of each remainder, from the full set down.
+def _dp_witness(group: tuple, r: int) -> SupportPartition:
+    """Replay the first maximizing block of each remainder of row r of a DP group, from the full set down.
 
-    The candidate sums are recomputed with the DP's own additions, so the
-    first one equal to g[m] is the block the DP's maximum came from.
+    ``group`` is the (tp, g, supp, tables) of one DP chunk.  The candidate
+    sums are recomputed with the DP's own additions, so the first one
+    equal to g[m] is the block the DP's maximum came from.
     """
+    tp, g, supp, tables = group
+    tp, g, supp = tp[:, r], g[:, r], supp[r]
     blocks = []
     m = g.size - 1
     while m:
@@ -251,8 +262,11 @@ def _dp_witness(tp: np.ndarray, g: np.ndarray, supp: np.ndarray, tables: _Tables
 class RenormBatch:
     """Per-row values, power sums and methods of one :func:`renorm_batch` call.
 
-    A DP row's witness is built only when asked for; a local-search row
-    keeps its own.  :meth:`result` is the one builder of a RenormResult.
+    A DP row keeps only its chunk and its column in it; its witness is
+    replayed from them when :meth:`witness` asks, so a batch whose
+    witnesses are never read slices no per-row arrays.  A local-search
+    row keeps its own witness.  :meth:`result` is the one builder of a
+    RenormResult.
     """
 
     values: list[float]
@@ -260,7 +274,7 @@ class RenormBatch:
     methods: list[str]
     p: float
     norm: NormOracle
-    # per row: the witness of a local search, or the (tp, g, supp, tables) of its DP
+    # per row: the witness of a local search, or ((tp, g, supp, tables), column) of its DP chunk
     _sources: list = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -284,11 +298,14 @@ def renorm_batch(
     """Renorm of every row of ``X``: exact up to ``threshold``, local search above.
 
     ``X`` is a 2-d array of rows or a sequence of vectors.  Exact rows are
-    grouped by support size s; the K * 2^s block rows of a group go
-    through one ``N.values`` call, and the group runs the subset DP
-    layered by popcount with a batch axis over its K rows.  Groups of
-    more than 2^16 block rows are split, which bounds the memory of one
-    call.  The DP is
+    grouped by support size s and cut into chunks of at most 2^16 block
+    rows (K rows and their K * 2^s block rows; a lone row past the cap is
+    a chunk of its own).  Chunks are packed, in order of s, into
+    ``N.values`` calls of at most 2^16 block rows, written into one
+    buffer per call, so a batch of small supports makes one call.  This
+    bounds the memory of a call, and no row's value depends on the
+    packing.  Each chunk then runs the subset DP layered by popcount with
+    a batch axis over its K rows.  The DP is
 
         g(S) = max over blocks B holding the smallest atom of S of
                term(B) + g(S \\ B),
@@ -310,26 +327,44 @@ def renorm_batch(
     methods = ["exact"] * n
     sources: list = [None] * n
 
-    chunks = []
+    # per N.values call, its chunks (s, rows); used starts full, so the first chunk opens a call
+    calls, used = [], _MAX_BLOCK_ROWS
     for s in sorted(set(sizes[sizes <= threshold].tolist())):
         rows = np.flatnonzero(sizes == s)
         step = max(1, _MAX_BLOCK_ROWS >> s)
-        chunks += [(s, rows[lo : lo + step]) for lo in range(0, rows.size, step)]
-    for s, rows in chunks:
-        K = rows.size
-        tables = _dp_tables(s)
-        Xs = X[rows]
-        nz = np.nonzero(Xs)
-        supp = nz[1].reshape(K, s)
-        tp = _mask_terms(N, p, Xs[nz].reshape(K, s), supp, tables.bits)
-        g = np.zeros_like(tp)
-        # a lone row runs on 1-d views, which numpy indexes about three times faster
-        dp_tp, dp_g = (tp[:, 0], g[:, 0]) if K == 1 else (tp, g)
-        for masks, blocks in tables.layers:
-            dp_g[masks] = (dp_tp[blocks] + dp_g[blocks ^ masks[:, None]]).max(axis=1)
-        for r, (i, total) in enumerate(zip(rows.tolist(), g[-1].tolist())):
-            power_sums[i] = total
-            sources[i] = (tp[:, r], g[:, r], supp[r], tables)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo : lo + step]
+            if used + (chunk.size << s) > _MAX_BLOCK_ROWS:
+                calls.append([])
+                used = 0
+            calls[-1].append((s, chunk))
+            used += chunk.size << s
+    for call in calls:
+        Z = np.zeros((sum(rows.size << s for s, rows in call), N.dim))
+        at, layout = 0, []  # per chunk: its block rows' slice of Z, rows, support atoms, DP tables
+        for s, rows in call:
+            K = rows.size
+            tables = _dp_tables(s)
+            Xs = X[rows]
+            nz = np.nonzero(Xs)
+            supp = nz[1].reshape(K, s)
+            part = slice(at, at + (K << s))
+            _write_blocks(Z[part].reshape(1 << s, K, N.dim), Xs[nz].reshape(K, s), supp, tables.bits)
+            layout.append((part, rows, supp, tables))
+            at = part.stop
+        terms = np.array(block_terms(N.values(Z), p))
+        for part, rows, supp, tables in layout:
+            K = rows.size
+            tp = terms[part].reshape(-1, K)
+            g = np.zeros_like(tp)
+            # a lone row runs on 1-d views, which numpy indexes about three times faster
+            dp_tp, dp_g = (tp[:, 0], g[:, 0]) if K == 1 else (tp, g)
+            for masks, blocks in tables.layers:
+                dp_g[masks] = (dp_tp[blocks] + dp_g[blocks ^ masks[:, None]]).max(axis=1)
+            group = (tp, g, supp, tables)
+            for r, (i, total) in enumerate(zip(rows.tolist(), g[-1].tolist())):
+                power_sums[i] = total
+                sources[i] = (group, r)
 
     for i in np.flatnonzero(sizes > threshold).tolist():
         power_sums[i], sources[i] = _local_search(N, p, X[i], seed)

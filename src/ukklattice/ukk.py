@@ -178,8 +178,10 @@ def check_truncation_vanishing(
     still in flight at the end of the horizon (a bump landing in the
     final quarter), the norm track cannot have settled yet and the
     check reports False even though the infinite extension vanishes.
-    Choosing u on settled atoms avoids the artifact.
+    Choosing u on settled atoms avoids the artifact.  ``u`` and the
+    limit are vectors or coordinate lists, gated like the sequence.
     """
+    u = LatticeVector(_rows([u], N.dim)[0])
     D = _rows(sequence, N.dim) - _rows([declared_limit], N.dim)[0]
     if not len(D):
         raise ValueError("empty sequence")
@@ -228,6 +230,14 @@ def run_ukk_trial(
     as property violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + tol.
     ``sequence`` is rows or vectors, ``declared_limit`` a vector or a list: a record replays as written.
+
+    The convergence tracks need no renorm, so they are read first; one
+    ``renorm_batch`` then takes the elements, and, when the tracks
+    settle, the distances ``x_n - limit`` and the limit too.  The
+    separation is a second batch.  The reasons are still checked in the
+    order above, and an invalid trial is advisory exactly when a
+    heuristic renorm came before its reason: for an element outside the
+    ball, among the elements up to it.
     """
     X = _rows(sequence, N.dim)
     limit = _rows([declared_limit], N.dim)[0]
@@ -241,14 +251,19 @@ def run_ukk_trial(
     if len(X) < 2:
         return invalid("need at least two elements")
 
-    elements = renorm_batch(N, p, X)
-    for n, (value, method) in enumerate(zip(elements.values, elements.methods)):
+    n = len(X)
+    D = X - limit  # deviations from the limit: read for convergence, then renormed as distances
+    settled = _tracks_settle(np.abs(D), tol)
+    # an overflowed distance row stays out of the batch, so that an element
+    # outside the ball is still reported as such; the distance stage gates it
+    finite = bool(np.isfinite(D).all())
+    res = renorm_batch(N, p, np.vstack([X, D, limit]) if settled and finite else X)
+    for i, (value, method) in enumerate(zip(res.values[:n], res.methods[:n])):
         advisory = advisory or method == "heuristic"
         if value > 1.0 + tol:
-            return invalid(f"element {n} outside the renorm unit ball ({value})")
+            return invalid(f"element {i} outside the renorm unit ball ({value})")
 
-    D = X - limit  # deviations from the limit: read for convergence, then renormed as distances
-    if not _tracks_settle(np.abs(D), tol):
+    if not settled:
         return invalid("coordinatewise convergence to the declared limit not established at this horizon")
 
     sep = measure_separation(X, N, p)
@@ -257,22 +272,23 @@ def run_ukk_trial(
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)")
 
-    dists = renorm_batch(N, p, D)
-    advisory = advisory or "heuristic" in dists.methods
-    min_dist = float(min(dists.values))
+    if not finite:
+        _rows(D, N.dim)  # raises the row gate's error on the overflowed distances
+    advisory = advisory or "heuristic" in res.methods[n : 2 * n]
+    min_dist = float(min(res.values[n : 2 * n]))
     if not epsilon / 2.0 <= min_dist + tol:
         return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
-    limit_res = renorm(N, p, LatticeVector(limit))  # a vector: the benchmark's tracer reads its coords
-    advisory = advisory or limit_res.method == "heuristic"
+    limit_renorm = res.values[-1]
+    advisory = advisory or res.methods[-1] == "heuristic"
     return UkkTrial(
         True,
         advisory,
-        passed=bool(limit_res.value <= 1.0 - delta + tol),
+        passed=bool(limit_renorm <= 1.0 - delta + tol),
         epsilon=epsilon,
         delta=delta,
-        limit_renorm=limit_res.value,
+        limit_renorm=limit_renorm,
         min_dist_to_limit=min_dist,
         liminf_ok=True,
         **base,

@@ -364,14 +364,46 @@ def test_mask_tables_widen_above_16_atoms():
     assert _mask_dtype(17) == np.uint32
 
 
-def test_batch_splits_large_groups():
-    # 17 rows at s = 12 exceed 2^16 block rows, so the group is split in two
-    N = LqNorm(3, 12)
+def _assert_rows_are_one_row_calls(N, p, X, batch):
+    """Every row's value, power sum, method and witness bit for bit as its one-row ``renorm_exact``."""
+    for i, row in enumerate(X):
+        one = renorm_exact(N, p, LatticeVector(row))
+        got = batch.values[i].hex(), batch.power_sums[i].hex(), batch.methods[i], batch.witness(i).to_lists()
+        assert got == (one.value.hex(), one.power_sum.hex(), one.method, one.witness.to_lists())
+        assert batch.result(i) == one
+
+
+def test_batch_splits_large_groups(counting_lq):
+    # 17 rows at s = 12 make 17 * 2^12 = 69,632 block rows, past the 2^16 cap of one call
+    N = counting_lq(3, 12)
     rng = np.random.default_rng(21)
     X = np.stack([random_coords(rng, 12) for _ in range(17)])
     batch = renorm_batch(N, 2.0, X)
-    for i, row in enumerate(X):
-        assert batch.result(i) == renorm_exact(N, 2.0, LatticeVector(row))
+    assert N.calls == [1 << 16, 1 << 12]
+    _assert_rows_are_one_row_calls(N, 2.0, X, batch)
+
+
+def test_batch_packs_every_support_size_into_one_values_call(counting_lq):
+    # support sizes 0 to 10, three rows each, in mixed order: 3 * (2^11 - 1) block rows
+    N = counting_lq(3, 12)
+    rng = np.random.default_rng(29)
+    sizes = [s for _ in range(3) for s in (7, 0, 3, 10, 1, 5, 2, 9, 4, 8, 6)]
+    X = np.stack([random_vector(rng, 12, s).coords if s else np.zeros(12) for s in sizes])
+    batch = renorm_batch(N, 2.0, X)
+    assert N.calls == [3 * ((1 << 11) - 1)]
+    _assert_rows_are_one_row_calls(N, 2.0, X, batch)
+
+
+@pytest.mark.parametrize("small,calls", [(64, [1 << 16]), (65, [65 << 6, 15 << 12])])
+def test_batch_packs_chunks_up_to_the_cap(counting_lq, small, calls):
+    # 15 rows at s = 12 (61,440 block rows) share a call with 64 rows at s = 6, not with 65
+    N = counting_lq(2, 12)
+    rng = np.random.default_rng(31)
+    X = np.stack([random_coords(rng, 12) for _ in range(15)]
+                 + [random_vector(rng, 12, 6).coords for _ in range(small)])
+    batch = renorm_batch(N, 1.5, X)
+    assert N.calls == calls
+    _assert_rows_are_one_row_calls(N, 1.5, X, batch)
 
 
 def test_batch_with_zero_rows_matches_scalar_bit_for_bit():

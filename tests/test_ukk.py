@@ -13,6 +13,9 @@ from ukklattice import (
     check_truncation_vanishing,
     generate_bump_sequence,
     measure_separation,
+    UkkTrial,
+    renorm,
+    renorm_batch,
     run_bump_campaign,
     run_ukk_trial,
     ukk_modulus,
@@ -125,6 +128,16 @@ def test_truncation_vanishing_cases():
     assert check_truncation_vanishing(ones, seq2, LatticeVector.zeros(2), N2, tol=1e-3)
     const = [LatticeVector([1.0, 0.0])] * 6
     assert not check_truncation_vanishing(ones, const, LatticeVector.zeros(2), N2)
+
+
+def test_truncation_vanishing_gates_u():
+    N = LqNorm(2, 2)
+    seq = [[1.0 / n, 0.0] for n in range(1, 101)]
+    assert check_truncation_vanishing([1.0, 1.0], seq, [0.0, 0.0], N, tol=1e-1)
+    with pytest.raises(DimensionMismatch, match="rows of 2 coordinates"):
+        check_truncation_vanishing([1.0, 1.0, 1.0], seq, [0.0, 0.0], N)
+    with pytest.raises(DimensionMismatch, match="rows of 2 coordinates"):
+        check_truncation_vanishing(LatticeVector([1.0, 1.0, 1.0]), seq, [0.0, 0.0], N)
 
 
 def test_trial_pinned_example():
@@ -289,3 +302,141 @@ def test_settle_rule_matches_reference_on_random_matrices():
         T = (rng.random((L, k)) < rng.random()).astype(float)
         expected = all(_reference_track_settles(T[:, j].tolist(), 0.5) for j in range(k))
         assert _tracks_settle(T, 0.5) == expected
+
+
+def _reference_trial(N, p, sequence, declared_limit, seed=0, tol=1e-9):
+    """``run_ukk_trial`` as it was written before its renorms shared one batch, kept as an oracle.
+
+    One renorm stage per check: the elements, the separation, the
+    distances to the limit, then the limit through the scalar ``renorm``.
+    """
+    X = np.array([np.asarray(getattr(x, "coords", x), dtype=float) for x in sequence])
+    limit = np.asarray(getattr(declared_limit, "coords", declared_limit), dtype=float)
+    base = dict(seed=seed, p=float(p), horizon=len(X), norm=N.describe(), sequence=X.tolist(),
+                declared_limit=limit.tolist())
+    advisory = False
+
+    def invalid(reason):
+        return UkkTrial(False, advisory, reason=reason, **base)
+
+    if len(X) < 2:
+        return invalid("need at least two elements")
+    elements = renorm_batch(N, p, X)
+    for n, (value, method) in enumerate(zip(elements.values, elements.methods)):
+        advisory = advisory or method == "heuristic"
+        if value > 1.0 + tol:
+            return invalid(f"element {n} outside the renorm unit ball ({value})")
+    D = X - limit
+    if not _tracks_settle(np.abs(D), tol):
+        return invalid("coordinatewise convergence to the declared limit not established at this horizon")
+    sep = measure_separation(X, N, p)
+    advisory = advisory or sep.advisory
+    epsilon = sep.value
+    if not epsilon > 0.0:
+        return invalid("sequence is not separated (epsilon = 0)")
+    dists = renorm_batch(N, p, D)
+    advisory = advisory or "heuristic" in dists.methods
+    min_dist = float(min(dists.values))
+    if not epsilon / 2.0 <= min_dist + tol:
+        return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
+    delta = ukk_modulus(min(epsilon, 2.0), p)
+    limit_res = renorm(N, p, LatticeVector(limit))
+    advisory = advisory or limit_res.method == "heuristic"
+    return UkkTrial(True, advisory, passed=bool(limit_res.value <= 1.0 - delta + tol), epsilon=epsilon,
+                    delta=delta, limit_renorm=limit_res.value, min_dist_to_limit=min_dist, liminf_ok=True, **base)
+
+
+def _unit(dim, *atoms, scale=1.0):
+    x = np.zeros(dim)
+    x[list(atoms)] = scale
+    return x
+
+
+def _trial_cases():
+    """(name, N, sequence, limit, expected reason prefix or None): a valid trial and each invalid reason."""
+    N8, N16 = LqNorm(2, 8), LqNorm(2, 16)
+    core = LatticeVector([0.8] + [0.0] * 7)
+    bump = generate_bump_sequence(N8, 2.0, core, bump_height=0.6, horizon=6)
+    # a 13-atom core is above EXACT_THRESHOLD, so the limit, the elements and
+    # the distances to the limit run the local search; the last of 5 bumps is in flight
+    N18 = LqNorm(2, 18)
+    wide = LatticeVector(np.r_[np.full(13, 0.2), np.zeros(5)])
+    wide_bump = generate_bump_sequence(N18, 2.0, wide, bump_height=0.3, horizon=5)
+    # an 11-atom core plus two atoms below tol: only the limit runs the local search
+    faint = LatticeVector(np.r_[np.full(11, 0.2), 1e-10, 1e-10, np.zeros(5)])
+    faint_bump = generate_bump_sequence(N18, 2.0, np.r_[faint.coords[:11], np.zeros(7)], bump_height=0.3, horizon=5)
+    small, big = _unit(16, 0, scale=0.5), _unit(16, 1, scale=2.0)
+    heavy = np.r_[np.full(14, 0.1), np.zeros(2)]  # 14 atoms, inside the ball
+    zero8 = np.zeros(8)
+    return [
+        ("valid", N8, bump, core, None),
+        ("valid, heuristic rows", N18, wide_bump, wide, None),
+        ("valid, heuristic limit only", N18, faint_bump, faint, None),
+        ("one element", N8, bump[:1], core, "need at least two"),
+        ("outside the ball", N8, [_unit(8, i, scale=2.0) for i in range(3)], zero8, "element 0 outside"),
+        ("outside the ball, a heuristic row after it", N16, [small, big, heavy, small], small, "element 1 outside"),
+        ("outside the ball, a heuristic row before it", N16, [small, heavy, big, small], small, "element 2 outside"),
+        ("outside the ball and not convergent", N8, [_unit(8, 0, scale=2.0), -_unit(8, 0, scale=2.0)] * 4, zero8,
+         "element 0 outside"),
+        ("not convergent", N8, [_unit(8, 0), -_unit(8, 0)] * 4, zero8, "coordinatewise convergence"),
+        ("not convergent, heuristic elements", N16, [heavy, -heavy] * 4, np.zeros(16), "coordinatewise convergence"),
+        ("not separated", N8, [_unit(8, 0, scale=0.5)] * 3, _unit(8, 0, scale=0.5), "sequence is not separated"),
+        ("not separated, heuristic elements", N16, [heavy] * 3, heavy, "sequence is not separated"),
+        ("inconsistent distances", N8, [_unit(8, 1, scale=0.3) + _unit(8, 0, scale=0.5), _unit(8, 1, scale=0.3)],
+         _unit(8, 1, scale=0.3), "separation inconsistent"),
+        ("inconsistent distances, heuristic rows", N16, [heavy + _unit(16, 15, scale=0.5), heavy], heavy,
+         "separation inconsistent"),
+    ]
+
+
+@pytest.mark.parametrize("case", _trial_cases(), ids=lambda c: c[0])
+def test_trial_matches_the_stage_by_stage_reference(case):
+    name, N, seq, limit, reason = case
+    got = run_ukk_trial(N, 2.0, seq, limit).to_dict()
+    assert got == _reference_trial(N, 2.0, seq, limit).to_dict()
+    assert (got["reason"] or "").startswith(reason or "")
+    assert got["valid"] is (reason is None)
+
+
+def test_trial_advisory_counts_only_the_renorms_before_its_reason():
+    cases = {c[0]: run_ukk_trial(c[1], 2.0, c[2], c[3]) for c in _trial_cases()}
+    assert cases["valid, heuristic rows"].advisory
+    assert cases["valid, heuristic limit only"].advisory
+    assert not cases["outside the ball, a heuristic row after it"].advisory
+    assert cases["outside the ball, a heuristic row before it"].advisory
+    assert not cases["valid"].advisory
+
+
+@pytest.mark.parametrize("mode", ["bump", "fuzz"])
+def test_campaign_trials_match_the_stage_by_stage_reference(mode):
+    N = BlockNorm([[2 * i, 2 * i + 1] for i in range(8)], [LqNorm(1, 2)] * 8, LqNorm(3, 8))
+    for space in (LqNorm(2, 16), N):
+        camp = run_bump_campaign(space, 2.0, trials=12, seed=4, mode=mode, horizon=8)
+        for t in camp.trials:
+            ref = _reference_trial(space, 2.0, t.sequence, t.declared_limit, seed=t.seed)
+            assert t.to_dict() == ref.to_dict()
+
+
+def test_trial_with_an_overflowing_distance_still_reports_the_ball():
+    # the last element sits at +1e308 and the limit at -1e308: its distance
+    # overflows, but element 0 is outside the ball and that is the reason
+    N = LqNorm(2, 3)
+    limit = [-1e308, 0.0, 0.0]
+    seq = [limit] * 7 + [[1e308, 0.0, 0.0]]
+    with np.errstate(over="ignore"):
+        trial = run_ukk_trial(N, 2.0, seq, limit)
+    assert not trial.valid and trial.reason.startswith("element 0 outside")
+
+
+@pytest.mark.parametrize("mode,calls", [("bump", 4), ("fuzz", 3)])
+def test_trial_norm_call_budget(counting_lq, mode, calls):
+    # bump: the scaling pass, the sequence check, one batch of elements,
+    # distances and limit, and the separation; this fuzz trial does not
+    # converge, so its one batch holds the elements only
+    N = counting_lq(2, 20)
+    camp = run_bump_campaign(N, 2.0, trials=1, seed=0, mode=mode, horizon=12)
+    assert len(N.calls) == calls
+    if mode == "bump":
+        assert sum(N.calls) == 872 and camp.valid == 1
+    else:
+        assert camp.trials[0].reason.startswith("coordinatewise convergence")
