@@ -27,10 +27,10 @@ from .config import ConfigError, coordinate_arrays, count, known_fields, load_co
 from .config import parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
 from .norms import _check_p, audit_norm_axioms
-from .renorm import EXACT_THRESHOLD, SupportTooLarge, renorm, renorm_exact, renorm_heuristic
+from .renorm import EXACT_THRESHOLD, renorm, renorm_exact, renorm_heuristic
 from .sampling import random_vector
 from .ukk import run_bump_campaign
-from .vectors import DimensionMismatch, LatticeVector
+from .vectors import LatticeVector
 
 __all__ = ["main"]
 
@@ -64,12 +64,21 @@ def _resolve_seed(args, cfg: dict) -> int:
     return seed
 
 
-def _setup(args, section: str, fields: tuple, *default) -> tuple:
+# the fields of each subcommand's config section; a field outside its table exits 2
+_SECTIONS = {
+    "audit": ("samples",),
+    "estimate": ("budget", "rs", "verify_trials"),
+    "renorm": ("p", "mode", "vectors", "random"),
+    "ukk": ("p", "trials", "horizon", "mode"),
+}
+
+
+def _setup(args, section: str, *default) -> tuple:
     """The shared start of a subcommand: load the config (one file may hold every section), parse its
-    space, read ``section`` (``default`` when absent, else required; no field outside ``fields``), resolve the seed."""
-    cfg = known_fields(load_config(args.config), ("seed", "space", "audit", "estimate", "renorm", "ukk"), "config")
+    space, read ``section`` (``default`` when absent, else required; its fields in ``_SECTIONS``), resolve the seed."""
+    cfg = known_fields(load_config(args.config), ("seed", "space", *_SECTIONS), "config")
     N = parse_norm_spec(require(cfg, "space", dict, "config"))
-    doc = known_fields(require(cfg, section, dict, "config", *default), fields, f"config.{section}")
+    doc = known_fields(require(cfg, section, dict, "config", *default), _SECTIONS[section], f"config.{section}")
     return N, doc, _resolve_seed(args, cfg)
 
 
@@ -89,18 +98,17 @@ def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> No
 
 
 def _cmd_space_check(args) -> int:
-    N, audit_cfg, seed = _setup(args, "audit", ("samples", "tol"), {})
+    N, audit_cfg, seed = _setup(args, "audit", {})
     samples = require(audit_cfg, "samples", int, "config.audit", 10_000)
-    tol = require(audit_cfg, "tol", float, "config.audit", 1e-9)
     with _rejected_in("config.audit"):
-        report = audit_norm_axioms(N, samples=samples, seed=seed, tol=tol)
+        report = audit_norm_axioms(N, samples=samples, seed=seed)
     doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     _write(args.out, "space_check.json", _dump(doc) + "\n")
     return 0 if report.passed else 1
 
 
 def _cmd_estimate(args) -> int:
-    N, est, seed = _setup(args, "estimate", ("budget", "rs", "verify_trials"), {})
+    N, est, seed = _setup(args, "estimate", {})
     budget = require(est, "budget", int, "config.estimate", 400)
     rs = require(est, "rs", list, "config.estimate", None)
     if rs is not None:
@@ -136,7 +144,7 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
             res = renorm(N, p, x, seed=seed)
         rec.update(res.to_dict())
         rec["vector"] = x.to_list()
-    except (SupportTooLarge, DimensionMismatch, ValueError) as e:
+    except ValueError as e:  # SupportTooLarge and DimensionMismatch among them
         rec["error"] = str(e)
         rec["vector"] = [float(c) for c in coords]
     return rec
@@ -162,7 +170,7 @@ def _cmd_renorm(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("renorm", "provide --config, or --space/--p/--vector for direct mode")
-        N, ren, seed = _setup(args, "renorm", ("p", "mode", "vectors", "random"))
+        N, ren, seed = _setup(args, "renorm")
         p, p_path = require(ren, "p", float, "config.renorm"), "config.renorm.p"
         mode = require(ren, "mode", str, "config.renorm", "auto")
         if mode not in ("auto", "exact", "heuristic"):
@@ -208,15 +216,14 @@ def _ukk_csv(campaign) -> str:
 
 
 def _cmd_ukk(args) -> int:
-    N, ukk_cfg, seed = _setup(args, "ukk", ("p", "trials", "horizon", "mode", "tol"))
+    N, ukk_cfg, seed = _setup(args, "ukk")
     p = require(ukk_cfg, "p", float, "config.ukk")
     trials = require(ukk_cfg, "trials", int, "config.ukk")
     horizon = require(ukk_cfg, "horizon", int, "config.ukk", 16)
     mode = require(ukk_cfg, "mode", str, "config.ukk", "bump")
-    tol = require(ukk_cfg, "tol", float, "config.ukk", 1e-9)
 
     with _rejected_in("config.ukk"):
-        campaign = run_bump_campaign(N, p, trials, seed=seed, mode=mode, horizon=horizon, tol=tol)
+        campaign = run_bump_campaign(N, p, trials, seed=seed, mode=mode, horizon=horizon)
 
     summary = {"schema_version": SCHEMA_VERSION, **campaign.to_dict(include_trials=False)}
     if campaign.valid == 0:

@@ -31,8 +31,8 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, report_dict
-from .renorm import ABS_TOL, EXACT_THRESHOLD, REL_TOL, block_terms, fold_terms, renorm_batch
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, report_dict
+from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
 
@@ -303,6 +303,7 @@ def estimate_lower_p_constant(
     random small-support vectors (which tie this constant to the renorm
     equivalence audit).  Returns the best ratio and its witness family.
     """
+    p = _check_p(p)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)

@@ -35,14 +35,16 @@ distinction in the general definition does not arise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
 from .vectors import LatticeVector, _family_rows, _rows
@@ -66,10 +68,6 @@ __all__ = [
 # Bell(12) = 4,213,597 partitions; the subset DP does 3^12/2 ~ 2.7e5
 # inner steps at this size, comfortably interactive.
 EXACT_THRESHOLD = 12
-
-# inequality checks here and in ``estimates`` fail only past REL_TOL * |bound| + ABS_TOL
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 # block rows per N.values call in renorm_batch; a larger group is split
 _MAX_BLOCK_ROWS = 1 << 16
@@ -113,7 +111,7 @@ def block_terms(values: np.ndarray, p: float) -> list[float]:
     float power, which numpy ``** p`` does not match bit for bit, so
     every objective, exact or heuristic, takes its terms from here.
     """
-    return [float(v) ** p for v in values.tolist()]
+    return [v ** p for v in values.tolist()]
 
 
 def fold_terms(terms) -> float:
@@ -169,28 +167,23 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     return fold_terms(_mask_terms(N, p, a[None, supp], supp[None], bits)[:, 0].tolist())
 
 
-def _require_exact(s: int, threshold: int) -> None:
-    if s > threshold:
+def _require_exact(s: int) -> None:
+    if s > EXACT_THRESHOLD:
         raise SupportTooLarge(
-            f"support size {s} exceeds exact threshold {threshold}; use renorm_heuristic"
+            f"support size {s} exceeds exact threshold {EXACT_THRESHOLD}; use renorm_heuristic"
         )
 
 
-def renorm_exact(
-    N: NormOracle,
-    p: float,
-    x: LatticeVector,
-    threshold: int = EXACT_THRESHOLD,
-) -> RenormResult:
+def renorm_exact(N: NormOracle, p: float, x: LatticeVector) -> RenormResult:
     """Exact decomposition supremum: the one-row case of :func:`renorm_batch`.
 
-    Raises :class:`SupportTooLarge` above ``threshold`` instead of
+    Raises :class:`SupportTooLarge` above ``EXACT_THRESHOLD`` instead of
     falling back to the local search.
     """
     p = _check_p(p)
     X = _rows([x], N.dim)
-    _require_exact(int(np.count_nonzero(X)), threshold)
-    return renorm_batch(N, p, X, threshold=threshold).result(0)
+    _require_exact(int(np.count_nonzero(X)))
+    return renorm_batch(N, p, X).result(0)
 
 
 class _Tables(NamedTuple):
@@ -518,18 +511,12 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
     return best_total, SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
 
 
-def renorm(
-    N: NormOracle,
-    p: float,
-    x: LatticeVector,
-    threshold: int = EXACT_THRESHOLD,
-    seed: int = 0,
-) -> RenormResult:
-    """Exact below the support threshold, local search above it."""
+def renorm(N: NormOracle, p: float, x: LatticeVector, seed: int = 0) -> RenormResult:
+    """Exact up to ``EXACT_THRESHOLD`` support atoms, local search above it."""
     # not one renorm_batch call: the benchmark's tracer reads x.coords here and must see
     # renorm_exact entered, so folding it waits for a benchmark-only change to the tracer
-    if int(np.count_nonzero(_rows([x], N.dim))) <= threshold:
-        return renorm_exact(N, p, x, threshold=threshold)
+    if int(np.count_nonzero(_rows([x], N.dim))) <= EXACT_THRESHOLD:
+        return renorm_exact(N, p, x)
     return renorm_heuristic(N, p, x, seed=seed)
 
 
@@ -554,7 +541,7 @@ def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeV
     """
     X = _family_rows([x, y], N.dim)
     X = np.vstack([X, X.sum(axis=0)])  # the sum row is x + y bit for bit: no atom adds two nonzeros
-    _require_exact(int(np.count_nonzero(X[2])), EXACT_THRESHOLD)  # the sum holds both supports
+    _require_exact(int(np.count_nonzero(X[2])))  # the sum holds both supports
     res = renorm_batch(N, p, X)
     (px, py, ps), (vx, vy, vs) = res.power_sums, res.values
     slack = ps - px - py
@@ -603,6 +590,8 @@ def audit_equivalence(
     p-estimate constant, e.g. C from ``estimate_lower_p_constant``.
     """
     p = _check_p(p)
+    if not (isinstance(C, Real) and math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be a finite number > 0, got {C!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)

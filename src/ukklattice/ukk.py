@@ -48,6 +48,10 @@ __all__ = [
     "run_bump_campaign",
 ]
 
+# the one tolerance of a trial's ball, convergence, consistency and pass rules:
+# a constant, so that every record replays to itself
+_TOL = 1e-9
+
 
 def ukk_modulus(epsilon: float, p: float) -> float:
     """delta = 1 - (1 - (epsilon/2)^p)^(1/p), for 0 < epsilon <= 2, p >= 1.
@@ -69,14 +73,13 @@ def generate_bump_sequence(
     core: LatticeVector,
     bump_height: float,
     horizon: int = 64,
-    tol: float = 1e-9,
 ) -> list[LatticeVector]:
     """x_n = core + bump_height * e_(fresh atom n), verified in the unit ball.
 
     Fresh atoms start right after the core's last support atom, one per
     element, so the elements' differences from the core are pairwise
     disjoint and every coordinate is eventually constant.  Each element's
-    renorm is checked against 1 + tol; a violation raises with the
+    renorm is checked against 1 + ``_TOL``; a violation raises with the
     offending index.  ``core`` is a vector or a coordinate list.
     """
     c = _rows([core], N.dim)[0]
@@ -91,7 +94,7 @@ def generate_bump_sequence(
         )
     X = _bump_rows(c, first_fresh, bump_height, horizon)
     for n, value in enumerate(renorm_batch(N, p, X).values):
-        if value > 1.0 + tol:
+        if value > 1.0 + _TOL:
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
     return [LatticeVector(x) for x in X]
 
@@ -143,7 +146,7 @@ def _tracks_settle(T: np.ndarray, tol: float) -> bool:
 
 
 def check_coordinatewise_convergence(
-    sequence, declared_limit, tol: float = 1e-9
+    sequence, declared_limit, tol: float = _TOL
 ) -> bool:
     """Finite-horizon coordinatewise convergence check.
 
@@ -165,7 +168,7 @@ def check_truncation_vanishing(
     sequence,
     declared_limit,
     N: NormOracle,
-    tol: float = 1e-9,
+    tol: float = _TOL,
 ) -> bool:
     """Do both truncation norms vanish along the sequence?
 
@@ -208,7 +211,7 @@ class UkkTrial:
     delta: float | None = None
     limit_renorm: float | None = None
     min_dist_to_limit: float | None = None
-    liminf_ok: bool | None = None  # epsilon/2 <= min distance to limit + tol
+    liminf_ok: bool | None = None  # epsilon/2 <= min distance to limit + _TOL
 
     def to_dict(self) -> dict:
         return report_dict(self)
@@ -220,7 +223,6 @@ def run_ukk_trial(
     sequence,
     declared_limit,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> UkkTrial:
     """Verify preconditions, then the modulus bound on the declared limit.
 
@@ -228,7 +230,7 @@ def run_ukk_trial(
     separated, separation inconsistent with the limit distances) yield
     an invalid trial with the reason recorded; they are never counted
     as property violations.  For a valid trial:
-    pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + tol.
+    pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + ``_TOL``.
     ``sequence`` is rows or vectors, ``declared_limit`` a vector or a list: a record replays as written.
 
     The convergence tracks need no renorm, so they are read first; one
@@ -239,9 +241,10 @@ def run_ukk_trial(
     heuristic renorm came before its reason: for an element outside the
     ball, among the elements up to it.
     """
+    p = _check_p(p)
     X = _rows(sequence, N.dim)
     limit = _rows([declared_limit], N.dim)[0]
-    base = dict(seed=seed, p=float(p), horizon=len(X), norm=N.describe(), sequence=X.tolist(),
+    base = dict(seed=seed, p=p, horizon=len(X), norm=N.describe(), sequence=X.tolist(),
                 declared_limit=limit.tolist())
     advisory = False
 
@@ -253,14 +256,14 @@ def run_ukk_trial(
 
     n = len(X)
     D = X - limit  # deviations from the limit: read for convergence, then renormed as distances
-    settled = _tracks_settle(np.abs(D), tol)
+    settled = _tracks_settle(np.abs(D), _TOL)
     # an overflowed distance row stays out of the batch, so that an element
     # outside the ball is still reported as such; the distance stage gates it
     finite = bool(np.isfinite(D).all())
     res = renorm_batch(N, p, np.vstack([X, D, limit]) if settled and finite else X)
     for i, (value, method) in enumerate(zip(res.values[:n], res.methods[:n])):
         advisory = advisory or method == "heuristic"
-        if value > 1.0 + tol:
+        if value > 1.0 + _TOL:
             return invalid(f"element {i} outside the renorm unit ball ({value})")
 
     if not settled:
@@ -276,7 +279,7 @@ def run_ukk_trial(
         _rows(D, N.dim)  # raises the row gate's error on the overflowed distances
     advisory = advisory or "heuristic" in res.methods[n : 2 * n]
     min_dist = float(min(res.values[n : 2 * n]))
-    if not epsilon / 2.0 <= min_dist + tol:
+    if not epsilon / 2.0 <= min_dist + _TOL:
         return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 
     delta = ukk_modulus(min(epsilon, 2.0), p)
@@ -285,7 +288,7 @@ def run_ukk_trial(
     return UkkTrial(
         True,
         advisory,
-        passed=bool(limit_renorm <= 1.0 - delta + tol),
+        passed=bool(limit_renorm <= 1.0 - delta + _TOL),
         epsilon=epsilon,
         delta=delta,
         limit_renorm=limit_renorm,
@@ -311,14 +314,14 @@ class UkkCampaign:
     failed: int
     invalid: int
     advisory: int
-    min_margin: float | None  # min over valid trials of (1 - delta + tol) - limit_renorm
+    min_margin: float | None  # min over valid trials of (1 - delta + _TOL) - limit_renorm
 
     def to_dict(self, include_trials: bool = True) -> dict:
         return report_dict(self, omit=() if include_trials else ("trials",))
 
 
 def _bump_trial(
-    N: NormOracle, p: float, rng: np.random.Generator, index: int, horizon: int, tol: float
+    N: NormOracle, p: float, rng: np.random.Generator, index: int, horizon: int
 ) -> UkkTrial:
     dim = N.dim
     core_room = dim - horizon
@@ -338,12 +341,12 @@ def _bump_trial(
     core = core * scale
     bump = bump * scale
 
-    seq = generate_bump_sequence(N, p, core, bump, horizon=horizon, tol=tol)
-    return run_ukk_trial(N, p, seq, core, seed=index, tol=tol)
+    seq = generate_bump_sequence(N, p, core, bump, horizon=horizon)
+    return run_ukk_trial(N, p, seq, core, seed=index)
 
 
 def _fuzz_trial(
-    N: NormOracle, p: float, rng: np.random.Generator, index: int, horizon: int, tol: float
+    N: NormOracle, p: float, rng: np.random.Generator, index: int, horizon: int
 ) -> UkkTrial:
     dim = N.dim
     limit = random_vector(rng, dim, support_size=int(rng.integers(1, min(4, dim) + 1)))
@@ -357,7 +360,7 @@ def _fuzz_trial(
         limit + noise * (0.09 * decay**n / nr)
         for n, (noise, nr) in enumerate(zip(noises, renorm_batch(N, p, noises).values))
     ]
-    return run_ukk_trial(N, p, seq, limit, seed=index, tol=tol)
+    return run_ukk_trial(N, p, seq, limit, seed=index)
 
 
 _TRIAL_KINDS = {"bump": _bump_trial, "fuzz": _fuzz_trial}
@@ -370,7 +373,6 @@ def run_bump_campaign(
     seed: int = 0,
     mode: str = "bump",
     horizon: int = 16,
-    tol: float = 1e-9,
 ) -> UkkCampaign:
     """Run a seeded campaign of UKK trials.
 
@@ -386,7 +388,7 @@ def run_bump_campaign(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon, tol) for t in range(trials)]
+    records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon) for t in range(trials)]
     valid = [t for t in records if t.valid]
     return UkkCampaign(
         norm=dict(records[0].norm),  # trial 0 described N already; a copy keeps its record its own
@@ -401,5 +403,5 @@ def run_bump_campaign(
         failed=sum(1 for t in valid if not t.passed),
         invalid=len(records) - len(valid),
         advisory=sum(1 for t in records if t.advisory),
-        min_margin=min(((1.0 - t.delta + tol) - t.limit_renorm for t in valid), default=None),
+        min_margin=min(((1.0 - t.delta + _TOL) - t.limit_renorm for t in valid), default=None),
     )

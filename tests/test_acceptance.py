@@ -258,7 +258,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     cfg = {
         "seed": 23,
         "space": {"kind": "Lq", "q": 2, "dim": 14},
-        "audit": {"samples": 400, "tol": 1e-9},
+        "audit": {"samples": 400},
         "estimate": {"budget": 60, "verify_trials": 100},
         "renorm": {"p": 2, "random": {"count": 6, "support": 8}},
         "ukk": {"p": 2, "trials": 6, "horizon": 10},

@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import ukklattice
+from ukklattice import cli
 
 # the package exports at the commit that listed them by hand, less
 # ``pos_neg_max`` (removed: ``PosNegMaxNorm`` computes the same value) and
@@ -65,7 +66,11 @@ def test_star_import_matches_all():
 # tolerances (``rel_tol``/``abs_tol`` of ``check_inf_chain``,
 # ``check_superadditivity``, ``verify_lower_r_estimate``, ``rel_tol`` of
 # ``audit_equivalence``) and ``WeightedLqNorm``'s ``dim`` were removed: no
-# caller set them to anything but the default
+# caller set them to anything but the default.  So were the trial and audit
+# tolerances (``tol`` of ``audit_norm_axioms``, ``generate_bump_sequence``,
+# ``run_bump_campaign``, ``run_ukk_trial``) and the scalar exact threshold
+# (``threshold`` of ``renorm``, ``renorm_exact``): no caller set them either,
+# and a record from a campaign at another ``tol`` did not replay to itself
 SIGNATURES = {
     "BlockNorm": ("blocks", "inner", "outer"),
     "ConfigError": ("path", "message"),
@@ -96,7 +101,7 @@ SIGNATURES = {
     "WeightedLqNorm": ("q", "weights"),
     "absolute": ("x",),
     "audit_equivalence": ("N", "p", "C", "samples", "seed", "max_support"),
-    "audit_norm_axioms": ("N", "samples", "seed", "tol"),
+    "audit_norm_axioms": ("N", "samples", "seed"),
     "bell_number": ("n",),
     "check_coordinatewise_convergence": ("sequence", "declared_limit", "tol"),
     "check_inf_chain": ("N", "c", "family"),
@@ -107,7 +112,7 @@ SIGNATURES = {
     "estimate_lower_p_constant": ("N", "p", "budget", "seed"),
     "estimate_two_disjoint_constant": ("N", "budget", "seed"),
     "family_power_ratio": ("N", "p", "family"),
-    "generate_bump_sequence": ("N", "p", "core", "bump_height", "horizon", "tol"),
+    "generate_bump_sequence": ("N", "p", "core", "bump_height", "horizon"),
     "is_disjoint": ("x", "y"),
     "iter_set_partitions": ("items",),
     "join": ("x", "y"),
@@ -123,14 +128,14 @@ SIGNATURES = {
     "random_disjoint_family": ("rng", "dim", "count"),
     "random_disjoint_pair": ("rng", "dim"),
     "random_vector": ("rng", "dim", "support_size"),
-    "renorm": ("N", "p", "x", "threshold", "seed"),
+    "renorm": ("N", "p", "x", "seed"),
     "renorm_batch": ("N", "p", "X", "threshold", "seed"),
-    "renorm_exact": ("N", "p", "x", "threshold"),
+    "renorm_exact": ("N", "p", "x"),
     "renorm_heuristic": ("N", "p", "x", "seed"),
     "restrict": ("x", "block"),
-    "run_bump_campaign": ("N", "p", "trials", "seed", "mode", "horizon", "tol"),
+    "run_bump_campaign": ("N", "p", "trials", "seed", "mode", "horizon"),
     "run_estimate_pipeline": ("N", "budget", "seed", "rs"),
-    "run_ukk_trial": ("N", "p", "sequence", "declared_limit", "seed", "tol"),
+    "run_ukk_trial": ("N", "p", "sequence", "declared_limit", "seed"),
     "truncate": ("u", "x"),
     "ukk_modulus": ("epsilon", "p"),
     "verify_lower_r_estimate": ("N", "r", "K", "trials", "seed"),
@@ -146,3 +151,18 @@ def test_signatures_match_inventory():
                 inspect.signature(obj)
         else:
             assert tuple(inspect.signature(obj).parameters) == params, name
+
+
+# the fields of each CLI config section, so that adding or removing a config
+# option shows as an edit here too; ``audit.tol`` and ``ukk.tol`` were removed
+# with the library tolerances they set
+CLI_SECTIONS = {
+    "audit": ("samples",),
+    "estimate": ("budget", "rs", "verify_trials"),
+    "renorm": ("p", "mode", "vectors", "random"),
+    "ukk": ("p", "trials", "horizon", "mode"),
+}
+
+
+def test_cli_sections_match_inventory():
+    assert cli._SECTIONS == CLI_SECTIONS

@@ -146,6 +146,13 @@ def test_family_power_ratio_rejects_bad_exponent(p):
         family_power_ratio(LqNorm(2, 4), p, fam)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf])
+def test_lower_p_constant_rejects_bad_exponent(p):
+    # p = 0 used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="exponent"):
+        estimate_lower_p_constant(LqNorm(2, 4), p, budget=4)
+
+
 @pytest.mark.parametrize("c", [math.nan, 0.5])
 def test_check_inf_chain_rejects_bad_constant(c):
     # these used to read as a failed check, that is as a violation

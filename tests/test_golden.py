@@ -245,7 +245,7 @@ def test_tie_breaks_unchanged():
     assert _digest(_tie_reports()) == TIES_DIGEST
 
 
-# renorm_exact(..., threshold=14) results: (value hex, power_sum hex, witness)
+# exact results at threshold 14, through renorm_batch: (value hex, power_sum hex, witness)
 THRESHOLD_14 = {
     ("lq", 13): ("0x1.e53c40c23f517p+0", "0x1.cbdeadc737ad0p+1",
                    [[0], [1], [2], [4], [5], [7], [8], [9], [10], [11], [12], [13], [14]]),
@@ -270,7 +270,7 @@ def _threshold_case(space: str, s: int):
 @pytest.mark.parametrize("space,s", sorted(THRESHOLD_14))
 def test_raised_threshold_unchanged(space, s):
     N, x = _threshold_case(space, s)
-    res = renorm_exact(N, 2.0, x, threshold=14)
+    res = renorm_batch(N, 2.0, [x], threshold=14).result(0)
     assert res.method == "exact"
     assert (res.value.hex(), res.power_sum.hex(), res.witness.to_lists()) == THRESHOLD_14[space, s]
 

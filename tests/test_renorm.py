@@ -100,7 +100,7 @@ def test_exact_matches_brute_force(N, p):
     assert {"exact", "heuristic"} <= set(batch.methods)
     for i, row in enumerate(X):
         x = LatticeVector(row)
-        one = renorm(N, p, x, threshold=threshold, seed=3)
+        one = renorm_batch(N, p, [x], threshold=threshold, seed=3).result(0)
         # value, power sum, witness and method, bit for bit
         assert batch.result(i) == one
         assert (batch.values[i], batch.power_sums[i]) == (one.value, one.power_sum)
@@ -226,7 +226,7 @@ def test_heuristic_never_exceeds_exact():
         for s in (13, 14):
             for p in (1.5, 2.0):
                 x = random_vector(rng, 16, support_size=s)
-                ex = renorm_exact(N, p, x, threshold=14)
+                ex = renorm_batch(N, p, [x], threshold=14).result(0)
                 he = renorm_heuristic(N, p, x, seed=5)
                 assert he.method == "heuristic" and ex.method == "exact"
                 assert he.power_sum <= ex.power_sum
@@ -330,12 +330,21 @@ def test_equivalence_audit_flags_small_c():
     audit = audit_equivalence(LqNorm(float("inf"), 8), 2.0, 1.05, samples=300, seed=2)
     assert audit.upper_violations > 0
     assert not audit.passed
+    # so must a C below 1, where the claimed upper bound is under the lower one
+    assert not audit_equivalence(LqNorm(2, 6), 2.0, 0.9, samples=5).passed
 
 
 def test_equivalence_audit_needs_a_sample():
     # no samples used to pass with worst excesses of -inf
     with pytest.raises(ValueError, match="samples"):
         audit_equivalence(LqNorm(2, 4), 2.0, 1.5, samples=0)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+def test_equivalence_audit_rejects_bad_constant(C):
+    # NaN and -1 used to pass, 0 divided by zero
+    with pytest.raises(ValueError, match="C must be"):
+        audit_equivalence(LqNorm(2, 6), 2.0, C, samples=5)
 
 
 def test_batch_rejects_non_finite_rows():

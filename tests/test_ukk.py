@@ -189,6 +189,14 @@ def test_trial_invalid_nonconvergent():
     assert not trial.valid
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+def test_trial_rejects_bad_exponent_before_its_length(p):
+    # a one-element sequence used to give an invalid record carrying this p
+    x = LatticeVector.unit(4, 0)
+    with pytest.raises(ValueError, match="exponent"):
+        run_ukk_trial(LqNorm(2, 4), p, [x], x)
+
+
 def test_trial_serializes():
     N = LqNorm(2, 12)
     core = LatticeVector([0.5] + [0.0] * 11)
