@@ -25,6 +25,7 @@ of deriving an exponent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -51,24 +52,55 @@ __all__ = [
 
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
+# entries (rows x dim) per N.values call when families are scored together: it
+# bounds the stacked rows' memory at any dim, and a lone larger family goes alone
+_MAX_FAMILY_ENTRIES = 1 << 16
 
-def _lower_estimate(N: NormOracle, p: float, X: np.ndarray) -> tuple[float, float]:
-    """(fold of row norms^p)^(1/p) and N(sum of rows), for disjoint rows ``X``.
 
-    One ``N.values`` call evaluates the rows and their sum.  The terms fold in
-    order of smallest support atom (zero rows first), as the renorm objective
-    does; at p = 1 on two rows this is N(x) + N(y) exactly.
+def _lower_estimates(N: NormOracle, p: float, families):
+    """(fold of row norms^p)^(1/p) and N(sum of rows), for each family of disjoint rows.
+
+    The families' rows and sums are stacked into one ``N.values`` call per
+    chunk of at most ``_MAX_FAMILY_ENTRIES`` entries; the iterable is consumed
+    a chunk at a time and the pairs yielded in order.
+    Each family's terms fold in order of smallest support atom (zero rows
+    first), as the renorm objective does; at p = 1 on two rows this is
+    N(x) + N(y) exactly.
     """
-    nz = X != 0.0
-    first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
-    v = N.values(np.vstack([X[np.argsort(first, kind="stable")], X.sum(axis=0)]))
-    return fold_terms(block_terms(v[:-1], p)) ** (1.0 / p), float(v[-1])
+
+    def score(chunk):
+        stack = []
+        for X in chunk:
+            nz = X != 0.0
+            first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
+            stack += [X[np.argsort(first, kind="stable")], X.sum(axis=0)[None]]
+        v = N.values(np.vstack(stack))
+        at = 0
+        for X in chunk:
+            m = len(X)
+            yield fold_terms(block_terms(v[at:at + m], p)) ** (1.0 / p), float(v[at + m])
+            at += m + 1
+
+    chunk, entries = [], 0
+    for X in families:
+        if chunk and entries + X.size + X.shape[1] > _MAX_FAMILY_ENTRIES:
+            yield from score(chunk)
+            chunk, entries = [], 0
+        chunk.append(X)
+        entries += X.size + X.shape[1]
+    if chunk:
+        yield from score(chunk)
+
+
+def _ratios(N: NormOracle, p: float, families):
+    """The lower-estimate ratio of each family of disjoint rows; 0 when its sum has norm 0."""
+    for num, denom in _lower_estimates(N, p, families):
+        yield num / denom if denom > 0.0 else 0.0
 
 
 def _ratio(N: NormOracle, p: float, X: np.ndarray) -> float:
-    """The lower-estimate ratio of disjoint rows ``X``; 0 when their sum has norm 0."""
-    num, denom = _lower_estimate(N, p, X)
-    return num / denom if denom > 0.0 else 0.0
+    """The lower-estimate ratio of one family of disjoint rows ``X``."""
+    return next(_ratios(N, p, [X]))
 
 
 def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
@@ -93,17 +125,19 @@ def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
 
 
 def _search(N: NormOracle, p: float, candidates, refine) -> tuple[float, np.ndarray]:
-    """Best ratio at ``p`` over lazily yielded (rows, refine?) candidates.
+    """Best ratio at ``p`` over (rows, refine?) candidates.
 
-    Each new best is first improved by ``refine(X, ratio, score)``.
+    The candidates are scored in batches before the walk, which is exact
+    because a refinement changes no other candidate; each new best is first
+    improved by ``refine(X, ratio, score)``, one family per score.
     """
 
     def score(X):
         return _ratio(N, p, X)
 
+    candidates = list(candidates)
     best, best_X = -1.0, None
-    for X, polish in candidates:
-        r = score(X)
+    for (X, polish), r in zip(candidates, _ratios(N, p, [X for X, _ in candidates])):
         if r > best:
             if polish:
                 X, r = refine(X, r, score)
@@ -145,12 +179,11 @@ def estimate_two_disjoint_constant(
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     dim = N.dim
-    eye = np.eye(dim)
-    unit_pairs = [[i, j] for i in range(dim) for j in range(i + 1, dim)][: min(128, budget)]
+    unit_pairs = list(itertools.islice(itertools.combinations(range(dim), 2), min(128, budget)))
 
     def candidates():
         for pair in unit_pairs:
-            yield eye[pair], True
+            yield _units(dim, pair), True
         for _ in range(budget - len(unit_pairs)):
             x, y = random_disjoint_pair(rng, dim)
             yield _rows([x, y], dim), True
@@ -273,24 +306,32 @@ def family_power_ratio(N: NormOracle, p: float, family) -> float:
     return _ratio(N, _check_p(p), _family_rows(family, N.dim))
 
 
+def _units(dim: int, atoms) -> np.ndarray:
+    """The unit rows e_i, i in ``atoms``, in that order."""
+    X = np.zeros((len(atoms), dim))
+    X[np.arange(len(atoms)), list(atoms)] = 1.0
+    return X
+
+
 def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
-    """Grow a family of unit atoms, adding whichever atom helps most."""
-    eye = np.eye(N.dim)
+    """Grow a family of unit atoms, adding whichever atom helps most.
+
+    Each step scores every remaining atom in one batch; the first strict
+    best above the current ratio is taken.
+    """
     chosen: list[int] = [0]
-    best = _ratio(N, p, eye[chosen])
+    best = _ratio(N, p, _units(N.dim, chosen))
     while len(chosen) < N.dim:
+        rest = [j for j in range(N.dim) if j not in chosen]
         step_best, step_atom = best, None
-        for j in range(N.dim):
-            if j in chosen:
-                continue
-            r = _ratio(N, p, eye[chosen + [j]])
+        for j, r in zip(rest, _ratios(N, p, [_units(N.dim, chosen + [j]) for j in rest])):
             if r > step_best:
                 step_best, step_atom = r, j
         if step_atom is None:
             break
         chosen.append(step_atom)
         best = step_best
-    return eye[sorted(chosen)]
+    return _units(N.dim, sorted(chosen))
 
 
 def estimate_lower_p_constant(
@@ -310,9 +351,8 @@ def estimate_lower_p_constant(
     dim = N.dim
 
     def candidates():
-        eye = np.eye(dim)
         for i in range(dim):
-            yield eye[[i]], False
+            yield _units(dim, [i]), False
         yield _greedy_unit_family(N, p), True
         # scoring draws nothing from rng, so all candidates are drawn first
         # and the renorm candidates share one batch call
@@ -339,17 +379,20 @@ def estimate_lower_p_constant(
 def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_000, seed: int = 0) -> int:
     """Count sampled disjoint families violating (sum norms^r)^(1/r) <= K*N(sum); needs 1 <= r < inf."""
     r = _check_p(r)
-    if not (isinstance(K, Real) and math.isfinite(K)):
+    if isinstance(K, bool) or not (isinstance(K, Real) and math.isfinite(K)):
         raise ValueError(f"K must be a finite number, got {K!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     dim = N.dim
+
+    def families():
+        for _ in range(trials):
+            m = int(rng.integers(1, min(dim, 8) + 1))
+            yield _rows(random_disjoint_family(rng, dim, m), dim)
+
     violations = 0
-    for _ in range(trials):
-        m = int(rng.integers(1, min(dim, 8) + 1))
-        X = _rows(random_disjoint_family(rng, dim, m), dim)
-        lhs, total = _lower_estimate(N, r, X)
+    for lhs, total in _lower_estimates(N, r, families()):
         rhs = K * total
         if lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL:
             violations += 1

@@ -51,6 +51,10 @@ __all__ = [
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
+# below this many entries the general-q Lq power is taken plainly: there the
+# in-place form's three extra passes cost more than they save
+_POW_IN_PLACE_SIZE = 1024
+
 
 class NormOracle(ABC):
     """A norm on vectors of a fixed atom count ``dim``."""
@@ -145,7 +149,16 @@ class LqNorm(NormOracle):
             return A.sum(axis=1)
         if self.q == 2.0:
             return np.sqrt((A * A).sum(axis=1))
-        return (A ** self.q).sum(axis=1) ** (1.0 / self.q)
+        if A.size < _POW_IN_PLACE_SIZE:
+            return (A ** self.q).sum(axis=1) ** (1.0 / self.q)
+        # numpy's float64 power leaves its SIMD path on any zero lane, so zero
+        # lanes are raised as 1 and brought back to 0 after, bit for bit
+        A = A.astype(np.float64, copy=False)
+        z = A == 0.0
+        A += z
+        A **= self.q
+        A -= z
+        return A.sum(axis=1) ** (1.0 / self.q)
 
 
 class WeightedLqNorm(NormOracle):

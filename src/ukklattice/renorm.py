@@ -590,7 +590,7 @@ def audit_equivalence(
     p-estimate constant, e.g. C from ``estimate_lower_p_constant``.
     """
     p = _check_p(p)
-    if not (isinstance(C, Real) and math.isfinite(C) and C > 0):
+    if isinstance(C, bool) or not (isinstance(C, Real) and math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a finite number > 0, got {C!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

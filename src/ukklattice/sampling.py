@@ -76,10 +76,15 @@ def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> li
         rng.integers(0, count, size=total - count),
     ])
     rng.shuffle(owner)
-    out = []
-    for j in range(count):
-        mine = idx[owner == j]
-        a = np.zeros(dim, dtype=np.float64)
-        a[mine] = random_coords(rng, mine.size)
-        out.append(LatticeVector(a))
-    return out
+    # one block of draws, read as random_coords drew them member by member: a
+    # member's k magnitudes, then its k signs; so an atom's magnitude sits at its
+    # place in owner order plus the atom count of the members before its own
+    u = rng.random(2 * total)
+    order = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=count)
+    at = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(total)
+    mag = 0.1 + (1.0 - 0.1) * u[at]  # rng.uniform(0.1, 1.0) bit for bit
+    sign = np.where(u[at + np.repeat(sizes, sizes)] < 0.5, -1.0, 1.0)
+    out = np.zeros((count, dim), dtype=np.float64)
+    out[owner[order], idx[order]] = mag * sign
+    return [LatticeVector(a) for a in out]

@@ -8,6 +8,8 @@ from ukklattice import (
     BlockNorm,
     LatticeVector,
     LqNorm,
+    PosNegMaxNorm,
+    WeightedLqNorm,
     check_inf_chain,
     derived_exponent,
     estimate_lower_p_constant,
@@ -17,7 +19,10 @@ from ukklattice import (
     run_estimate_pipeline,
     verify_lower_r_estimate,
 )
-from ukklattice.sampling import random_disjoint_family
+from ukklattice import estimates
+from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
+from ukklattice.sampling import random_coords, random_disjoint_family
+from ukklattice.vectors import _rows
 
 
 def test_two_disjoint_constant_linf_is_two():
@@ -204,6 +209,114 @@ def test_verify_lower_r_estimate_rejects_non_finite_k(K):
     # NaN and inf used to report no violations
     with pytest.raises(ValueError, match="K must be a finite number"):
         verify_lower_r_estimate(LqNorm(2, 4), 3.0, K, trials=50)
+
+
+@pytest.mark.parametrize("K", [True, False, np.bool_(True)])
+def test_verify_lower_r_estimate_rejects_bool_k(K):
+    # True used to run at K = 1 and report 0 violations
+    with pytest.raises(ValueError, match="K must be a finite number"):
+        verify_lower_r_estimate(LqNorm(2, 4), 3.0, K, trials=5)
+
+
+def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
+    N = counting_lq(2, 8)
+    want = verify_lower_r_estimate(N, 5.0, 0.9, trials=200, seed=4)
+    assert 0 < want < 200 and len(N.calls) == 1
+    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 16 * 8)  # 16 rows of dim 8
+    small = counting_lq(2, 8)
+    assert verify_lower_r_estimate(small, 5.0, 0.9, trials=200, seed=4) == want
+    assert len(small.calls) > 1 and max(small.calls) <= 16 and sum(small.calls) == sum(N.calls)
+    # a family above the cap is scored alone
+    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 16 * 20)
+    lone = counting_lq(2, 20)
+    family = np.eye(20)[:17]
+    assert list(_lower_estimates(lone, 2.0, [family[:2], family, family[:3]])) == [
+        next(_lower_estimates(lone, 2.0, [X])) for X in (family[:2], family, family[:3])
+    ]
+    assert lone.calls[:3] == [3, 18, 4]
+
+
+def test_estimate_norm_call_budget(counting_lq):
+    # verify scores all its families in one call; the pipeline batch-scores
+    # each search's candidates and each greedy step, refinements one by one
+    N = counting_lq(2, 12)
+    verify_lower_r_estimate(N, 5.0, 1.5, trials=50)
+    assert len(N.calls) == 1
+    N = counting_lq(2, 12)
+    run_estimate_pipeline(N, budget=40, seed=5)
+    assert len(N.calls) == 45 and sum(N.calls) == 1311
+
+
+def _reference_family(rng, dim, count):
+    """random_disjoint_family drawn member by member through random_coords."""
+    total = int(rng.integers(count, dim + 1))
+    idx = rng.choice(dim, size=total, replace=False)
+    owner = np.concatenate([np.arange(count), rng.integers(0, count, size=total - count)])
+    rng.shuffle(owner)
+    out = []
+    for j in range(count):
+        mine = idx[owner == j]
+        a = np.zeros(dim)
+        a[mine] = random_coords(rng, mine.size)
+        out.append(a)
+    return np.array(out)
+
+
+def test_random_disjoint_family_matches_member_by_member_draws():
+    cases = 0
+    for seed in range(5):
+        for dim in range(1, 31):
+            for count in range(1, min(dim, 9) + 1):
+                ref, rng = np.random.default_rng([seed, dim, count]), np.random.default_rng([seed, dim, count])
+                want = _reference_family(ref, dim, count)
+                got = np.array([v.coords for v in random_disjoint_family(rng, dim, count)])
+                assert got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+                cases += 1
+    assert cases >= 1000
+
+
+FOUR_KINDS = [
+    LqNorm(3, 10),
+    WeightedLqNorm(1.5, [1.0 + 0.3 * i for i in range(10)]),
+    BlockNorm([[2 * i, 2 * i + 1] for i in range(5)], [LqNorm(1, 2)] * 5, LqNorm(2.5, 5)),
+    PosNegMaxNorm(LqNorm(1.5, 10)),
+]
+
+
+@pytest.mark.parametrize("N", FOUR_KINDS, ids=lambda N: N.kind)
+def test_lower_estimates_batch_equals_one_family(N):
+    rng = np.random.default_rng(3)
+    families = [_rows(random_disjoint_family(rng, 10, m), 10) for m in range(1, 9) for _ in range(3)]
+    families.insert(5, np.zeros((2, 10)))  # a zero-sum family
+    p = 2.5
+    one = [next(_lower_estimates(N, p, [X])) for X in families]
+    assert list(_lower_estimates(N, p, families)) == one
+    for X, (num, total) in zip(families, one):
+        # the terms fold in order of smallest support atom, each a one-row call
+        rows = sorted(X, key=lambda x: np.flatnonzero(x)[0] if x.any() else -1)
+        acc = 0.0
+        for row in reversed(rows):
+            acc = N(row) ** p + acc
+        assert (num, total) == (acc ** (1.0 / p), N(X.sum(axis=0)))
+    ratios = list(_ratios(N, p, families))
+    assert ratios == [_ratio(N, p, X) for X in families]
+    assert ratios[5] == 0.0 and min(ratios[:5] + ratios[6:]) > 0.0
+
+
+def test_greedy_unit_family_takes_only_strict_gains():
+    # every unit family of the 2-norm has ratio 1 at p = 2: no atom is a strict gain
+    assert _greedy_unit_family(LqNorm(2, 5), 2.0).tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
+    # the sup norm gains at every step
+    assert _greedy_unit_family(LqNorm("inf", 5), 2.0).tolist() == np.eye(5).tolist()
+
+
+def test_unit_pairs_are_taken_lazily():
+    # 4.5 million unit pairs at dim 3000; the first three are those of dim 12
+    small, _ = estimate_two_disjoint_constant(LqNorm(1.5, 12), budget=3, seed=0)
+    big, (x, y) = estimate_two_disjoint_constant(LqNorm(1.5, 3000), budget=3, seed=0)
+    assert big == small
+    assert x.support() + y.support() == (0, 1)
 
 
 def test_pipeline_l2():

@@ -201,3 +201,41 @@ def test_lq_large_q_stable():
     v = N(LatticeVector([2.0, 2.0, 2.0]))
     assert math.isfinite(v)
     assert v == pytest.approx(2.0 * 3 ** (1 / 64), rel=1e-12)
+
+
+def _lq_edge_rows() -> np.ndarray:
+    """Rows that push numpy's float64 power off its fast path or to its edges."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for frac in (0.0, 0.25, 0.5, 0.75, 0.95):  # share of zero lanes
+        X = rng.standard_normal((40, 20))
+        X[rng.random(X.shape) < frac] = 0.0
+        rows.append(X)
+    rows.append(np.array([
+        [-0.0, 0.0, -0.0, 1.5, -2.0] + [0.0] * 15,  # signed zeros
+        [5e-324, -1e-310, 2.2e-308, 0.0, 3.0] + [0.0] * 15,  # subnormals
+        [1e300, 1e300, 0.0, 1.0, 0.0] + [0.0] * 15,  # the power overflows to inf
+        [math.inf, 0.0, 1.0, 0.0, 2.0] + [0.0] * 15,
+        [math.nan, 0.0, 1.0, -0.0, 2.0] + [0.0] * 15,
+        [0.0] * 20,
+    ]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 7.25, 600.0])
+def test_lq_kernel_matches_plain_power_bit_for_bit(q):
+    # zero lanes are raised as 1 and zeroed after the power; the bits must not move
+    X = _lq_edge_rows()
+    # the whole stack takes the in-place power, each row alone the plain one
+    N = LqNorm(q, X.shape[1])
+    with np.errstate(all="ignore"):
+        want = (np.abs(X) ** q).sum(axis=1) ** (1.0 / q)
+        for got in (N.values(X), np.concatenate([N.values(x[None]) for x in X])):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert got[ok].tobytes() == want[ok].tobytes()
+            assert np.isinf(got).any() and np.isnan(got).any()
+    # integer rows give the norms of the same float rows
+    ints = np.zeros((X.shape[0], 20), dtype=np.int64)
+    ints[:, 3] = 3
+    assert N.values(ints).tobytes() == N.values(ints.astype(np.float64)).tobytes()

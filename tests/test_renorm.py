@@ -340,9 +340,9 @@ def test_equivalence_audit_needs_a_sample():
         audit_equivalence(LqNorm(2, 4), 2.0, 1.5, samples=0)
 
 
-@pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0, True, np.bool_(True)])
 def test_equivalence_audit_rejects_bad_constant(C):
-    # NaN and -1 used to pass, 0 divided by zero
+    # NaN and -1 used to pass, 0 divided by zero, True ran at C = 1
     with pytest.raises(ValueError, match="C must be"):
         audit_equivalence(LqNorm(2, 6), 2.0, C, samples=5)
 
