@@ -54,6 +54,7 @@ HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
 # entries (rows x dim) per N.values call when families are scored together: it
 # bounds the stacked rows' memory at any dim, and a lone larger family goes alone
+# (renorm_batch's cap, renorm._MAX_BLOCK_ROWS, still counts block rows)
 _MAX_FAMILY_ENTRIES = 1 << 16
 
 
@@ -127,17 +128,18 @@ def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
 def _search(N: NormOracle, p: float, candidates, refine) -> tuple[float, np.ndarray]:
     """Best ratio at ``p`` over (rows, refine?) candidates.
 
-    The candidates are scored in batches before the walk, which is exact
-    because a refinement changes no other candidate; each new best is first
-    improved by ``refine(X, ratio, score)``, one family per score.
+    The candidates are drawn and scored a batch ahead of the walk, which is
+    exact because a refinement changes no other candidate; each new best is
+    first improved by ``refine(X, ratio, score)``, one family per score.
     """
 
     def score(X):
         return _ratio(N, p, X)
 
-    candidates = list(candidates)
+    # tee holds only the candidates drawn for the batch being walked
+    walk, scored = itertools.tee(candidates)
     best, best_X = -1.0, None
-    for (X, polish), r in zip(candidates, _ratios(N, p, [X for X, _ in candidates])):
+    for (X, polish), r in zip(walk, _ratios(N, p, (X for X, _ in scored))):
         if r > best:
             if polish:
                 X, r = refine(X, r, score)
@@ -316,15 +318,15 @@ def _units(dim: int, atoms) -> np.ndarray:
 def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
     """Grow a family of unit atoms, adding whichever atom helps most.
 
-    Each step scores every remaining atom in one batch; the first strict
-    best above the current ratio is taken.
+    Each step scores the remaining atoms in batches, built as they are
+    scored; the first strict best above the current ratio is taken.
     """
     chosen: list[int] = [0]
     best = _ratio(N, p, _units(N.dim, chosen))
     while len(chosen) < N.dim:
         rest = [j for j in range(N.dim) if j not in chosen]
         step_best, step_atom = best, None
-        for j, r in zip(rest, _ratios(N, p, [_units(N.dim, chosen + [j]) for j in rest])):
+        for j, r in zip(rest, _ratios(N, p, (_units(N.dim, chosen + [j]) for j in rest))):
             if r > step_best:
                 step_best, step_atom = r, j
         if step_atom is None:

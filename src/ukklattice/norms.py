@@ -51,10 +51,6 @@ __all__ = [
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-# below this many entries the general-q Lq power is taken plainly: there the
-# in-place form's three extra passes cost more than they save
-_POW_IN_PLACE_SIZE = 1024
-
 
 class NormOracle(ABC):
     """A norm on vectors of a fixed atom count ``dim``."""
@@ -142,18 +138,15 @@ class LqNorm(NormOracle):
             raise ValueError("dim must be a positive integer")
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        A = np.abs(X)
+        A = np.abs(X, dtype=np.float64)
         if math.isinf(self.q):
             return A.max(axis=1)
         if self.q == 1.0:
             return A.sum(axis=1)
         if self.q == 2.0:
             return np.sqrt((A * A).sum(axis=1))
-        if A.size < _POW_IN_PLACE_SIZE:
-            return (A ** self.q).sum(axis=1) ** (1.0 / self.q)
         # numpy's float64 power leaves its SIMD path on any zero lane, so zero
         # lanes are raised as 1 and brought back to 0 after, bit for bit
-        A = A.astype(np.float64, copy=False)
         z = A == 0.0
         A += z
         A **= self.q

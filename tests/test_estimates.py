@@ -236,6 +236,31 @@ def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
     assert lone.calls[:3] == [3, 18, 4]
 
 
+def test_families_are_built_a_batch_ahead(counting_lq, monkeypatch):
+    # candidates and greedy steps are built as they are scored, so between two
+    # N.values calls at most one batch of families (and the next one) is built
+    runs = [
+        ("inf", lambda N: _greedy_unit_family(N, 3.0).tobytes()),
+        (2.5, lambda N: repr(estimate_two_disjoint_constant(N, budget=40, seed=1))),
+    ]
+    want = [run(counting_lq(q, 10)) for q, run in runs]
+    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 9 * 10)  # 3 unit pairs and their sums
+    unit_rows, built = estimates._units, []
+
+    def units(dim, atoms):
+        built[-1].append(len(N.calls))
+        return unit_rows(dim, atoms)
+
+    monkeypatch.setattr(estimates, "_units", units)
+    for (q, run), w in zip(runs, want):
+        N = counting_lq(q, 10)
+        built.append([])
+        assert run(N) == w
+    # the first greedy step's 9 atoms, or the 40 unit pairs, would be built at once
+    assert len(built[0]) > 40 and len(built[1]) == 40
+    assert max(np.bincount(b).max() for b in built) <= 4
+
+
 def test_estimate_norm_call_budget(counting_lq):
     # verify scores all its families in one call; the pipeline batch-scores
     # each search's candidates and each greedy step, refinements one by one

@@ -226,7 +226,7 @@ def _lq_edge_rows() -> np.ndarray:
 def test_lq_kernel_matches_plain_power_bit_for_bit(q):
     # zero lanes are raised as 1 and zeroed after the power; the bits must not move
     X = _lq_edge_rows()
-    # the whole stack takes the in-place power, each row alone the plain one
+    # each row alone and the whole stack
     N = LqNorm(q, X.shape[1])
     with np.errstate(all="ignore"):
         want = (np.abs(X) ** q).sum(axis=1) ** (1.0 / q)
@@ -239,3 +239,9 @@ def test_lq_kernel_matches_plain_power_bit_for_bit(q):
     ints = np.zeros((X.shape[0], 20), dtype=np.int64)
     ints[:, 3] = 3
     assert N.values(ints).tobytes() == N.values(ints.astype(np.float64)).tobytes()
+    # float32 rows give float64 norms, those of their float64 copies, at any batch size
+    X32 = X[:200].astype(np.float32)
+    with np.errstate(over="ignore"):
+        want = N.values(X32.astype(np.float64))
+        assert N.values(X32).dtype == np.float64 and N.values(X32).tobytes() == want.tobytes()
+        assert np.concatenate([N.values(x[None]) for x in X32]).tobytes() == want.tobytes()
