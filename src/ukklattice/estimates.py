@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _packed, report_dict
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
@@ -45,31 +45,26 @@ __all__ = [
     "check_inf_chain",
     "estimate_lower_p_constant",
     "verify_lower_r_estimate",
-    "family_power_ratio",
     "EstimateReport",
     "run_estimate_pipeline",
 ]
 
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
-# entries (rows x dim) per N.values call when families are scored together: it
-# bounds the stacked rows' memory at any dim, and a lone larger family goes alone
-# (renorm_batch's cap, renorm._MAX_BLOCK_ROWS, still counts block rows)
-_MAX_FAMILY_ENTRIES = 1 << 16
-
 
 def _lower_estimates(N: NormOracle, p: float, families):
     """(fold of row norms^p)^(1/p) and N(sum of rows), for each family of disjoint rows.
 
     The families' rows and sums are stacked into one ``N.values`` call per
-    chunk of at most ``_MAX_FAMILY_ENTRIES`` entries; the iterable is consumed
-    a chunk at a time and the pairs yielded in order.
+    run of ``norms._packed``: at most ``norms._MAX_CALL_ENTRIES`` = 2^16
+    entries (rows times dim), a lone larger family alone.  The iterable is
+    consumed a run at a time and the pairs yielded in order.
     Each family's terms fold in order of smallest support atom (zero rows
     first), as the renorm objective does; at p = 1 on two rows this is
     N(x) + N(y) exactly.
     """
 
-    def score(chunk):
+    for chunk in _packed(families, lambda X: X.size + X.shape[1]):
         stack = []
         for X in chunk:
             nz = X != 0.0
@@ -81,16 +76,6 @@ def _lower_estimates(N: NormOracle, p: float, families):
             m = len(X)
             yield fold_terms(block_terms(v[at:at + m], p)) ** (1.0 / p), float(v[at + m])
             at += m + 1
-
-    chunk, entries = [], 0
-    for X in families:
-        if chunk and entries + X.size + X.shape[1] > _MAX_FAMILY_ENTRIES:
-            yield from score(chunk)
-            chunk, entries = [], 0
-        chunk.append(X)
-        entries += X.size + X.shape[1]
-    if chunk:
-        yield from score(chunk)
 
 
 def _ratios(N: NormOracle, p: float, families):
@@ -195,7 +180,9 @@ def estimate_two_disjoint_constant(
 
 
 def _check_c(c: float) -> float:
-    """The one rule for a two-disjoint constant: c >= 1, which every norm has."""
+    """The one rule for a two-disjoint constant: a number c >= 1, which every norm has."""
+    if isinstance(c, bool) or not isinstance(c, Real):
+        raise ValueError(f"two-disjoint constant c must be a number, got {c!r}")
     c = float(c)
     if not c >= 1.0:
         raise ValueError(f"two-disjoint constant c must be >= 1, got {c}")
@@ -301,11 +288,6 @@ def check_inf_chain(N: NormOracle, c: float, family) -> InfChainCheck:
         m=m,
         k=k,
     )
-
-
-def family_power_ratio(N: NormOracle, p: float, family) -> float:
-    """(fold of member norms^p)^(1/p) / N(sum), the lower-estimate ratio of a disjoint family."""
-    return _ratio(N, _check_p(p), _family_rows(family, N.dim))
 
 
 def _units(dim: int, atoms) -> np.ndarray:

@@ -51,6 +51,12 @@ __all__ = [
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
+# entries (rows x dim) per N.values call that stacks many rows: ``_packed``
+# bounds the stacked calls of ``renorm_batch`` and of the family scoring in
+# ``estimates`` by it, at any dim; ``audit_norm_axioms``' samples x dim arrays
+# stay outside it, as their caller sets their size
+_MAX_CALL_ENTRIES = 1 << 16
+
 
 class NormOracle(ABC):
     """A norm on vectors of a fixed atom count ``dim``."""
@@ -83,6 +89,24 @@ class NormOracle(ABC):
         return f"{type(self).__name__}({self.describe()})"
 
 
+def _packed(items, size):
+    """Runs of consecutive ``items`` whose ``size`` adds up to at most ``_MAX_CALL_ENTRIES``.
+
+    Each run is one ``N.values`` call; an item larger than the cap is a
+    run of its own.  The items are consumed a run at a time.
+    """
+    run, used = [], 0
+    for item in items:
+        n = size(item)
+        if run and used + n > _MAX_CALL_ENTRIES:
+            yield run
+            run, used = [], 0
+        run.append(item)
+        used += n
+    if run:
+        yield run
+
+
 def _q_value(q) -> float:
     """The one rule for a norm exponent: a number q >= 1, or "inf"."""
     if isinstance(q, str):
@@ -98,7 +122,9 @@ def _q_value(q) -> float:
 
 
 def _check_p(p: float) -> float:
-    """The one rule for a decomposition or estimate exponent: 1 <= p < infinity."""
+    """The one rule for a decomposition or estimate exponent: a number 1 <= p < infinity."""
+    if isinstance(p, bool) or not isinstance(p, Real):
+        raise ValueError(f"exponent p must be a number, got {p!r}")
     p = float(p)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"exponent must satisfy 1 <= p < infinity, got {p}")

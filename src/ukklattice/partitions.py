@@ -2,21 +2,18 @@
 
 A disjoint decomposition of a vector in a purely atomic lattice is, up
 to zero summands, exactly a set partition of its support.  This module
-supplies the combinatorial side: a canonical partition type, exhaustive
-enumeration in restricted-growth-string (RGS) order, and Bell numbers
-to budget that enumeration.
+supplies the combinatorial side: a canonical partition type and
+exhaustive enumeration in restricted-growth-string (RGS) order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "SupportPartition",
     "iter_set_partitions",
-    "bell_number",
 ]
 
 
@@ -120,16 +117,3 @@ def iter_set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...],
             blocks[label].append(item)
         yield tuple(tuple(blk) for blk in blocks)
 
-
-@lru_cache(maxsize=None)
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-set, via the Bell triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]

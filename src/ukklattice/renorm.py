@@ -44,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, report_dict
+from . import norms
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _packed, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
 from .vectors import LatticeVector, _family_rows, _rows
@@ -68,9 +69,6 @@ __all__ = [
 # Bell(12) = 4,213,597 partitions; the subset DP does 3^12/2 ~ 2.7e5
 # inner steps at this size, comfortably interactive.
 EXACT_THRESHOLD = 12
-
-# block rows per N.values call in renorm_batch; a larger group is split
-_MAX_BLOCK_ROWS = 1 << 16
 
 # the local search: random starts besides the one-block and all-singletons
 # partitions, ascent steps per start, random bipartitions per block per step
@@ -291,14 +289,16 @@ def renorm_batch(
     """Renorm of every row of ``X``: exact up to ``threshold``, local search above.
 
     ``X`` is a 2-d array of rows or a sequence of vectors.  Exact rows are
-    grouped by support size s and cut into chunks of at most 2^16 block
-    rows (K rows and their K * 2^s block rows; a lone row past the cap is
-    a chunk of its own).  Chunks are packed, in order of s, into
-    ``N.values`` calls of at most 2^16 block rows, written into one
-    buffer per call, so a batch of small supports makes one call.  This
-    bounds the memory of a call, and no row's value depends on the
-    packing.  Each chunk then runs the subset DP layered by popcount with
-    a batch axis over its K rows.  The DP is
+    grouped by support size s and cut into chunks whose block rows (K rows
+    and their K * 2^s block rows of dim entries) hold at most
+    ``norms._MAX_CALL_ENTRIES`` = 2^16 entries; a lone row past the cap is
+    a chunk of its own.  Chunks are packed, in order of s, by
+    ``norms._packed`` into ``N.values`` calls of at most that many
+    entries, written into one buffer per call, so a batch of small
+    supports makes one call.  This bounds the memory of a call at any
+    dim, and no row's value depends on the packing.  Each chunk then runs
+    the subset DP layered by popcount with a batch axis over its K rows.
+    The DP is
 
         g(S) = max over blocks B holding the smallest atom of S of
                term(B) + g(S \\ B),
@@ -320,19 +320,14 @@ def renorm_batch(
     methods = ["exact"] * n
     sources: list = [None] * n
 
-    # per N.values call, its chunks (s, rows); used starts full, so the first chunk opens a call
-    calls, used = [], _MAX_BLOCK_ROWS
-    for s in sorted(set(sizes[sizes <= threshold].tolist())):
-        rows = np.flatnonzero(sizes == s)
-        step = max(1, _MAX_BLOCK_ROWS >> s)
-        for lo in range(0, rows.size, step):
-            chunk = rows[lo : lo + step]
-            if used + (chunk.size << s) > _MAX_BLOCK_ROWS:
-                calls.append([])
-                used = 0
-            calls[-1].append((s, chunk))
-            used += chunk.size << s
-    for call in calls:
+    def chunks():  # (s, rows) of at most the cap's entries each, a lone larger row alone
+        for s in sorted(set(sizes[sizes <= threshold].tolist())):
+            rows = np.flatnonzero(sizes == s)
+            step = max(1, norms._MAX_CALL_ENTRIES // ((1 << s) * N.dim))
+            for lo in range(0, rows.size, step):
+                yield s, rows[lo : lo + step]
+
+    for call in _packed(chunks(), lambda chunk: (chunk[1].size << chunk[0]) * N.dim):
         Z = np.zeros((sum(rows.size << s for s, rows in call), N.dim))
         at, layout = 0, []  # per chunk: its block rows' slice of Z, rows, support atoms, DP tables
         for s, rows in call:

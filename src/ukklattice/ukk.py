@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "generate_bump_sequence",
     "Separation",
     "measure_separation",
-    "check_coordinatewise_convergence",
     "check_truncation_vanishing",
     "UkkTrial",
     "run_ukk_trial",
@@ -60,6 +60,8 @@ def ukk_modulus(epsilon: float, p: float) -> float:
     above 2 is impossible in the unit ball of the p-superadditive
     renorm, hence the domain cap.
     """
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real):
+        raise ValueError(f"separation must be a number, got {epsilon!r}")
     epsilon = float(epsilon)
     p = _check_p(p)
     if not 0.0 < epsilon <= 2.0:
@@ -145,24 +147,6 @@ def _tracks_settle(T: np.ndarray, tol: float) -> bool:
     return not np.any(moving[-1] & moving[:cutoff].any(axis=0))
 
 
-def check_coordinatewise_convergence(
-    sequence, declared_limit, tol: float = _TOL
-) -> bool:
-    """Finite-horizon coordinatewise convergence check.
-
-    A coordinate passes if its deviations from the limit stop before the
-    final element (it settled), or if they begin only in the final
-    quarter of the horizon (a bump still in flight).  A coordinate that
-    deviates early and still deviates at the end fails.  The limit, a
-    vector or a coordinate list, sets the length of every element.
-    """
-    limit = _rows([declared_limit], len(declared_limit))[0]
-    X = _rows(sequence, limit.size)
-    if not len(X):
-        raise ValueError("empty sequence")
-    return _tracks_settle(np.abs(X - limit), tol)
-
-
 def check_truncation_vanishing(
     u: LatticeVector,
     sequence,
@@ -174,7 +158,7 @@ def check_truncation_vanishing(
 
     Tracks N(truncate(u, x_n - limit)) and N(truncate(x_n - limit, u));
     both must fall and stay below tol within the horizon (same
-    settled-or-in-flight reading as the convergence check).  For
+    settled-or-in-flight reading as the trial's convergence rule).  For
     1-monotone norms this follows from coordinatewise convergence via
     the bound by twice the norm of |x_n - limit| meet |u|, with one
     finite-horizon caveat: when u overlaps atoms whose movement is

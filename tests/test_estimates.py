@@ -14,12 +14,11 @@ from ukklattice import (
     derived_exponent,
     estimate_lower_p_constant,
     estimate_two_disjoint_constant,
-    family_power_ratio,
     lower_r_constant,
     run_estimate_pipeline,
     verify_lower_r_estimate,
 )
-from ukklattice import estimates
+from ukklattice import estimates, norms
 from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
 from ukklattice.sampling import random_coords, random_disjoint_family
 from ukklattice.vectors import _rows
@@ -109,6 +108,23 @@ def test_lower_r_constant_validation():
             lower_r_constant(*bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda bad: derived_exponent(bad),
+    lambda bad: lower_r_constant(bad, 2.0, 4.0),
+    lambda bad: lower_r_constant(1.5, bad, 4.0),
+])
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.5", None, [1.5]])
+def test_constant_and_exponent_must_be_numbers(call, bad):
+    # float() used to take them: derived_exponent(True) gave 2.0, lower_r_constant("1.5", 2.0, 4.0) 2.55
+    with pytest.raises(ValueError, match="must be a number"):
+        call(bad)
+
+
+def test_numpy_scalar_constant_and_exponent_are_numbers():
+    assert derived_exponent(np.float64(1.2)) == derived_exponent(1.2)
+    assert lower_r_constant(np.float32(1.5), np.int64(2), 4.0) == lower_r_constant(1.5, 2.0, 4.0)
+
+
 def test_check_inf_chain_unit_atoms():
     N = LqNorm(2, 8)
     fam = [LatticeVector(np.eye(8)[i]) for i in range(4)]
@@ -137,18 +153,9 @@ def test_check_inf_chain_requires_disjoint():
         check_inf_chain(N, 1.5, [x, x])
 
 
-def test_family_power_ratio():
-    N = LqNorm(float("inf"), 4)
-    fam = [LatticeVector(np.eye(4)[i]) for i in range(4)]
+def test_lower_estimate_ratio_of_unit_family():
     # (4 * 1^2)^(1/2) / 1 = 2
-    assert family_power_ratio(N, 2.0, fam) == 2.0
-
-
-@pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
-def test_family_power_ratio_rejects_bad_exponent(p):
-    fam = [LatticeVector(np.eye(4)[i]) for i in range(2)]
-    with pytest.raises(ValueError):
-        family_power_ratio(LqNorm(2, 4), p, fam)
+    assert _ratio(LqNorm(float("inf"), 4), 2.0, np.eye(4)) == 2.0
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf])
@@ -222,12 +229,12 @@ def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
     N = counting_lq(2, 8)
     want = verify_lower_r_estimate(N, 5.0, 0.9, trials=200, seed=4)
     assert 0 < want < 200 and len(N.calls) == 1
-    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 16 * 8)  # 16 rows of dim 8
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 16 * 8)  # 16 rows of dim 8
     small = counting_lq(2, 8)
     assert verify_lower_r_estimate(small, 5.0, 0.9, trials=200, seed=4) == want
-    assert len(small.calls) > 1 and max(small.calls) <= 16 and sum(small.calls) == sum(N.calls)
+    assert len(small.calls) > 1 and max(small.entries) <= 16 * 8 and sum(small.calls) == sum(N.calls)
     # a family above the cap is scored alone
-    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 16 * 20)
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 16 * 20)
     lone = counting_lq(2, 20)
     family = np.eye(20)[:17]
     assert list(_lower_estimates(lone, 2.0, [family[:2], family, family[:3]])) == [
@@ -244,7 +251,7 @@ def test_families_are_built_a_batch_ahead(counting_lq, monkeypatch):
         (2.5, lambda N: repr(estimate_two_disjoint_constant(N, budget=40, seed=1))),
     ]
     want = [run(counting_lq(q, 10)) for q, run in runs]
-    monkeypatch.setattr(estimates, "_MAX_FAMILY_ENTRIES", 9 * 10)  # 3 unit pairs and their sums
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 9 * 10)  # 3 unit pairs and their sums
     unit_rows, built = estimates._units, []
 
     def units(dim, atoms):

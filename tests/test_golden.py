@@ -35,7 +35,6 @@ from ukklattice import (
     audit_equivalence,
     estimate_lower_p_constant,
     estimate_two_disjoint_constant,
-    family_power_ratio,
     parse_norm_spec,
     random_disjoint_pair,
     renorm_batch,
@@ -47,6 +46,7 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice.cli import main as cli_main
+from ukklattice.estimates import _ratio
 
 
 def _block(pairs: int) -> BlockNorm:
@@ -398,4 +398,4 @@ def test_pair_ratio_is_family_ratio_at_p1(space):
     rng = np.random.default_rng(8)
     for _ in range(200):
         x, y = random_disjoint_pair(rng, N.dim)
-        assert family_power_ratio(N, 1.0, [x, y]) == (N(x) + N(y)) / N(x + y)
+        assert _ratio(N, 1.0, np.stack([x.coords, y.coords])) == (N(x) + N(y)) / N(x + y)

@@ -1,16 +1,14 @@
 import pytest
 
-from ukklattice import SupportPartition, bell_number, iter_set_partitions
+from ukklattice import SupportPartition, iter_set_partitions
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877]  # set partitions of an n-set, n = 0..7
 
 
-def test_bell_numbers():
-    assert [bell_number(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(8))
 def test_enumeration_count_matches_bell(n):
     parts = list(iter_set_partitions(range(n)))
-    assert len(parts) == bell_number(n)
+    assert len(parts) == BELL[n]
     # no duplicates
     seen = {tuple(tuple(b) for b in p) for p in parts}
     assert len(seen) == len(parts)

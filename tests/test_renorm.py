@@ -20,7 +20,9 @@ from ukklattice import (
     renorm_batch,
     renorm_exact,
     renorm_heuristic,
+    verify_lower_r_estimate,
 )
+from ukklattice import norms
 from ukklattice.renorm import _mask_dtype, _random_cut
 from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
@@ -247,6 +249,13 @@ def test_rejects_bad_p():
         renorm_exact(N, float("inf"), x)
 
 
+@pytest.mark.parametrize("p", [True, np.bool_(True), "2", None])
+def test_batch_rejects_non_number_p(p):
+    # True used to run at p = 1
+    with pytest.raises(ValueError, match="exponent p must be a number"):
+        renorm_batch(LqNorm(2, 3), p, np.eye(3))
+
+
 @pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []]])
 def test_power_sum_rejects_blocks_that_do_not_partition_the_support(blocks):
     # overlapping blocks, a missed support atom, an atom off the support, an empty block
@@ -383,36 +392,55 @@ def _assert_rows_are_one_row_calls(N, p, X, batch):
 
 
 def test_batch_splits_large_groups(counting_lq):
-    # 17 rows at s = 12 make 17 * 2^12 = 69,632 block rows, past the 2^16 cap of one call
+    # 17 rows at s = 10 on dim 12 hold 2^10 * 12 = 12,288 entries each: five fit
+    # in the 2^16-entry cap of one call, so the group is split 5, 5, 5, 2
     N = counting_lq(3, 12)
     rng = np.random.default_rng(21)
-    X = np.stack([random_coords(rng, 12) for _ in range(17)])
+    X = np.stack([random_vector(rng, 12, 10).coords for _ in range(17)])
     batch = renorm_batch(N, 2.0, X)
-    assert N.calls == [1 << 16, 1 << 12]
+    assert N.calls == [5 << 10] * 3 + [2 << 10]
+    assert max(N.entries) <= norms._MAX_CALL_ENTRIES
     _assert_rows_are_one_row_calls(N, 2.0, X, batch)
 
 
 def test_batch_packs_every_support_size_into_one_values_call(counting_lq):
-    # support sizes 0 to 10, three rows each, in mixed order: 3 * (2^11 - 1) block rows
-    N = counting_lq(3, 12)
+    # support sizes 0 to 10, three rows each, in mixed order: 3 * (2^11 - 1) block
+    # rows of dim 10, 61,410 entries, within the cap of one call
+    N = counting_lq(3, 10)
     rng = np.random.default_rng(29)
     sizes = [s for _ in range(3) for s in (7, 0, 3, 10, 1, 5, 2, 9, 4, 8, 6)]
-    X = np.stack([random_vector(rng, 12, s).coords if s else np.zeros(12) for s in sizes])
+    X = np.stack([random_vector(rng, 10, s).coords if s else np.zeros(10) for s in sizes])
     batch = renorm_batch(N, 2.0, X)
     assert N.calls == [3 * ((1 << 11) - 1)]
     _assert_rows_are_one_row_calls(N, 2.0, X, batch)
 
 
-@pytest.mark.parametrize("small,calls", [(64, [1 << 16]), (65, [65 << 6, 15 << 12])])
+@pytest.mark.parametrize("small,calls", [(16, [(16 << 6) + (3 << 10)]), (17, [17 << 6, 3 << 10])])
 def test_batch_packs_chunks_up_to_the_cap(counting_lq, small, calls):
-    # 15 rows at s = 12 (61,440 block rows) share a call with 64 rows at s = 6, not with 65
-    N = counting_lq(2, 12)
+    # on dim 16, 3 rows at s = 10 (49,152 entries) share a call with 16 rows at
+    # s = 6 (1,024 entries each), which fills the 2^16-entry cap, but not with 17
+    N = counting_lq(2, 16)
     rng = np.random.default_rng(31)
-    X = np.stack([random_coords(rng, 12) for _ in range(15)]
-                 + [random_vector(rng, 12, 6).coords for _ in range(small)])
+    X = np.stack([random_vector(rng, 16, 10).coords for _ in range(3)]
+                 + [random_vector(rng, 16, 6).coords for _ in range(small)])
     batch = renorm_batch(N, 1.5, X)
     assert N.calls == calls
     _assert_rows_are_one_row_calls(N, 1.5, X, batch)
+
+
+def test_stacked_calls_stay_within_the_entries_cap(counting_lq):
+    # on dim 64 a row at s = 10 has 2^10 * 64 = 2^16 entries of block rows, so each
+    # is a call of its own (a row cap stacked all 40 in one 2.6M-entry call); a row
+    # at s = 11, 2^17 entries, is a lone chunk past the cap, the one exception
+    N = counting_lq(2, 64)
+    rng = np.random.default_rng(37)
+    X = np.stack([random_vector(rng, 64, s).coords for s in [10] * 40 + [11] * 2])
+    renorm_batch(N, 2.0, X)
+    assert N.entries == [1 << 16] * 40 + [1 << 17] * 2
+    # verify's families on dim 64 stack into several calls, each within the cap
+    N = counting_lq(2, 64)
+    verify_lower_r_estimate(N, 3.0, 1.0, trials=400, seed=1)
+    assert len(N.calls) > 1 and max(N.entries) <= norms._MAX_CALL_ENTRIES
 
 
 def test_batch_with_zero_rows_matches_scalar_bit_for_bit():

@@ -9,7 +9,6 @@ from ukklattice import (
     DimensionMismatch,
     LatticeVector,
     LqNorm,
-    check_coordinatewise_convergence,
     check_truncation_vanishing,
     generate_bump_sequence,
     measure_separation,
@@ -46,6 +45,14 @@ def test_modulus_validation():
     for p in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             ukk_modulus(1.0, p)
+    assert ukk_modulus(np.float64(1.0), np.int64(2)) == ukk_modulus(1.0, 2.0)  # numpy scalars are numbers
+
+
+@pytest.mark.parametrize("args", [(True, 2), ("1.0", 2), (None, 2), (1.0, True), (1.0, "2")])
+def test_modulus_takes_only_numbers(args):
+    # ukk_modulus("1.0", 2) used to return 0.134
+    with pytest.raises(ValueError, match="must be a number"):
+        ukk_modulus(*args)
 
 
 def test_bump_sequence_shape():
@@ -102,17 +109,21 @@ def test_separation_needs_two():
 
 
 def test_convergence_bump_and_constant():
+    # each bump deviates at its own element only: the earlier ones settle, the last is in flight
     N = LqNorm(2, 20)
     core = LatticeVector([0.8] + [0.0] * 19)
     seq = generate_bump_sequence(N, 2.0, core, bump_height=0.6, horizon=8)
-    assert check_coordinatewise_convergence(seq, core)
+    assert _tracks_settle(np.abs(np.stack([x.coords for x in seq]) - core.coords), 1e-9)
+    assert run_ukk_trial(N, 2.0, seq, core).valid
+    # a coordinate that deviates from the first element to the last does not converge
     e1 = LatticeVector.unit(3, 0)
-    assert not check_coordinatewise_convergence([e1] * 6, LatticeVector.zeros(3))
+    trial = run_ukk_trial(LqNorm(2, 3), 2.0, [e1] * 6, LatticeVector.zeros(3))
+    assert trial.reason == "coordinatewise convergence to the declared limit not established at this horizon"
 
 
 def test_convergence_one_over_n():
-    seq = [LatticeVector([1.0 / n, 0.0]) for n in range(1, 10_001)]
-    assert check_coordinatewise_convergence(seq, LatticeVector.zeros(2), tol=1e-3)
+    T = np.array([[1.0 / n, 0.0] for n in range(1, 10_001)])
+    assert _tracks_settle(T, 1e-3)
 
 
 def test_truncation_vanishing_cases():
@@ -241,7 +252,6 @@ def test_single_vector_arguments_accept_coordinate_lists():
     core = LatticeVector([0.8] + [0.0] * 19)
     seq = generate_bump_sequence(N, 2.0, core, bump_height=0.6, horizon=8)
     assert generate_bump_sequence(N, 2.0, core.to_list(), bump_height=0.6, horizon=8) == seq
-    assert check_coordinatewise_convergence(seq, core.to_list())
     u_core = LatticeVector([1.0] + [0.0] * 19)
     assert check_truncation_vanishing(u_core, seq, core.to_list(), N)
     assert run_ukk_trial(N, 2.0, seq, core.to_list()) == run_ukk_trial(N, 2.0, seq, core)
@@ -255,8 +265,6 @@ def test_wrong_dimension_limit_or_core_is_blamed_on_itself():
             run_ukk_trial(N, 2.0, seq, limit)
         with pytest.raises(DimensionMismatch, match="rows of 4 coordinates, a row"):
             check_truncation_vanishing(LatticeVector.zeros(4), seq, limit, N)
-        with pytest.raises(DimensionMismatch, match="rows of 3 coordinates"):
-            check_coordinatewise_convergence(seq, limit)  # no oracle: the limit sets the length
     for core in ([0.5] + [0.0] * 4, LatticeVector([0.5] + [0.0] * 4)):
         with pytest.raises(DimensionMismatch, match="rows of 6 coordinates, a row"):
             generate_bump_sequence(LqNorm(2, 6), 2.0, core, bump_height=0.5, horizon=2)
