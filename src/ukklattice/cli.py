@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, coordinate_arrays, count, known_fields, load_config, load_json, number_array
+from .config import ConfigError, coordinate_arrays, count, known_fields, load_config, number_array
 from .config import parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
 from .norms import _check_p, audit_norm_axioms
@@ -91,8 +91,8 @@ def _rejected_in(section: str):
         raise ConfigError(section, str(e)) from None
 
 
-def _add_common(sp: argparse.ArgumentParser, config_required: bool = True) -> None:
-    sp.add_argument("--config", required=config_required, help="path to the JSON experiment config")
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--config", required=True, help="path to the JSON experiment config")
     sp.add_argument("--seed", type=int, default=None, help="override the config seed")
     sp.add_argument("--out", default=None, help="directory for report files (default: stdout)")
 
@@ -150,46 +150,27 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
     return rec
 
 
-def _load_vector_file(path: str):
-    doc = load_json(path, "vector")
-    if isinstance(doc, list) and doc and not any(isinstance(v, list) for v in doc):
-        doc = [doc]  # one coordinate array
-    return coordinate_arrays(doc, path)
-
-
 def _cmd_renorm(args) -> int:
-    if args.space is not None:
-        # direct mode: --space --p --vector [--exact|--heuristic]
-        if args.p is None or args.vector is None:
-            raise ConfigError("renorm", "direct mode needs --space, --p and --vector together")
-        N = parse_norm_spec(load_json(args.space, "space"))
-        p, p_path = args.p, "--p"
-        vectors = _load_vector_file(args.vector)
-        mode = "exact" if args.exact else "heuristic" if args.heuristic else "auto"
-        seed = _resolve_seed(args, {"seed": 0})  # direct mode has no config; its seed defaults to 0
+    N, ren, seed = _setup(args, "renorm")
+    p = require(ren, "p", float, "config.renorm")
+    mode = require(ren, "mode", str, "config.renorm", "auto")
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
+    if "vectors" in ren:
+        vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
+    elif "random" in ren:
+        rnd = known_fields(require(ren, "random", dict, "config.renorm"), ("count", "support"), "config.renorm.random")
+        n = count(rnd, "count", "config.renorm.random", 10)
+        support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
+        rng = np.random.default_rng(seed)
+        with _rejected_in("config.renorm.random"):
+            vectors = [
+                random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
+                for _ in range(n)
+            ]
     else:
-        if args.config is None:
-            raise ConfigError("renorm", "provide --config, or --space/--p/--vector for direct mode")
-        N, ren, seed = _setup(args, "renorm")
-        p, p_path = require(ren, "p", float, "config.renorm"), "config.renorm.p"
-        mode = require(ren, "mode", str, "config.renorm", "auto")
-        if mode not in ("auto", "exact", "heuristic"):
-            raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
-        if "vectors" in ren:
-            vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
-        elif "random" in ren:
-            rnd = known_fields(require(ren, "random", dict, "config.renorm"), ("count", "support"), "config.renorm.random")
-            n = count(rnd, "count", "config.renorm.random", 10)
-            support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
-            rng = np.random.default_rng(seed)
-            with _rejected_in("config.renorm.random"):
-                vectors = [
-                    random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
-                    for _ in range(n)
-                ]
-        else:
-            vectors = []
-    with _rejected_in(p_path):
+        vectors = []
+    with _rejected_in("config.renorm.p"):
         _check_p(p)
 
     lines = [_dump(_renorm_one(N, p, v, mode, i, seed + i)) for i, v in enumerate(vectors)]
@@ -256,13 +237,7 @@ def main(argv=None) -> int:
     _add_common(sp)
 
     sp = sub.add_parser("renorm", help="evaluate the decomposition renorm on vectors")
-    _add_common(sp, config_required=False)
-    sp.add_argument("--space", default=None, help="norm spec JSON file (direct mode)")
-    sp.add_argument("--p", type=float, default=None, help="decomposition exponent (direct mode)")
-    sp.add_argument("--vector", default=None, help="JSON file with one or many coordinate arrays")
-    mx = sp.add_mutually_exclusive_group()
-    mx.add_argument("--exact", action="store_true", help="force exact enumeration")
-    mx.add_argument("--heuristic", action="store_true", help="force the local-search heuristic")
+    _add_common(sp)
 
     sp = sub.add_parser("ukk", help="run a separated-sequence trial campaign")
     _add_common(sp)

@@ -94,20 +94,15 @@ def known_fields(doc: dict, known, path: str) -> dict:
     return doc
 
 
-def load_json(path: str, what: str) -> Any:
-    """Parse a JSON input file; a missing file or bad JSON is a ConfigError on ``path``."""
+def load_config(path: str) -> dict:
+    """Read a JSON experiment config; a missing file, bad JSON or a non-object is a ConfigError on ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
-        raise ConfigError(path, f"{what} file not found") from None
+        raise ConfigError(path, "config file not found") from None
     except json.JSONDecodeError as e:
         raise ConfigError(path, f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
-
-
-def load_config(path: str) -> dict:
-    """Read a JSON experiment config; errors carry file and position."""
-    doc = load_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(path, "top-level config must be a JSON object")
     return doc

@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _packed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, report_dict
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
@@ -162,8 +162,7 @@ def estimate_two_disjoint_constant(
     """
     if N.dim < 2:
         raise ValueError("dim must be >= 2: no disjoint pair has both parts nonzero")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = _count(budget, "budget")
     rng = np.random.default_rng(seed)
     dim = N.dim
     unit_pairs = list(itertools.islice(itertools.combinations(range(dim), 2), min(128, budget)))
@@ -217,6 +216,8 @@ def lower_r_constant(c: float, p: float, r: float) -> float:
     """
     c = _check_c(c)
     p = _check_p(p)
+    if isinstance(r, bool) or not isinstance(r, Real):
+        raise ValueError(f"exponent r must be a number, got {r!r}")
     r = float(r)
     if not r > p:
         raise ValueError(f"need r > p for the series to converge, got r={r}, p={p}")
@@ -329,8 +330,7 @@ def estimate_lower_p_constant(
     equivalence audit).  Returns the best ratio and its witness family.
     """
     p = _check_p(p)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = _count(budget, "budget")
     rng = np.random.default_rng(seed)
     dim = N.dim
 
@@ -365,8 +365,7 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
     r = _check_p(r)
     if isinstance(K, bool) or not (isinstance(K, Real) and math.isfinite(K)):
         raise ValueError(f"K must be a finite number, got {K!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
     rng = np.random.default_rng(seed)
     dim = N.dim
 
@@ -425,7 +424,9 @@ def run_estimate_pipeline(
     if satisfied:
         p_derived = derived_exponent(c_hat)
         chosen_rs = rs if rs is not None else (p_derived + 1.0, p_derived + 2.0)
-        kr_table = [(float(r), lower_r_constant(c_hat, p_derived, float(r))) for r in chosen_rs]
+        for r in chosen_rs:
+            K = lower_r_constant(c_hat, p_derived, r)  # gates r before float() reads it
+            kr_table.append((float(r), K))
         C, witness = estimate_lower_p_constant(N, p_derived, budget=budget, seed=seed + 1)
         budgets["lower_p"] = budget
 

@@ -138,6 +138,14 @@ def _integer(v, what: str) -> int:
     return int(v)
 
 
+def _count(v, what: str) -> int:
+    """``v`` as a count of work: an ``_integer`` >= 1."""
+    n = _integer(v, what)
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+    return n
+
+
 def _spec_json(v):
     """A spec field's JSON form; exact type tests, commonest first, keep ``describe`` cheap."""
     if type(v) is int:
@@ -345,8 +353,7 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     within ``REL_TOL``, which the report carries as ``tol``.  Failures
     are reported, never raised.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _count(samples, "samples")
     rng = np.random.default_rng(seed)
     d = N.dim
     X = rng.standard_normal((samples, d))

@@ -51,16 +51,6 @@ class SupportPartition:
         canon = tuple(tuple(sorted(int(i) for i in blk)) for blk in blocks)
         return cls(tuple(sorted(canon, key=lambda blk: blk[0] if blk else -1)))
 
-    @classmethod
-    def trivial(cls, atoms: Iterable[int]) -> "SupportPartition":
-        """One block holding every atom; the empty partition for no atoms."""
-        atoms = tuple(sorted(int(i) for i in atoms))
-        return cls((atoms,) if atoms else ())
-
-    @classmethod
-    def singletons(cls, atoms: Iterable[int]) -> "SupportPartition":
-        return cls(tuple((int(i),) for i in sorted(atoms)))
-
     def atoms(self) -> frozenset[int]:
         return frozenset(i for blk in self.blocks for i in blk)
 

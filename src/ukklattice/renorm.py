@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _packed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
 from .vectors import LatticeVector, _family_rows, _rows
@@ -587,8 +587,8 @@ def audit_equivalence(
     p = _check_p(p)
     if isinstance(C, bool) or not (isinstance(C, Real) and math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a finite number > 0, got {C!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _count(samples, "samples")
+    max_support = _count(max_support, "max_support")
     rng = np.random.default_rng(seed)
     cap = min(max_support, N.dim, EXACT_THRESHOLD)
     xs = [random_vector(rng, N.dim, support_size=int(rng.integers(1, cap + 1))) for _ in range(samples)]

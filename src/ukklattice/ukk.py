@@ -31,7 +31,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, report_dict
+from .norms import NormOracle, _check_p, _count, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import LatticeVector, _rows, truncate
@@ -85,8 +85,7 @@ def generate_bump_sequence(
     offending index.  ``core`` is a vector or a coordinate list.
     """
     c = _rows([core], N.dim)[0]
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _count(horizon, "horizon")
     supp = np.flatnonzero(c)
     first_fresh = int(supp[-1]) + 1 if supp.size else 0
     if first_fresh + horizon > N.dim:
@@ -152,12 +151,11 @@ def check_truncation_vanishing(
     sequence,
     declared_limit,
     N: NormOracle,
-    tol: float = _TOL,
 ) -> bool:
     """Do both truncation norms vanish along the sequence?
 
     Tracks N(truncate(u, x_n - limit)) and N(truncate(x_n - limit, u));
-    both must fall and stay below tol within the horizon (same
+    both must fall and stay below ``_TOL`` within the horizon (same
     settled-or-in-flight reading as the trial's convergence rule).  For
     1-monotone norms this follows from coordinatewise convergence via
     the bound by twice the norm of |x_n - limit| meet |u|, with one
@@ -173,7 +171,7 @@ def check_truncation_vanishing(
     if not len(D):
         raise ValueError("empty sequence")
     tracks = [(N(truncate(u, d)), N(truncate(d, u))) for d in map(LatticeVector, D)]
-    return _tracks_settle(np.array(tracks), tol)
+    return _tracks_settle(np.array(tracks), _TOL)
 
 
 @dataclass
@@ -367,10 +365,8 @@ def run_bump_campaign(
     """
     if mode not in _TRIAL_KINDS:
         raise ValueError(f"unknown campaign mode {mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    trials = _count(trials, "trials")
+    horizon = _count(horizon, "horizon")
     rng = np.random.default_rng(seed)
     records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon) for t in range(trials)]
     valid = [t for t in records if t.valid]

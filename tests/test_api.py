@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -73,7 +74,8 @@ def test_star_import_matches_all():
 # tolerances (``tol`` of ``audit_norm_axioms``, ``generate_bump_sequence``,
 # ``run_bump_campaign``, ``run_ukk_trial``) and the scalar exact threshold
 # (``threshold`` of ``renorm``, ``renorm_exact``): no caller set them either,
-# and a record from a campaign at another ``tol`` did not replay to itself
+# and a record from a campaign at another ``tol`` did not replay to itself.
+# ``check_truncation_vanishing``'s ``tol`` went the same way: it reads ``ukk._TOL``
 SIGNATURES = {
     "BlockNorm": ("blocks", "inner", "outer"),
     "ConfigError": ("path", "message"),
@@ -107,7 +109,7 @@ SIGNATURES = {
     "audit_norm_axioms": ("N", "samples", "seed"),
     "check_inf_chain": ("N", "c", "family"),
     "check_superadditivity": ("N", "p", "x", "y"),
-    "check_truncation_vanishing": ("u", "sequence", "declared_limit", "N", "tol"),
+    "check_truncation_vanishing": ("u", "sequence", "declared_limit", "N"),
     "derived_exponent": ("c",),
     "disjoint_residuals": ("x", "y"),
     "estimate_lower_p_constant": ("N", "p", "budget", "seed"),
@@ -166,3 +168,25 @@ CLI_SECTIONS = {
 
 def test_cli_sections_match_inventory():
     assert cli._SECTIONS == CLI_SECTIONS
+
+
+# the option strings of each subcommand, read from its help, so that adding or
+# removing a CLI flag shows as an edit here; renorm's config-free mode
+# (``--space``, ``--p``, ``--vector``, ``--exact``, ``--heuristic``) was removed
+CLI_FLAGS = {
+    "space-check": ("-h", "--help", "--config", "--seed", "--out"),
+    "estimate": ("-h", "--help", "--config", "--seed", "--out"),
+    "renorm": ("-h", "--help", "--config", "--seed", "--out"),
+    "ukk": ("-h", "--help", "--config", "--seed", "--out"),
+}
+
+
+@pytest.mark.parametrize("command", CLI_FLAGS)
+def test_cli_flags_match_inventory(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.partition("\noptions:\n")[2]
+    assert options
+    flags = re.findall(r"(?<![\w-])--?[a-z][\w-]*", options)
+    assert tuple(dict.fromkeys(flags)) == CLI_FLAGS[command]

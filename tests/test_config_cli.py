@@ -314,53 +314,49 @@ def test_renorm_config_mode(tmp_path, capsys):
     assert lines[1]["value"] == 0.0
 
 
-def test_renorm_direct_mode(tmp_path, capsys):
-    space = write(tmp_path, "space.json", {"kind": "Lq", "q": "inf", "dim": 4})
-    vec = write(tmp_path, "vec.json", [3.0, -4.0, 0.0, 1.0])
-    assert main(["renorm", "--space", space, "--p", "2", "--vector", vec, "--exact"]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["method"] == "exact"
-    assert rec["value"] == pytest.approx((9 + 16 + 1) ** 0.5)
-
-
-def test_renorm_negative_seed_is_usage_error_in_both_modes(tmp_path, capsys):
-    space_doc = {"kind": "Lq", "q": 2, "dim": 4}
-    space = write(tmp_path, "space.json", space_doc)
-    vec = write(tmp_path, "vec.json", [1.0, 0.5, 0.0, 0.25])
-    cfg = write(tmp_path, "cfg.json", {"seed": 0, "space": space_doc, "renorm": {"p": 2, "vectors": [[1.0, 0.5, 0.0, 0.25]]}})
-    for argv in (["--space", space, "--p", "2", "--vector", vec], ["--config", cfg]):
-        assert main(["renorm", *argv, "--seed", "-3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--seed: seed must be a nonnegative integer" in captured.err
-
-
-@pytest.mark.parametrize("mode,p", [("direct", "0.5"), ("direct", "nan"), ("direct", "inf"), ("config", 0.5)])
-def test_renorm_bad_exponent_is_usage_error(tmp_path, capsys, mode, p):
-    space_doc = {"kind": "Lq", "q": 2, "dim": 4}
-    if mode == "direct":
-        vec = write(tmp_path, "vec.json", [1.0, 0.5, 0.0, 0.25])
-        argv, name = ["--space", write(tmp_path, "space.json", space_doc), "--p", p, "--vector", vec], "--p"
-    else:
-        doc = {"seed": 0, "space": space_doc, "renorm": {"p": p, "vectors": [[1.0, 0.5, 0.0, 0.25]]}}
-        argv, name = ["--config", write(tmp_path, "cfg.json", doc)], "config.renorm.p"
-    assert main(["renorm", *argv]) == 2
+def test_renorm_negative_seed_is_usage_error(tmp_path, capsys):
+    doc = {"seed": 0, "space": {"kind": "Lq", "q": 2, "dim": 4}, "renorm": {"p": 2, "vectors": [[1.0, 0.5, 0.0, 0.25]]}}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc), "--seed", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {name}: ")
+    assert "--seed: seed must be a nonnegative integer" in captured.err
 
 
-def test_renorm_direct_mode_needs_all_flags(tmp_path, capsys):
-    space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 4})
-    assert main(["renorm", "--space", space]) == 2
+# json writes nan and inf as NaN and Infinity, which the config reader parses
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf")])
+def test_renorm_bad_exponent_is_usage_error(tmp_path, capsys, p):
+    doc = {"seed": 0, "space": {"kind": "Lq", "q": 2, "dim": 4}, "renorm": {"p": p, "vectors": [[1.0, 0.5, 0.0, 0.25]]}}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config.renorm.p: ")
 
 
 def test_renorm_oversized_support_reported_in_record(tmp_path, capsys):
-    space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 16})
-    vec = write(tmp_path, "vec.json", [1.0] * 16)
-    assert main(["renorm", "--space", space, "--p", "2", "--vector", vec, "--exact"]) == 0
+    doc = {"seed": 0, "space": {"kind": "Lq", "q": 2, "dim": 16}, "renorm": {"p": 2, "mode": "exact", "vectors": [[1.0] * 16]}}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert "error" in rec
+    assert rec["error"].startswith("support size 16 exceeds")
+    assert rec["vector"] == [1.0] * 16
+
+
+# renorm's config-free mode (--space/--p/--vector with --exact or --heuristic) was
+# removed: every subcommand reads one config, and argparse rejects the old flags
+@pytest.mark.parametrize("flag", [["--space", "space.json"], ["--p", "2"], ["--vector", "vec.json"], ["--exact"], ["--heuristic"]])
+def test_removed_renorm_flags_are_usage_errors(tmp_path, capsys, flag):
+    cfg = write(tmp_path, "cfg.json", BASE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["renorm", "--config", cfg, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["space-check", "estimate", "renorm", "ukk"])
+def test_config_flag_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 def test_ukk_outputs(tmp_path):
@@ -460,14 +456,6 @@ def test_misspelt_top_level_section_is_exit_2(tmp_path, capsys, command):
     doc = {**BASE_CFG, "audti": {"samples": 5}}
     assert main([command, "--config", write(tmp_path, "cfg.json", doc)]) == 2
     assert "config: unknown field(s): audti" in capsys.readouterr().err
-
-
-def test_renorm_direct_mode_rejects_non_numeric_vector(tmp_path, capsys):
-    space = write(tmp_path, "space.json", {"kind": "Lq", "q": 2, "dim": 3})
-    for bad in (["a", 1, 0], [[1.0, 0.0, 0.0], [False, 1, 0]]):
-        vec = write(tmp_path, "vec.json", bad)
-        assert main(["renorm", "--space", space, "--p", "2", "--vector", vec]) == 2
-        assert "vec.json" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

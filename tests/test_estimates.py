@@ -112,6 +112,7 @@ def test_lower_r_constant_validation():
     lambda bad: derived_exponent(bad),
     lambda bad: lower_r_constant(bad, 2.0, 4.0),
     lambda bad: lower_r_constant(1.5, bad, 4.0),
+    lambda bad: lower_r_constant(1.5, 2.0, bad),
 ])
 @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.5", None, [1.5]])
 def test_constant_and_exponent_must_be_numbers(call, bad):
@@ -123,6 +124,14 @@ def test_constant_and_exponent_must_be_numbers(call, bad):
 def test_numpy_scalar_constant_and_exponent_are_numbers():
     assert derived_exponent(np.float64(1.2)) == derived_exponent(1.2)
     assert lower_r_constant(np.float32(1.5), np.int64(2), 4.0) == lower_r_constant(1.5, 2.0, 4.0)
+    assert lower_r_constant(1.5, 2.0, np.float64(4.0)) == lower_r_constant(1.5, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("bad", ["5", None, True])
+def test_pipeline_rs_must_be_numbers(bad):
+    # run_estimate_pipeline(N, rs=("5",)) used to report a kr_table row
+    with pytest.raises(ValueError, match="exponent r must be a number"):
+        run_estimate_pipeline(LqNorm(2, 6), budget=10, rs=(bad,))
 
 
 def test_check_inf_chain_unit_atoms():

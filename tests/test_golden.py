@@ -204,19 +204,6 @@ def test_cli_report_unchanged(tmp_path, case, name):
     assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[case, name]
 
 
-@pytest.mark.parametrize("flag,mode", [("--exact", "exact"), ("--heuristic", "heuristic"), (None, "auto")])
-def test_cli_direct_mode_matches_config_mode(tmp_path, flag, mode):
-    """``--space/--p/--vector`` with the config's seed writes the config mode's file."""
-    space, vec = tmp_path / "space.json", tmp_path / "vec.json"
-    space.write_text(json.dumps(_block(8).describe()), encoding="utf-8")
-    vec.write_text(json.dumps(_mode_vectors()), encoding="utf-8")
-    argv = ["renorm", "--space", str(space), "--p", "3", "--vector", str(vec), "--seed", "4",
-            "--out", str(tmp_path / "out"), *([flag] if flag else [])]
-    assert cli_main(argv) == 0
-    blob = (tmp_path / "out" / "renorm.jsonl").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == CLI_DIGESTS[f"renorm:{mode}", "renorm.jsonl"]
-
-
 TIES_DIGEST = "af87a7454026b9eca3dfeea7f7539b5e460b7b92a058d9bd4fc32fd586f4cef8"
 
 

@@ -10,9 +10,15 @@ from ukklattice import (
     LqNorm,
     PosNegMaxNorm,
     WeightedLqNorm,
+    audit_equivalence,
     audit_norm_axioms,
+    estimate_lower_p_constant,
+    estimate_two_disjoint_constant,
+    generate_bump_sequence,
     neg_part,
     pos_part,
+    run_bump_campaign,
+    verify_lower_r_estimate,
 )
 
 
@@ -139,6 +145,36 @@ def test_numpy_integers_are_sizes_and_atoms():
     assert described == [[1, 0], [2]]
     assert all(type(i) is int for b in described for i in b)
     assert blk(LatticeVector([1.0, -2.0, 4.0])) == 7.0
+
+
+_N6 = LqNorm(2, 6)
+# (argument, a call taking it): every count of work passes ``norms._count``
+COUNT_CALLS = [
+    ("samples", lambda v: audit_norm_axioms(_N6, samples=v)),
+    ("samples", lambda v: audit_equivalence(_N6, 2.0, 1.5, samples=v)),
+    ("max_support", lambda v: audit_equivalence(_N6, 2.0, 1.5, samples=3, max_support=v)),
+    ("budget", lambda v: estimate_two_disjoint_constant(_N6, budget=v)),
+    ("budget", lambda v: estimate_lower_p_constant(_N6, 2.0, budget=v)),
+    ("trials", lambda v: verify_lower_r_estimate(_N6, 3.0, 2.0, trials=v)),
+    ("trials", lambda v: run_bump_campaign(_N6, 2.0, v, horizon=2)),
+    ("horizon", lambda v: run_bump_campaign(_N6, 2.0, 1, horizon=v)),
+    ("horizon", lambda v: generate_bump_sequence(_N6, 2.0, [0.1] + [0.0] * 5, 0.2, horizon=v)),
+]
+
+
+@pytest.mark.parametrize("name,call", COUNT_CALLS)
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 2.5, 2.0, "3", None, 0, -1])
+def test_counts_are_integers_from_one(name, call, bad):
+    # a bool used to run as 1 (or 0), a float to raise TypeError
+    rule = "must be >= 1" if type(bad) is int else "must be an integer"
+    with pytest.raises(ValueError, match=f"^{name} {rule}"):
+        call(bad)
+
+
+def test_numpy_integer_counts_are_reported_as_ints():
+    audit = audit_equivalence(_N6, 2.0, 1.5, samples=np.int64(3), max_support=np.int32(2))
+    assert (audit.samples, audit.max_support) == (3, 2)
+    assert type(audit.samples) is int and type(audit.max_support) is int
 
 
 @pytest.mark.parametrize(

@@ -40,13 +40,6 @@ def test_partition_rejects_overlap_and_empty():
         SupportPartition.from_blocks([[1], []])
 
 
-def test_trivial_and_singletons():
-    t = SupportPartition.trivial([4, 1, 8])
-    assert t.to_lists() == [[1, 4, 8]]
-    s = SupportPartition.singletons([4, 1, 8])
-    assert s.to_lists() == [[1], [4], [8]]
-
-
 def test_is_partition_of():
     p = SupportPartition.from_blocks([[0, 1], [3]])
     assert p.is_partition_of((0, 1, 3))
