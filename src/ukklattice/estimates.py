@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, report_dict
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
@@ -180,9 +180,7 @@ def estimate_two_disjoint_constant(
 
 def _check_c(c: float) -> float:
     """The one rule for a two-disjoint constant: a number c >= 1, which every norm has."""
-    if isinstance(c, bool) or not isinstance(c, Real):
-        raise ValueError(f"two-disjoint constant c must be a number, got {c!r}")
-    c = float(c)
+    c = _real(c, "two-disjoint constant c")
     if not c >= 1.0:
         raise ValueError(f"two-disjoint constant c must be >= 1, got {c}")
     return c
@@ -216,9 +214,7 @@ def lower_r_constant(c: float, p: float, r: float) -> float:
     """
     c = _check_c(c)
     p = _check_p(p)
-    if isinstance(r, bool) or not isinstance(r, Real):
-        raise ValueError(f"exponent r must be a number, got {r!r}")
-    r = float(r)
+    r = _real(r, "exponent r")
     if not r > p:
         raise ValueError(f"need r > p for the series to converge, got r={r}, p={p}")
     s = r / p
@@ -413,6 +409,9 @@ def run_estimate_pipeline(
     ``hypothesis_satisfied = False`` and the derived quantities are
     None; that is a finding, not an error.
     """
+    if not (rs is None or isinstance(rs, (list, tuple))):  # gated before the search, r > p once p is known
+        raise ValueError(f"rs must be None or a list or tuple of exponents r, got {rs!r}")
+    rs = None if rs is None else [_real(r, "exponent r") for r in rs]
     c_hat, c_witness = estimate_two_disjoint_constant(N, budget=budget, seed=seed)
     budgets = {"two_disjoint": budget}
     satisfied = c_hat < 2.0 - HYPOTHESIS_MARGIN
@@ -425,8 +424,7 @@ def run_estimate_pipeline(
         p_derived = derived_exponent(c_hat)
         chosen_rs = rs if rs is not None else (p_derived + 1.0, p_derived + 2.0)
         for r in chosen_rs:
-            K = lower_r_constant(c_hat, p_derived, r)  # gates r before float() reads it
-            kr_table.append((float(r), K))
+            kr_table.append((r, lower_r_constant(c_hat, p_derived, r)))
         C, witness = estimate_lower_p_constant(N, p_derived, budget=budget, seed=seed + 1)
         budgets["lower_p"] = budget
 

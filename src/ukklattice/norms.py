@@ -121,11 +121,16 @@ def _q_value(q) -> float:
     return qf
 
 
+def _real(v, what: str) -> float:
+    """``v`` as a float: any ``Real`` (a Python or NumPy number, inf and nan too), never a bool or string."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
 def _check_p(p: float) -> float:
     """The one rule for a decomposition or estimate exponent: a number 1 <= p < infinity."""
-    if isinstance(p, bool) or not isinstance(p, Real):
-        raise ValueError(f"exponent p must be a number, got {p!r}")
-    p = float(p)
+    p = _real(p, "exponent p")
     if not 1.0 <= p < math.inf:
         raise ValueError(f"exponent must satisfy 1 <= p < infinity, got {p}")
     return p

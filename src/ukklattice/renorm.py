@@ -398,6 +398,13 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
     canonical right fold of its block terms, and the step takes the first
     candidate in move order with the largest total, if that total is
     strictly above the current one; otherwise the start is done.
+
+    One block table serves the search: ``ids`` maps a mask (a Python int,
+    so any support size works) to an id, which keeps the mask, term and
+    lowest atom and, once the block is current, its atom list and its
+    ``flips`` row, its ids with each atom toggled (-1 before).  Id 0 is the
+    empty pad: term 0.0, lowest atom s, the singletons as flips.  The arrays
+    grow by doubling: growing them per call would copy flips every step.
     """
     supp = np.flatnonzero(a)
     s = int(supp.size)
@@ -406,32 +413,33 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
     vals = a[None, supp]
     rng = np.random.default_rng(seed)
 
-    # the block table: mask -> id, with the term and lowest atom of each id;
-    # id 0 is the empty pad, whose term adds nothing and which sorts last
-    ids = {0: 0}
-    masks = [0]
-    term = np.zeros(1)
-    low = np.array([s])
+    ids, masks, atoms = {0: 0}, [0], {}
+    term, low, flips = np.zeros(1), np.array([s]), np.full((1, s), -1, dtype=np.intp)
     width = (s + 7) // 8
+    # row o, cut to k + 1 columns: block o of k, then its atoms' targets (each other block, then the pad k)
+    targets = np.array([[o, *range(o), *range(o + 1, s + 1)] for o in range(s)], dtype=np.intp)
 
     def index(blocks: list) -> np.ndarray:
         """Ids of ``blocks``; the masks not seen before go through one N.values call."""
-        nonlocal term, low
-        got = list(map(ids.get, blocks))
-        if None in got:
-            fresh = list(dict.fromkeys(B for B, i in zip(blocks, got) if i is None))
-            ids.update(zip(fresh, range(len(masks), len(masks) + len(fresh))))
+        nonlocal term, low, flips
+        fresh = [B for B in dict.fromkeys(blocks) if B not in ids]
+        if fresh:
+            n0, n = len(masks), len(masks) + len(fresh)
+            ids.update(zip(fresh, range(n0, n)))
             masks.extend(fresh)
-            buf = np.frombuffer(b"".join(B.to_bytes(width, "little") for B in fresh), dtype=np.uint8)
-            bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little").astype(bool)
-            term = np.concatenate([term, _mask_terms(N, p, vals, supp[None], bits)[:, 0]])
-            low = np.concatenate([low, bits.argmax(axis=1)])
-            got = list(map(ids.get, blocks))
-        return np.array(got, dtype=np.intp)
+            if n > len(term):  # grow by at least double
+                term, low, flips = (np.concatenate([t, np.full((max(n, len(t)), *t.shape[1:]), -1, t.dtype)])
+                                    for t in (term, low, flips))
+            buf = np.frombuffer(b"".join([B.to_bytes(width, "little") for B in fresh]), dtype=np.uint8)
+            bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little")
+            term[n0:n] = _mask_terms(N, p, vals, supp[None], bits)[:, 0]
+            low[n0:n] = bits.argmax(axis=1)
+        return np.fromiter(map(ids.__getitem__, blocks), np.intp, len(blocks))
 
     # random restarts: each atom after the first joins one of the blocks so
     # far or opens the next one, uniformly
-    starts = [[(1 << s) - 1], [1 << j for j in range(s)]]
+    ones = [1 << j for j in range(s)]
+    starts = [[(1 << s) - 1], ones]
     for _ in range(_RESTARTS):
         parts = [1]
         for j in range(1, s):
@@ -441,55 +449,54 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
             parts[lab] |= 1 << j
         starts.append(parts)
 
-    # flips[i][j]: the id of block i with atom j toggled; flips[0] holds the
-    # singletons, evaluated in one call with the blocks of every start
-    flips = {0: index([*(1 << j for j in range(s)), *(B for part in starts for B in part)])[:s]}
-    best_total = -1.0
-    best: list[int] = []
+    # the singletons and the blocks of every start in one call (which may grow flips first)
+    flips[0] = index([*ones, *(B for part in starts for B in part)])[:s]
+    best_total, best = -1.0, []
     for start in starts:
         cur = index(sorted(start, key=lambda B: B & -B)).tolist()
         cur_total = fold_terms(term[cur].tolist())
         for _ in range(_MAX_ITERS):
             k = len(cur)
-            cm = [masks[i] for i in cur]
-            blocks = [[j for j in range(s) if B >> j & 1] for B in cm]
-            multi = [bi for bi, a in enumerate(blocks) if len(a) > 1]
+            need = [i for i in cur if i not in atoms]  # first current: list its atoms, evaluate its flips
+            atoms.update((i, [j for j in range(s) if masks[i] >> j & 1]) for i in need)
+            blocks = [atoms[i] for i in cur]
+            multi = [bi for bi, b in enumerate(blocks) if len(b) > 1]
             # the blocks each merge or cut takes out (ids) and puts in (masks);
             # merging a singleton repeats an earlier move of its atom, so only
             # merges of two multi-atom blocks can be a step
             tail, halves = [], []
-            for a, b in combinations(multi, 2):
-                tail.append((cur[a], cur[b]))
-                halves += [cm[a] | cm[b], 0]
+            for x, y in combinations(multi, 2):
+                tail += [cur[x], cur[y]]
+                halves += [masks[cur[x]] | masks[cur[y]], 0]
             for bi in multi:
                 for _ in range(_CUT_ATTEMPTS):
-                    r = _random_cut(rng, len(blocks[bi]))
-                    sub = sum(1 << j for pos, j in enumerate(blocks[bi]) if r >> pos & 1)
-                    tail.append((cur[bi], 0))
-                    halves += [sub, cm[bi] ^ sub]
-            need = [i for i in cur if i not in flips]
-            got = index([*(masks[i] ^ (1 << j) for i in need for j in range(s)), *halves])
-            flips.update(zip(need, got[: len(need) * s].reshape(len(need), s)))
+                    r, sub = _random_cut(rng, len(blocks[bi])), 0
+                    while r:  # bit pos of r puts atom pos of the block in sub
+                        sub |= 1 << blocks[bi][(r & -r).bit_length() - 1]
+                        r &= r - 1
+                    tail += [cur[bi], 0]
+                    halves += [sub, masks[cur[bi]] ^ sub]
+            got = index([*(masks[i] ^ b for i in need for b in ones), *halves])
+            flips[need] = got[: len(need) * s].reshape(len(need), s)
             # A candidate takes two blocks out of the current partition and puts
             # two in, the pad standing in for a missing one.  Per atom in block
             # order, the atom moves to each other block in turn and then to the
             # pad, which splits it off; then come the merges, then the cuts.
+            # Row t of ends is atom t's block and its k targets, of toggled those with atom t toggled.
             ext = np.array([*cur, 0])
-            owner = np.repeat(np.arange(k), [len(a) for a in blocks])[:, None]
-            # per atom: its k targets (each other block, then the pad) and each block with it toggled
-            tgt = np.arange(k) + (np.arange(k) >= owner)
-            flip = np.stack([flips[i] for i in ext], axis=1)[[j for a in blocks for j in a]]
-            out = np.concatenate([
-                np.stack([np.broadcast_to(ext[owner], (s, k)), ext[tgt]], axis=2).reshape(-1, 2),
-                np.array(tail, dtype=np.intp).reshape(-1, 2)])
-            put = np.concatenate([
-                np.stack([np.broadcast_to(flip[np.arange(s), owner[:, 0], None], (s, k)),
-                          np.take_along_axis(flip, tgt, axis=1)], axis=2).reshape(-1, 2),
-                got[len(need) * s :].reshape(-1, 2)])
+            ends = np.repeat(ext[targets[:k, : k + 1]], [len(b) for b in blocks], axis=0)
+            toggled = flips[ends, np.array([j for b in blocks for j in b])[:, None]]
+            sk, m = s * k, s * k + len(tail) // 2
+            out, put = np.empty((m, 2), dtype=np.intp), np.empty((m, 2), dtype=np.intp)
+            for arr, src in ((out, ends), (put, toggled)):
+                moves = arr[:sk].reshape(s, k, 2)
+                moves[:, :, 0] = src[:, :1]
+                moves[:, :, 1] = src[:, 1:]
+            out.reshape(-1)[2 * sk :], put.reshape(-1)[2 * sk :] = tail, got[len(need) * s :]
             # the canonical fold, with each block term in the row of its lowest atom
-            at = np.arange(len(out))[:, None]
-            grid = np.zeros((s + 1, len(out)))
-            grid[low[cur]] = term[cur, None]
+            at = np.arange(m)[:, None]
+            grid = np.zeros((s + 1, m))
+            grid[low[ext[:k]]] = term[ext[:k], None]
             grid[low[out], at] = 0.0
             grid[low[put], at] = term[put]
             totals = fold_terms(grid)
@@ -501,9 +508,9 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
             cur_total = float(totals[pick])
         if cur_total > best_total:
             best_total = cur_total
-            best = [masks[i] for i in cur]
+            best = cur
 
-    return best_total, SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
+    return best_total, SupportPartition(tuple(tuple(supp[atoms[i]].tolist()) for i in best))
 
 
 def renorm(N: NormOracle, p: float, x: LatticeVector, seed: int = 0) -> RenormResult:

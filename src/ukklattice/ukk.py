@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, _count, report_dict
+from .norms import NormOracle, _check_p, _count, _real, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import LatticeVector, _rows, truncate
@@ -60,9 +59,7 @@ def ukk_modulus(epsilon: float, p: float) -> float:
     above 2 is impossible in the unit ball of the p-superadditive
     renorm, hence the domain cap.
     """
-    if isinstance(epsilon, bool) or not isinstance(epsilon, Real):
-        raise ValueError(f"separation must be a number, got {epsilon!r}")
-    epsilon = float(epsilon)
+    epsilon = _real(epsilon, "separation")
     p = _check_p(p)
     if not 0.0 < epsilon <= 2.0:
         raise ValueError(f"separation must lie in (0, 2], got {epsilon}")

@@ -134,6 +134,29 @@ def test_pipeline_rs_must_be_numbers(bad):
         run_estimate_pipeline(LqNorm(2, 6), budget=10, rs=(bad,))
 
 
+@pytest.mark.parametrize("q", [2, math.inf])
+@pytest.mark.parametrize("rs,match", [
+    (5.0, "rs must be None or a list or tuple"),
+    ("ab", "rs must be None or a list or tuple"),
+    (np.array([3.0]), "rs must be None or a list or tuple"),
+    ((3.0, "a"), "exponent r must be a number"),
+    ([True], "exponent r must be a number"),
+])
+def test_pipeline_rs_is_checked_before_the_search(counting_lq, q, rs, match):
+    # a bad rs used to fail only after the whole c search, or, where the
+    # hypothesis fails (q = inf), never; now no norm call is made
+    N = counting_lq(q, 6)
+    with pytest.raises(ValueError, match=match):
+        run_estimate_pipeline(N, budget=10, rs=rs)
+    assert N.calls == []
+
+
+def test_pipeline_rs_takes_numbers_and_inf():
+    rep = run_estimate_pipeline(LqNorm(2, 6), budget=10, rs=[5, np.float64(6.0), math.inf])
+    assert [r for r, _ in rep.kr_table] == [5.0, 6.0, math.inf]
+    assert all(type(r) is float for r, _ in rep.kr_table)
+
+
 def test_check_inf_chain_unit_atoms():
     N = LqNorm(2, 8)
     fam = [LatticeVector(np.eye(8)[i]) for i in range(4)]

@@ -511,3 +511,31 @@ def test_heuristic_beyond_64_atoms():
     assert res.method == "heuristic"
     assert res.value >= N(x)
     assert partition_power_sum(N, 2.0, x, res.witness.to_lists()) == res.power_sum
+    # bit for bit as recorded, past the int64 cut draw and with masks wider than 63 bits
+    assert (res.value.hex(), res.power_sum.hex()) == ("0x1.385686369307bp+2", "0x1.7d130463796abp+4")
+    assert res.witness.to_lists() == [[j] for j in range(64)]
+
+
+def test_heuristic_on_70_signed_atoms_is_pinned():
+    # the byte cut draw of _random_cut on a 70-atom row, value and witness as recorded
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.1, 1, 70) * np.where(rng.random(70) < 0.5, -1.0, 1.0)
+    res = renorm_heuristic(PosNegMaxNorm(LqNorm(1.5, 70)), 2.0, x, seed=1)
+    assert (res.value.hex(), res.power_sum.hex()) == ("0x1.1ea7e08bae34bp+3", "0x1.40fb87ced46fbp+6")
+    first = [0, 1, 2, 3, 9, 13, 14, 15, 17, 18, 20, 22, 23, 24, 25, 26, 31, 32, 35, 37, 40, 46, 47,
+             48, 49, 50, 51, 52, 53, 54, 59, 61, 62, 66, 69]
+    assert res.witness.to_lists() == [first, sorted(set(range(70)) - set(first))]
+
+
+def test_heuristic_work_is_pinned(counting_lq):
+    # the rows of every N.values call of one s = 20 search, as recorded: a search
+    # that evaluated a block twice or skipped one would change this list
+    rng = np.random.default_rng(5)
+    x = np.zeros(24)
+    x[rng.choice(24, 20, replace=False)] = rng.uniform(0.1, 1, 20)
+    N = counting_lq(3, 24)
+    res = renorm_heuristic(N, 2.0, x, seed=0)
+    assert res.value.hex() == "0x1.61de3e0142043p+1"
+    assert N.calls == [39, 26, 52, 54, 52, 49, 44, 43, 42, 29, 35, 33, 20, 27, 35, 25, 22, 20, 6, 4,
+                       103, 46, 25, 41, 21, 21, 19, 17, 17, 84, 23, 21, 21, 19, 17, 18, 15, 15, 14, 16,
+                       62, 45, 26, 23, 18, 18, 15, 13, 13, 12, 113, 27, 24, 19, 18, 17, 12, 13]
