@@ -508,9 +508,9 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
             cur_total = float(totals[pick])
         if cur_total > best_total:
             best_total = cur_total
-            best = cur
+            best = [masks[i] for i in cur]  # masks: a last accepted step's blocks have no atom list
 
-    return best_total, SupportPartition(tuple(tuple(supp[atoms[i]].tolist()) for i in best))
+    return best_total, SupportPartition(tuple(tuple(int(supp[j]) for j in range(s) if B >> j & 1) for B in best))
 
 
 def renorm(N: NormOracle, p: float, x: LatticeVector, seed: int = 0) -> RenormResult:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -525,6 +526,20 @@ def test_heuristic_on_70_signed_atoms_is_pinned():
     first = [0, 1, 2, 3, 9, 13, 14, 15, 17, 18, 20, 22, 23, 24, 25, 26, 31, 32, 35, 37, 40, 46, 47,
              48, 49, 50, 51, 52, 53, 54, 59, 61, 62, 66, 69]
     assert res.witness.to_lists() == [first, sorted(set(range(70)) - set(first))]
+
+
+@pytest.mark.parametrize("iters", [1, 2])
+def test_heuristic_witness_when_every_start_ends_on_a_step(monkeypatch, iters):
+    # every start uses up its steps on an accepted move, so the witness holds
+    # blocks that only that last move made current
+    monkeypatch.setattr(sys.modules["ukklattice.renorm"], "_MAX_ITERS", iters)
+    rng = np.random.default_rng(3)
+    x = LatticeVector(rng.uniform(0.1, 1, 70) * np.where(rng.random(70) < 0.5, -1.0, 1.0))
+    N = PosNegMaxNorm(LqNorm(1.5, 70))
+    res = renorm_heuristic(N, 2.0, x, seed=1)
+    blocks = res.witness.to_lists()
+    assert sorted(j for b in blocks for j in b) == list(range(70))
+    assert partition_power_sum(N, 2.0, x, blocks) == res.power_sum
 
 
 def test_heuristic_work_is_pinned(counting_lq):
