@@ -91,17 +91,15 @@ def _rejected_in(section: str):
         raise ConfigError(section, str(e)) from None
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", required=True, help="path to the JSON experiment config")
-    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument("--out", default=None, help="directory for report files (default: stdout)")
+def _given(doc: dict, *skip: str) -> dict:
+    """A section's fields less ``skip`` and null ones, which take the library's default, as keyword arguments."""
+    return {k: v for k, v in doc.items() if v is not None and k not in skip}
 
 
 def _cmd_space_check(args) -> int:
     N, audit_cfg, seed = _setup(args, "audit", {})
-    samples = require(audit_cfg, "samples", int, "config.audit", 10_000)
     with _rejected_in("config.audit"):
-        report = audit_norm_axioms(N, samples=samples, seed=seed)
+        report = audit_norm_axioms(N, seed=seed, **_given(audit_cfg))
     doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
     _write(args.out, "space_check.json", _dump(doc) + "\n")
     return 0 if report.passed else 1
@@ -109,14 +107,12 @@ def _cmd_space_check(args) -> int:
 
 def _cmd_estimate(args) -> int:
     N, est, seed = _setup(args, "estimate", {})
-    budget = require(est, "budget", int, "config.estimate", 400)
-    rs = require(est, "rs", list, "config.estimate", None)
-    if rs is not None:
-        rs = tuple(float(r) for r in number_array(rs, "config.estimate.rs"))
+    if est.get("rs") is not None:  # checked here, so that its messages name the field
+        number_array(require(est, "rs", list, "config.estimate"), "config.estimate.rs")
     verify_trials = count(est, "verify_trials", "config.estimate", 1000)
 
     with _rejected_in("config.estimate"):
-        report = run_estimate_pipeline(N, budget=budget, seed=seed, rs=rs)
+        report = run_estimate_pipeline(N, seed=seed, **_given(est, "verify_trials"))
     violations = 0
     verified = 0
     if report.hypothesis_satisfied and verify_trials > 0:
@@ -152,22 +148,25 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
 
 def _cmd_renorm(args) -> int:
     N, ren, seed = _setup(args, "renorm")
-    p = require(ren, "p", float, "config.renorm")
+    p = require(ren, "p", object, "config.renorm")
     mode = require(ren, "mode", str, "config.renorm", "auto")
     if mode not in ("auto", "exact", "heuristic"):
         raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
+    if "vectors" in ren and "random" in ren:
+        raise ConfigError("config.renorm", "give one vector source, vectors or random, not both")
     if "vectors" in ren:
         vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
     elif "random" in ren:
         rnd = known_fields(require(ren, "random", dict, "config.renorm"), ("count", "support"), "config.renorm.random")
         n = count(rnd, "count", "config.renorm.random", 10)
         support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
+        if not 1 <= support <= N.dim:  # checked before any draw: a draw may fall below an oversized bound
+            raise ConfigError("config.renorm.random.support", f"expected an integer from 1 to {N.dim}, got {support}")
         rng = np.random.default_rng(seed)
-        with _rejected_in("config.renorm.random"):
-            vectors = [
-                random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
-                for _ in range(n)
-            ]
+        vectors = [
+            random_vector(rng, N.dim, support_size=int(rng.integers(1, support + 1))).to_list()
+            for _ in range(n)
+        ]
     else:
         vectors = []
     with _rejected_in("config.renorm.p"):
@@ -198,13 +197,11 @@ def _ukk_csv(campaign) -> str:
 
 def _cmd_ukk(args) -> int:
     N, ukk_cfg, seed = _setup(args, "ukk")
-    p = require(ukk_cfg, "p", float, "config.ukk")
-    trials = require(ukk_cfg, "trials", int, "config.ukk")
-    horizon = require(ukk_cfg, "horizon", int, "config.ukk", 16)
-    mode = require(ukk_cfg, "mode", str, "config.ukk", "bump")
+    for key in ("p", "trials"):
+        require(ukk_cfg, key, object, "config.ukk")
 
     with _rejected_in("config.ukk"):
-        campaign = run_bump_campaign(N, p, trials, seed=seed, mode=mode, horizon=horizon)
+        campaign = run_bump_campaign(N, seed=seed, **_given(ukk_cfg))
 
     summary = {"schema_version": SCHEMA_VERSION, **campaign.to_dict(include_trials=False)}
     if campaign.valid == 0:
@@ -222,6 +219,16 @@ def _cmd_ukk(args) -> int:
     return 1 if campaign.failed > 0 else 0
 
 
+# subcommand -> (help, handler); a handler, never a library function, so that a
+# library name rebound in this module's namespace is the one each run calls
+_COMMANDS = {
+    "space-check": ("audit the norm axioms of the configured space", _cmd_space_check),
+    "estimate": ("run the constant-estimation pipeline", _cmd_estimate),
+    "renorm": ("evaluate the decomposition renorm on vectors", _cmd_renorm),
+    "ukk": ("run a separated-sequence trial campaign", _cmd_ukk),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ukklattice",
@@ -229,29 +236,14 @@ def main(argv=None) -> int:
         "partition renormings, separated-sequence trials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("space-check", help="audit the norm axioms of the configured space")
-    _add_common(sp)
-
-    sp = sub.add_parser("estimate", help="run the constant-estimation pipeline")
-    _add_common(sp)
-
-    sp = sub.add_parser("renorm", help="evaluate the decomposition renorm on vectors")
-    _add_common(sp)
-
-    sp = sub.add_parser("ukk", help="run a separated-sequence trial campaign")
-    _add_common(sp)
-
+    for name, (help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", required=True, help="path to the JSON experiment config")
+        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--out", default=None, help="directory for report files (default: stdout)")
     args = parser.parse_args(argv)
-
-    handlers = {
-        "space-check": _cmd_space_check,
-        "estimate": _cmd_estimate,
-        "renorm": _cmd_renorm,
-        "ukk": _cmd_ukk,
-    }
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

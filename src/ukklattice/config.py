@@ -114,22 +114,17 @@ _MISSING = object()
 def require(doc: dict, key: str, kind: type, path: str, default=_MISSING):
     """Fetch a typed field, ``default`` when it is absent or null, or raise a path-annotated error.
 
-    ``kind`` float accepts any finite JSON number and returns it as
-    written, so an integer value reaches the report unchanged.  A bool is
-    never a number.  Without a default the field is required.
+    A bool is never an int.  Without a default the field is required;
+    ``kind`` object only checks that it is present, leaving its value to
+    the library call that takes it.
     """
     val = doc.get(key)
     if val is None:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
-    if kind is float:
-        ok = _is_number(val)
-    else:
-        ok = isinstance(val, kind) and (kind is bool or not isinstance(val, bool))
-    if not ok:
-        name = "finite number" if kind is float else kind.__name__
-        raise ConfigError(f"{path}.{key}", f"expected {name}, got {val!r}")
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {val!r}")
     return val
 
 

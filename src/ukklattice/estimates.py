@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _seed, report_dict
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
@@ -162,7 +162,7 @@ def estimate_two_disjoint_constant(
     """
     if N.dim < 2:
         raise ValueError("dim must be >= 2: no disjoint pair has both parts nonzero")
-    budget = _count(budget, "budget")
+    budget, seed = _count(budget, "budget"), _seed(seed)
     rng = np.random.default_rng(seed)
     dim = N.dim
     unit_pairs = list(itertools.islice(itertools.combinations(range(dim), 2), min(128, budget)))
@@ -326,7 +326,7 @@ def estimate_lower_p_constant(
     equivalence audit).  Returns the best ratio and its witness family.
     """
     p = _check_p(p)
-    budget = _count(budget, "budget")
+    budget, seed = _count(budget, "budget"), _seed(seed)
     rng = np.random.default_rng(seed)
     dim = N.dim
 
@@ -361,7 +361,7 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
     r = _check_p(r)
     if isinstance(K, bool) or not (isinstance(K, Real) and math.isfinite(K)):
         raise ValueError(f"K must be a finite number, got {K!r}")
-    trials = _count(trials, "trials")
+    trials, seed = _count(trials, "trials"), _seed(seed)
     rng = np.random.default_rng(seed)
     dim = N.dim
 
@@ -412,6 +412,7 @@ def run_estimate_pipeline(
     if not (rs is None or isinstance(rs, (list, tuple))):  # gated before the search, r > p once p is known
         raise ValueError(f"rs must be None or a list or tuple of exponents r, got {rs!r}")
     rs = None if rs is None else [_real(r, "exponent r") for r in rs]
+    seed = _seed(seed)
     c_hat, c_witness = estimate_two_disjoint_constant(N, budget=budget, seed=seed)
     budgets = {"two_disjoint": budget}
     satisfied = c_hat < 2.0 - HYPOTHESIS_MARGIN

@@ -34,7 +34,7 @@ from numbers import Real
 import numpy as np
 
 from .partitions import SupportPartition
-from .vectors import LatticeVector, _rows
+from .vectors import LatticeVector, _integer, _real, _rows
 
 __all__ = [
     "NormOracle",
@@ -121,13 +121,6 @@ def _q_value(q) -> float:
     return qf
 
 
-def _real(v, what: str) -> float:
-    """``v`` as a float: any ``Real`` (a Python or NumPy number, inf and nan too), never a bool or string."""
-    if isinstance(v, bool) or not isinstance(v, Real):
-        raise ValueError(f"{what} must be a number, got {v!r}")
-    return float(v)
-
-
 def _check_p(p: float) -> float:
     """The one rule for a decomposition or estimate exponent: a number 1 <= p < infinity."""
     p = _real(p, "exponent p")
@@ -136,18 +129,19 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _integer(v, what: str) -> int:
-    """``v`` as a plain int: a Python or NumPy integer, never a bool, float or string."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _count(v, what: str) -> int:
     """``v`` as a count of work: an ``_integer`` >= 1."""
     n = _integer(v, what)
     if n < 1:
         raise ValueError(f"{what} must be >= 1, got {n}")
+    return n
+
+
+def _seed(v) -> int:
+    """``v`` as a seed: an ``_integer`` >= 0, the rule the CLI applies to ``--seed`` and ``config.seed``."""
+    n = _integer(v, "seed")
+    if n < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {n}")
     return n
 
 
@@ -358,7 +352,7 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     within ``REL_TOL``, which the report carries as ``tol``.  Failures
     are reported, never raised.
     """
-    samples = _count(samples, "samples")
+    samples, seed = _count(samples, "samples"), _seed(seed)
     rng = np.random.default_rng(seed)
     d = N.dim
     X = rng.standard_normal((samples, d))

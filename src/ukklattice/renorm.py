@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _seed, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
 from .vectors import LatticeVector, _family_rows, _rows
@@ -312,7 +312,7 @@ def renorm_batch(
     the local search one at a time, each with ``seed``; a row's result
     never depends on the other rows.  Every 1/p root is taken once, here.
     """
-    p = _check_p(p)
+    p, seed = _check_p(p), _seed(seed)
     X = _rows(X, N.dim)
     sizes = np.count_nonzero(X, axis=1)
     n = sizes.size
@@ -515,6 +515,7 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
 
 def renorm(N: NormOracle, p: float, x: LatticeVector, seed: int = 0) -> RenormResult:
     """Exact up to ``EXACT_THRESHOLD`` support atoms, local search above it."""
+    seed = _seed(seed)
     # not one renorm_batch call: the benchmark's tracer reads x.coords here and must see
     # renorm_exact entered, so folding it waits for a benchmark-only change to the tracer
     if int(np.count_nonzero(_rows([x], N.dim))) <= EXACT_THRESHOLD:
@@ -594,7 +595,7 @@ def audit_equivalence(
     p = _check_p(p)
     if isinstance(C, bool) or not (isinstance(C, Real) and math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a finite number > 0, got {C!r}")
-    samples = _count(samples, "samples")
+    samples, seed = _count(samples, "samples"), _seed(seed)
     max_support = _count(max_support, "max_support")
     rng = np.random.default_rng(seed)
     cap = min(max_support, N.dim, EXACT_THRESHOLD)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, _count, _real, report_dict
+from .norms import NormOracle, _check_p, _count, _real, _seed, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import LatticeVector, _rows, truncate
@@ -82,7 +82,7 @@ def generate_bump_sequence(
     offending index.  ``core`` is a vector or a coordinate list.
     """
     c = _rows([core], N.dim)[0]
-    horizon = _count(horizon, "horizon")
+    horizon, bump_height = _count(horizon, "horizon"), _real(bump_height, "bump_height")
     supp = np.flatnonzero(c)
     first_fresh = int(supp[-1]) + 1 if supp.size else 0
     if first_fresh + horizon > N.dim:
@@ -220,7 +220,7 @@ def run_ukk_trial(
     heuristic renorm came before its reason: for an element outside the
     ball, among the elements up to it.
     """
-    p = _check_p(p)
+    p, seed = _check_p(p), _seed(seed)
     X = _rows(sequence, N.dim)
     limit = _rows([declared_limit], N.dim)[0]
     base = dict(seed=seed, p=p, horizon=len(X), norm=N.describe(), sequence=X.tolist(),
@@ -360,16 +360,16 @@ def run_bump_campaign(
     generates non-disjoint decaying perturbations whose trials may be
     invalid but, by the validity rules, never yield a false violation.
     """
-    if mode not in _TRIAL_KINDS:
+    if not (isinstance(mode, str) and mode in _TRIAL_KINDS):  # an unhashable mode, a list say, is unknown too
         raise ValueError(f"unknown campaign mode {mode!r}")
-    trials = _count(trials, "trials")
-    horizon = _count(horizon, "horizon")
+    p, seed = _check_p(p), _seed(seed)
+    trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
     rng = np.random.default_rng(seed)
     records = [_TRIAL_KINDS[mode](N, p, rng, t, horizon) for t in range(trials)]
     valid = [t for t in records if t.valid]
     return UkkCampaign(
         norm=dict(records[0].norm),  # trial 0 described N already; a copy keeps its record its own
-        p=float(p),
+        p=p,
         mode=mode,
         horizon=horizon,
         seed=seed,

@@ -16,6 +16,7 @@ operation returns a fresh vector and is safe to call concurrently.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from numbers import Real
 
 import numpy as np
 
@@ -59,15 +60,16 @@ class LatticeVector:
 
     @classmethod
     def zeros(cls, dim: int) -> "LatticeVector":
-        return cls(np.zeros(dim))
+        return cls(np.zeros(_integer(dim, "dim")))
 
     @classmethod
     def unit(cls, dim: int, atom: int, height: float = 1.0) -> "LatticeVector":
         """The multiple ``height * e_atom`` of a standard unit vector."""
+        dim, atom = _integer(dim, "dim"), _integer(atom, "atom")
         if not 0 <= atom < dim:
             raise ValueError(f"atom index {atom} out of range for dim {dim}")
         a = np.zeros(dim, dtype=np.float64)
-        a[atom] = height
+        a[atom] = _real(height, "height")
         return cls(a)
 
     @property
@@ -97,7 +99,7 @@ class LatticeVector:
         return LatticeVector(self._a - other._a)
 
     def __mul__(self, scalar: float) -> "LatticeVector":
-        return LatticeVector(self._a * float(scalar))
+        return LatticeVector(self._a * _real(scalar, "scalar"))
 
     __rmul__ = __mul__
 
@@ -119,6 +121,20 @@ class LatticeVector:
 
     def __repr__(self) -> str:
         return f"LatticeVector({self.to_list()})"
+
+
+def _integer(v, what: str) -> int:
+    """``v`` as a plain int: a Python or NumPy integer, never a bool, float or string."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _real(v, what: str) -> float:
+    """``v`` as a float: any ``Real`` (a Python or NumPy number, inf and nan too), never a bool or string."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
 
 
 def require_finite(a: np.ndarray) -> None:
@@ -219,7 +235,7 @@ def restrict(x: LatticeVector, block: Iterable[int]) -> LatticeVector:
     Restrictions of ``x`` to the blocks of any partition of its support
     are pairwise disjoint and sum back to ``x`` exactly.
     """
-    idx = np.fromiter((int(i) for i in block), dtype=np.intp)
+    idx = np.fromiter((_integer(i, "block atom") for i in block), dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.dim):
         raise ValueError(f"block contains atom indices outside 0..{x.dim - 1}")
     a = np.zeros(x.dim, dtype=np.float64)

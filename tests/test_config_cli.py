@@ -433,6 +433,13 @@ BAD_FIELDS = [
     ("renorm", "renorm", "mdoe", "exact"),
     ("renorm", "renorm", "random", {"cuont": 5}),
     ("ukk", "ukk", "horizn", 3),
+    # the library checks the fields it takes; a required one is checked present first
+    ("ukk", "ukk", "p", "2"),
+    ("ukk", "ukk", "mode", 3),
+    ("ukk", "ukk", "trials", None),
+    # a random support is checked against the space before any draw
+    ("renorm", "renorm", "random", {"support": 20}),
+    ("renorm", "renorm", "random", {"count": 3, "support": 13}),
 ]
 
 
@@ -448,6 +455,49 @@ def test_bad_field_is_exit_2(tmp_path, capsys, command, section, field, value):
     assert main([command, "--config", write(tmp_path, "cfg.json", doc)]) == 2
     err = capsys.readouterr().err
     assert f"config.{section}" in err and field in err
+
+
+# a field the library takes is checked by the library: its error is the library's
+# message on the section path; renorm.p keeps its own path
+LIBRARY_MESSAGES = [
+    ("space-check", "audit", "samples", "100", "config.audit: samples must be an integer, got '100'"),
+    ("estimate", "estimate", "budget", True, "config.estimate: budget must be an integer, got True"),
+    ("ukk", "ukk", "horizon", "12", "config.ukk: horizon must be an integer, got '12'"),
+    ("ukk", "ukk", "trials", 1.5, "config.ukk: trials must be an integer, got 1.5"),
+    ("ukk", "ukk", "p", "2", "config.ukk: exponent p must be a number, got '2'"),
+    ("ukk", "ukk", "mode", [3], "config.ukk: unknown campaign mode [3]"),
+    ("renorm", "renorm", "p", "2", "config.renorm.p: exponent p must be a number, got '2'"),
+    ("renorm", "renorm", "p", float("nan"), "config.renorm.p: exponent must satisfy 1 <= p < infinity, got nan"),
+    ("ukk", "ukk", "trials", None, "config.ukk.trials: missing required field"),
+    ("renorm", "renorm", "p", None, "config.renorm.p: missing required field"),
+]
+
+
+@pytest.mark.parametrize("command,section,field,value,message", LIBRARY_MESSAGES)
+def test_library_field_error_is_the_library_message(tmp_path, capsys, command, section, field, value, message):
+    doc = json.loads(json.dumps(BASE_CFG))
+    doc[section][field] = value
+    assert main([command, "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_null_library_field_takes_the_library_default(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CFG))
+    doc["space"]["dim"] = 20  # room for the default horizon of 16
+    doc["ukk"].update(trials=1, horizon=None, mode=None, p=2.5)
+    assert main(["ukk", "--config", write(tmp_path, "cfg.json", doc)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["horizon"], summary["mode"], summary["p"]) == (16, "bump", 2.5)
+
+
+def test_renorm_takes_one_vector_source(tmp_path, capsys):
+    # random used to be ignored when vectors was given
+    doc = json.loads(json.dumps(BASE_CFG))
+    doc["renorm"]["random"] = {"count": 2}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config.renorm: give one vector source, vectors or random, not both\n"
 
 
 @pytest.mark.parametrize("command", ["space-check", "estimate", "renorm", "ukk"])

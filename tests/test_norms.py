@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,12 @@ from ukklattice import (
     generate_bump_sequence,
     neg_part,
     pos_part,
+    renorm,
+    renorm_batch,
+    renorm_heuristic,
     run_bump_campaign,
+    run_estimate_pipeline,
+    run_ukk_trial,
     verify_lower_r_estimate,
 )
 
@@ -169,6 +175,41 @@ def test_counts_are_integers_from_one(name, call, bad):
     rule = "must be >= 1" if type(bad) is int else "must be an integer"
     with pytest.raises(ValueError, match=f"^{name} {rule}"):
         call(bad)
+
+
+_X6 = LatticeVector([0.5, -0.25, 0.0, 0.75, 0.0, 0.0])
+# (function, a call taking its seed): every public seed passes ``norms._seed``, on every path
+SEED_CALLS = [
+    ("renorm", lambda s: renorm(_N6, 2.0, _X6, seed=s)),
+    ("renorm_heuristic", lambda s: renorm_heuristic(_N6, 2.0, _X6, seed=s)),
+    ("renorm_batch", lambda s: renorm_batch(_N6, 2.0, [_X6], seed=s).result(0)),
+    ("audit_norm_axioms", lambda s: audit_norm_axioms(_N6, samples=10, seed=s)),
+    ("audit_equivalence", lambda s: audit_equivalence(_N6, 2.0, 1.5, samples=3, seed=s)),
+    ("estimate_two_disjoint_constant", lambda s: estimate_two_disjoint_constant(_N6, budget=3, seed=s)),
+    ("estimate_lower_p_constant", lambda s: estimate_lower_p_constant(_N6, 2.0, budget=3, seed=s)),
+    ("verify_lower_r_estimate", lambda s: verify_lower_r_estimate(_N6, 3.0, 2.0, trials=3, seed=s)),
+    ("run_estimate_pipeline", lambda s: run_estimate_pipeline(_N6, budget=3, seed=s)),
+    ("run_ukk_trial", lambda s: run_ukk_trial(_N6, 2.0, [_X6, _X6], _X6, seed=s)),
+    ("run_bump_campaign", lambda s: run_bump_campaign(_N6, 2.0, 1, seed=s, horizon=2)),
+]
+
+
+@pytest.mark.parametrize("name,call", SEED_CALLS)
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 1.5, "3", None, -1])
+def test_seeds_are_nonnegative_integers(name, call, bad):
+    # a bool used to run as seed 1 (and be reported as true), a float to raise numpy's TypeError
+    rule = "a nonnegative integer" if type(bad) is int else "an integer"
+    with pytest.raises(ValueError, match=f"^seed must be {rule}, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize("name,call", SEED_CALLS)
+def test_numpy_integer_seed_gives_the_int_seed_result(name, call):
+    # a report used to carry the NumPy seed, which json.dumps rejects
+    got, want = call(np.int64(3)), call(3)
+    if hasattr(got, "to_dict"):
+        got, want = json.dumps(got.to_dict()), json.dumps(want.to_dict())
+    assert got == want
 
 
 def test_numpy_integer_counts_are_reported_as_ints():

@@ -73,6 +73,14 @@ def test_bump_sequence_rejects_overflow():
         generate_bump_sequence(N, 2.0, core, bump_height=0.6, horizon=10)
 
 
+# a string height used to run, and true to run as 1.0
+@pytest.mark.parametrize("height", ["0.5", True])
+def test_bump_height_must_be_a_number(height):
+    core = LatticeVector([0.5] + [0.0] * 5)
+    with pytest.raises(ValueError, match="^bump_height must be a number"):
+        generate_bump_sequence(LqNorm(2, 6), 2.0, core, bump_height=height, horizon=2)
+
+
 def test_bump_sequence_rejects_leaving_unit_ball():
     N = LqNorm(2, 20)
     core = LatticeVector([0.9] + [0.0] * 19)

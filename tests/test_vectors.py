@@ -55,6 +55,30 @@ def test_zeros_and_unit():
         LatticeVector.zeros(0)
 
 
+# numpy read a bool atom as a mask (unit(5, True) was all ones) and a float atom raised IndexError
+@pytest.mark.parametrize("atom", [True, np.True_, 1.5])
+def test_unit_atom_must_be_an_integer(atom):
+    with pytest.raises(ValueError, match="^atom must be an integer"):
+        LatticeVector.unit(5, atom)
+
+
+# a string or bool height or scalar used to run as a number
+@pytest.mark.parametrize("call", [
+    lambda: LatticeVector.unit(4, 0, "0.5"),
+    lambda: LatticeVector([1, 0]) * "2",
+    lambda: LatticeVector([1, 0]) * True,
+])
+def test_heights_and_scalars_must_be_numbers(call):
+    with pytest.raises(ValueError, match="must be a number"):
+        call()
+
+
+def test_numpy_sizes_atoms_and_scalars_are_accepted():
+    assert LatticeVector.unit(np.int64(3), np.int32(1), np.float64(0.5)).to_list() == [0.0, 0.5, 0.0]
+    assert LatticeVector.zeros(np.int64(2)).to_list() == [0.0, 0.0]
+    assert (LatticeVector([1, 0]) * np.float64(2)).to_list() == [2.0, 0.0]
+
+
 def test_arithmetic_and_dim_guard():
     x = LatticeVector([1.0, 2.0])
     y = LatticeVector([0.5, -1.0])
@@ -128,6 +152,14 @@ def test_restrict():
     x = LatticeVector([1.0, 2.0, 3.0, 4.0])
     assert restrict(x, [0, 2]).to_list() == [1.0, 0.0, 3.0, 0.0]
     assert restrict(x, []).to_list() == [0.0, 0.0, 0.0, 0.0]
+    assert restrict(x, np.array([3], dtype=np.int64)).to_list() == [0.0, 0.0, 0.0, 4.0]
+
+
+# int(1.5) and int(True) used to keep atom 1
+@pytest.mark.parametrize("atom", [1.5, True])
+def test_restrict_atoms_must_be_integers(atom):
+    with pytest.raises(ValueError, match="^block atom must be an integer"):
+        restrict(LatticeVector([1.0, 2.0, 3.0]), [atom])
 
 
 def test_support():
