@@ -6,9 +6,12 @@ vectors), ``ukk`` (trial campaign).  All randomness is seeded from the
 config (or ``--seed``); identical config + seed gives byte-identical
 output.
 
-Exit codes: 0 = checks passed (a hypothesis-failure report is a valid
-scientific outcome, still 0); 1 = an inequality violation was detected;
-2 = usage or configuration error.
+Each handler returns its exit code and its reports by file name; ``main``
+alone writes them (every file under ``--out``, else the first report on
+stdout) and alone turns a rejection into exit 2.  Exit codes: 0 = checks
+passed (a hypothesis-failure report is a valid scientific outcome, still
+0); 1 = an inequality violation was detected; 2 = usage or configuration
+error, a numeric overflow, or a report that would hold a non-finite number.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -26,7 +30,7 @@ import numpy as np
 from .config import ConfigError, coordinate_arrays, count, known_fields, load_config, number_array
 from .config import parse_norm_spec, require
 from .estimates import run_estimate_pipeline, verify_lower_r_estimate
-from .norms import _check_p, audit_norm_axioms
+from .norms import _check_p, _seed, audit_norm_axioms
 from .renorm import EXACT_THRESHOLD, renorm, renorm_exact, renorm_heuristic
 from .sampling import random_vector
 from .ukk import run_bump_campaign
@@ -37,31 +41,23 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def _line(doc: dict) -> str:
+    """``doc`` with the schema version as one line of canonical JSON; a non-finite number raises ValueError."""
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _write(out_dir: str | None, name: str, text: str) -> None:
-    if out_dir is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+def _reason(e: Exception) -> str:
+    """An error's message, typed unless it is a ValueError: an overflow's own text may be a bare errno tuple."""
+    return str(e) if isinstance(e, ValueError) else f"{type(e).__name__}: {e}"
 
 
 def _resolve_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        seed, path = args.seed, "--seed"
-    elif "seed" in cfg:
-        seed, path = require(cfg, "seed", int, "config"), "config.seed"
-    else:
+    path, seed = ("--seed", args.seed) if args.seed is not None else ("config.seed", cfg.get("seed"))
+    if seed is None:
         raise ConfigError("config.seed", "a seed is mandatory (config field or --seed); wall-clock seeding is not supported")
-    if seed < 0:
-        raise ConfigError(path, f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+    with _rejected_in(path):
+        return _seed(seed)
 
 
 # the fields of each subcommand's config section; a field outside its table exits 2
@@ -83,12 +79,12 @@ def _setup(args, section: str, *default) -> tuple:
 
 
 @contextlib.contextmanager
-def _rejected_in(section: str):
-    """Report a config value the library rejects as a ConfigError on its section."""
+def _rejected_in(path: str):
+    """Report a value the library rejects, or an arithmetic error it raises, as a ConfigError on ``path``."""
     try:
         yield
-    except ValueError as e:
-        raise ConfigError(section, str(e)) from None
+    except (ValueError, ArithmeticError) as e:
+        raise ConfigError(path, _reason(e)) from None
 
 
 def _given(doc: dict, *skip: str) -> dict:
@@ -96,16 +92,14 @@ def _given(doc: dict, *skip: str) -> dict:
     return {k: v for k, v in doc.items() if v is not None and k not in skip}
 
 
-def _cmd_space_check(args) -> int:
+def _cmd_space_check(args) -> tuple[int, dict]:
     N, audit_cfg, seed = _setup(args, "audit", {})
     with _rejected_in("config.audit"):
         report = audit_norm_axioms(N, seed=seed, **_given(audit_cfg))
-    doc = {"schema_version": SCHEMA_VERSION, **report.to_dict()}
-    _write(args.out, "space_check.json", _dump(doc) + "\n")
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), {"space_check.json": _line(report.to_dict())}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> tuple[int, dict]:
     N, est, seed = _setup(args, "estimate", {})
     if est.get("rs") is not None:  # checked here, so that its messages name the field
         number_array(require(est, "rs", list, "config.estimate"), "config.estimate.rs")
@@ -119,17 +113,12 @@ def _cmd_estimate(args) -> int:
         for r, K in report.kr_table:
             violations += verify_lower_r_estimate(N, r, K, trials=verify_trials, seed=seed + 2)
             verified += verify_trials
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **report.to_dict(),
-        "verify": {"trials": verified, "violations": violations},
-    }
-    _write(args.out, "estimate.json", _dump(doc) + "\n")
-    return 1 if violations > 0 else 0
+    verify = {"trials": verified, "violations": violations}
+    return (1 if violations > 0 else 0), {"estimate.json": _line({**report.to_dict(), "verify": verify})}
 
 
-def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
-    rec: dict = {"schema_version": SCHEMA_VERSION, "index": index}
+def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> str:
+    """The record line of vector ``index``: its renorm, or an error if the engine rejects it or the renorm overflows."""
     try:
         x = LatticeVector(coords)
         if mode == "exact":
@@ -138,15 +127,14 @@ def _renorm_one(N, p: float, coords, mode: str, index: int, seed: int) -> dict:
             res = renorm_heuristic(N, p, x, seed=seed)
         else:
             res = renorm(N, p, x, seed=seed)
-        rec.update(res.to_dict())
-        rec["vector"] = x.to_list()
-    except ValueError as e:  # SupportTooLarge and DimensionMismatch among them
-        rec["error"] = str(e)
-        rec["vector"] = [float(c) for c in coords]
-    return rec
+        if not (math.isfinite(res.value) and math.isfinite(res.power_sum)):
+            raise OverflowError(f"renorm overflows binary64: value {res.value}, power_sum {res.power_sum}")
+        return _line({"index": index, **res.to_dict(), "vector": x.to_list()})
+    except (ValueError, OverflowError) as e:  # SupportTooLarge and DimensionMismatch among them
+        return _line({"index": index, "error": _reason(e), "vector": [float(c) for c in coords]})
 
 
-def _cmd_renorm(args) -> int:
+def _cmd_renorm(args) -> tuple[int, dict]:
     N, ren, seed = _setup(args, "renorm")
     p = require(ren, "p", object, "config.renorm")
     mode = require(ren, "mode", str, "config.renorm", "auto")
@@ -172,9 +160,7 @@ def _cmd_renorm(args) -> int:
     with _rejected_in("config.renorm.p"):
         _check_p(p)
 
-    lines = [_dump(_renorm_one(N, p, v, mode, i, seed + i)) for i, v in enumerate(vectors)]
-    _write(args.out, "renorm.jsonl", "".join(line + "\n" for line in lines))
-    return 0
+    return 0, {"renorm.jsonl": "".join(_renorm_one(N, p, v, mode, i, seed + i) for i, v in enumerate(vectors))}
 
 
 def _ukk_csv(campaign) -> str:
@@ -195,7 +181,7 @@ def _ukk_csv(campaign) -> str:
     return buf.getvalue()
 
 
-def _cmd_ukk(args) -> int:
+def _cmd_ukk(args) -> tuple[int, dict]:
     N, ukk_cfg, seed = _setup(args, "ukk")
     for key in ("p", "trials"):
         require(ukk_cfg, key, object, "config.ukk")
@@ -203,20 +189,12 @@ def _cmd_ukk(args) -> int:
     with _rejected_in("config.ukk"):
         campaign = run_bump_campaign(N, seed=seed, **_given(ukk_cfg))
 
-    summary = {"schema_version": SCHEMA_VERSION, **campaign.to_dict(include_trials=False)}
-    if campaign.valid == 0:
-        summary["warning"] = "no valid trials (nothing was verified)"
-    trial_lines = "".join(
-        _dump({"schema_version": SCHEMA_VERSION, "index": i, **t.to_dict()}) + "\n"
-        for i, t in enumerate(campaign.trials)
-    )
-    if args.out is None:
-        _write(None, "", _dump(summary) + "\n")
-    else:
-        _write(args.out, "ukk_summary.json", _dump(summary) + "\n")
-        _write(args.out, "ukk_trials.jsonl", trial_lines)
-        _write(args.out, "ukk_summary.csv", _ukk_csv(campaign))
-    return 1 if campaign.failed > 0 else 0
+    warning = {"warning": "no valid trials (nothing was verified)"} if campaign.valid == 0 else {}
+    return (1 if campaign.failed > 0 else 0), {
+        "ukk_summary.json": _line({**campaign.to_dict(include_trials=False), **warning}),
+        "ukk_trials.jsonl": "".join(_line({"index": i, **t.to_dict()}) for i, t in enumerate(campaign.trials)),
+        "ukk_summary.csv": _ukk_csv(campaign),
+    }
 
 
 # subcommand -> (help, handler); a handler, never a library function, so that a
@@ -243,10 +221,19 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="directory for report files (default: stdout)")
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command][1](args)
-    except (ConfigError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        code, reports = _COMMANDS[args.command][1](args)
+        if args.out is None:  # stdout carries the first report
+            text = next(iter(reports.values()))
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        else:
+            os.makedirs(args.out, exist_ok=True)
+            for name, text in reports.items():
+                with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as f:
+                    f.write(text)
+    except (ValueError, ArithmeticError, OSError) as e:  # a ConfigError is a ValueError
+        print(f"error: {_reason(e)}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

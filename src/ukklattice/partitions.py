@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from .vectors import _integer
+
 __all__ = [
     "SupportPartition",
     "iter_set_partitions",
@@ -47,8 +49,8 @@ class SupportPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SupportPartition":
-        """Canonicalize arbitrary nonempty disjoint blocks."""
-        canon = tuple(tuple(sorted(int(i) for i in blk)) for blk in blocks)
+        """Canonicalize arbitrary nonempty disjoint blocks of integer atoms (never a bool or float)."""
+        canon = tuple(tuple(sorted(_integer(i, "atom") for i in blk)) for blk in blocks)
         return cls(tuple(sorted(canon, key=lambda blk: blk[0] if blk else -1)))
 
     def atoms(self) -> frozenset[int]:

@@ -48,7 +48,7 @@ from . import norms
 from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _seed, report_dict
 from .partitions import SupportPartition
 from .sampling import random_vector
-from .vectors import LatticeVector, _family_rows, _rows
+from .vectors import LatticeVector, _family_rows, _integer, _rows
 
 __all__ = [
     "EXACT_THRESHOLD",
@@ -312,7 +312,7 @@ def renorm_batch(
     the local search one at a time, each with ``seed``; a row's result
     never depends on the other rows.  Every 1/p root is taken once, here.
     """
-    p, seed = _check_p(p), _seed(seed)
+    p, seed, threshold = _check_p(p), _seed(seed), _integer(threshold, "threshold")
     X = _rows(X, N.dim)
     sizes = np.count_nonzero(X, axis=1)
     n = sizes.size

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .vectors import LatticeVector
+from .vectors import LatticeVector, _integer
 
 __all__ = [
     "random_coords",
@@ -32,8 +32,8 @@ def random_vector(rng: np.random.Generator, dim: int, support_size: int | None =
 
     ``support_size`` defaults to a uniform draw from 1..dim.
     """
-    if support_size is None:
-        support_size = int(rng.integers(1, dim + 1))
+    dim = _integer(dim, "dim")
+    support_size = int(rng.integers(1, dim + 1)) if support_size is None else _integer(support_size, "support_size")
     if not 1 <= support_size <= dim:
         raise ValueError(f"support_size {support_size} out of range 1..{dim}")
     idx = rng.choice(dim, size=support_size, replace=False)
@@ -48,6 +48,7 @@ def random_disjoint_pair(rng: np.random.Generator, dim: int) -> tuple[LatticeVec
     The size of the union support is drawn uniformly from 2..dim, and
     the support is split so that both sides are nonempty.
     """
+    dim = _integer(dim, "dim")
     if dim < 2:
         raise ValueError("need dim >= 2 for a nonzero disjoint pair")
     total = int(rng.integers(2, dim + 1))
@@ -66,6 +67,7 @@ def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> li
     A support whose size is drawn uniformly from count..dim is dealt to
     the members so that each gets at least one atom.
     """
+    dim, count = _integer(dim, "dim"), _integer(count, "count")
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} out of range 1..{dim}")
     total = int(rng.integers(count, dim + 1))

@@ -1,10 +1,17 @@
+import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from ukklattice import ConfigError, LatticeVector, load_config, parse_norm_spec, run_ukk_trial
+from ukklattice import cli
 from ukklattice.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, doc):
@@ -526,3 +533,117 @@ def test_determinism_across_runs(tmp_path):
             blob[fn] = (out / fn).read_bytes()
         outs.append(blob)
     assert outs[0] == outs[1]
+
+
+# -- one writer, one exit rule --------------------------------------------
+
+
+def console(*argv):
+    """``python -m ukklattice.cli *argv`` on the package in ``src``: (exit code, stdout bytes, stderr text)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ukklattice.cli", *argv], env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+# (sha256 of stdout, sha256 of each --out file) on BASE_CFG, recorded while each
+# handler still wrote its own output; stdout carries the first report, and a
+# renorm section with no vectors prints one empty line and writes an empty file
+CONSOLE_DIGESTS = {
+    "estimate": ("1667642982fcaab5dae58ed6beeffc6cce1d6c4398a9724e94a9ea28e9fef7f3", {
+        "estimate.json": "1667642982fcaab5dae58ed6beeffc6cce1d6c4398a9724e94a9ea28e9fef7f3",
+    }),
+    "renorm": ("059dbfd03f51b3b1fb878ae5569002586ab5734ac56e73d0a86227d37833d204", {
+        "renorm.jsonl": "059dbfd03f51b3b1fb878ae5569002586ab5734ac56e73d0a86227d37833d204",
+    }),
+    "renorm:empty": ("01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", {
+        "renorm.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "space-check": ("022f83f77643907199c9b6c6a21ebae31fa44278f7321bcb63c6417d1681eb91", {
+        "space_check.json": "022f83f77643907199c9b6c6a21ebae31fa44278f7321bcb63c6417d1681eb91",
+    }),
+    "ukk": ("cfb7c0e8f91c1a93e15bcb8da78b278e8f8cd14531701f2e9a015caf9cc4818c", {
+        "ukk_summary.csv": "f5592e6836aa63effe1e346c77ec58f694f90afcf19ee04a697bc5ea9204dc47",
+        "ukk_summary.json": "cfb7c0e8f91c1a93e15bcb8da78b278e8f8cd14531701f2e9a015caf9cc4818c",
+        "ukk_trials.jsonl": "8606d05698c266d72e00fc8fbb677719e17192419db1b88b94447c4b2365772f",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSOLE_DIGESTS))
+def test_console_reports_unchanged(tmp_path, case):
+    command, _, variant = case.partition(":")
+    doc = json.loads(json.dumps(BASE_CFG))
+    if variant == "empty":
+        doc["renorm"] = {"p": 2}
+    cfg = write(tmp_path, "cfg.json", doc)
+    code, out, err = console(command, "--config", cfg)
+    assert (code, err) == (0, "")
+    assert console(command, "--config", cfg, "--out", str(tmp_path / "out")) == (0, b"", "")
+    files = {f.name: sha(f.read_bytes()) for f in (tmp_path / "out").iterdir()}
+    assert (sha(out), files) == CONSOLE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("seed", ["3", True, 1.5, None], ids=json.dumps)
+def test_config_seed_must_be_an_integer(tmp_path, seed):
+    code, out, err = console("space-check", "--config", write(tmp_path, "cfg.json", {**BASE_CFG, "seed": seed}))
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: config.seed: ") and err.count("\n") == 1
+
+
+def test_overflowing_campaign_is_exit_2_without_a_traceback(tmp_path):
+    doc = {"seed": 1, "space": {"kind": "Lq", "q": 2, "dim": 6}, "ukk": {"p": 1000000, "trials": 2, "horizon": 4}}
+    code, out, err = console("ukk", "--config", write(tmp_path, "cfg.json", doc))
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: config.ukk: OverflowError") and "Traceback" not in err
+
+
+# an overflowing vector gets an error record, as an oversized support does, and the
+# other vectors still run; (space, p, vectors, the value of each vector or None)
+OVERFLOWING_RENORMS = [
+    ({"kind": "Lq", "q": 3, "dim": 6}, 2000, [[3, 1, 0, 0, 0, 0], [1, 0.5, 0, 0, 0, 0]], [None, 1.040041911525952]),
+    ({"kind": "Lq", "q": 2, "dim": 6}, 2, [[1e200, 1e200, 0, 0, 0, 0], [3, 4, 0, 0, 0, 0]], [None, 5.0]),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("space,p,vectors,values", OVERFLOWING_RENORMS)
+def test_overflowing_renorm_vector_gets_an_error_record(tmp_path, capsys, space, p, vectors, values):
+    doc = {"seed": 0, "space": space, "renorm": {"p": p, "vectors": vectors}}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for rec, coords, value in zip(records, vectors, values, strict=True):
+        assert rec["vector"] == coords
+        if value is None:
+            assert rec["error"].startswith("OverflowError") and "value" not in rec
+        else:
+            assert rec["value"] == value and "error" not in rec
+
+
+class _Report:
+    passed = True
+
+    def to_dict(self):
+        return {"tol": float("inf")}
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda *a, **k: _Report(), "error: Out of range float values are not JSON compliant\n"),
+    (lambda *a, **k: 1 / 0, "error: config.audit: ZeroDivisionError: division by zero\n"),
+])
+def test_only_a_verdict_exits_1(tmp_path, capsys, monkeypatch, fault, message):
+    # a report holding a non-finite number, or an arithmetic error, is a rejection
+    monkeypatch.setattr(cli, "audit_norm_axioms", fault)
+    assert main(["space-check", "--config", write(tmp_path, "cfg.json", BASE_CFG)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    cfg = write(tmp_path, "cfg.json", BASE_CFG)
+    assert main(["renorm", "--config", cfg, "--out", str(tmp_path / "taken")]) == 2
+    assert capsys.readouterr().err.startswith("error: FileExistsError: ")

@@ -20,7 +20,7 @@ from ukklattice import (
 )
 from ukklattice import estimates, norms
 from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
-from ukklattice.sampling import random_coords, random_disjoint_family
+from ukklattice.sampling import random_coords, random_disjoint_family, random_disjoint_pair, random_vector
 from ukklattice.vectors import _rows
 
 
@@ -409,3 +409,27 @@ def test_random_disjoint_family_is_disjoint():
         X = np.stack([v.coords for v in fam])
         assert np.all((np.abs(X) > 0).sum(axis=0) <= 1)
         assert all(v.support() for v in fam)
+
+
+@pytest.mark.parametrize("draw,name", [
+    (lambda rng: random_vector(rng, 4, support_size=True), "support_size"),
+    (lambda rng: random_vector(rng, 4, support_size=2.0), "support_size"),
+    (lambda rng: random_vector(rng, 4.0), "dim"),
+    (lambda rng: random_disjoint_pair(rng, True), "dim"),
+    (lambda rng: random_disjoint_family(rng, 4, True), "count"),
+    (lambda rng: random_disjoint_family(rng, "4", 2), "dim"),
+], ids=["support_size=True", "support_size=2.0", "dim=4.0", "pair dim=True", "count=True", "family dim='4'"])
+def test_samplers_take_integer_sizes_only(draw, name):
+    # these used to raise numpy's TypeError, or to draw with a bool as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        draw(np.random.default_rng(0))
+
+
+def test_samplers_draw_the_same_stream_from_numpy_integers():
+    draws = []
+    for i in (int, np.int64):
+        rng = np.random.default_rng(5)
+        vecs = [random_vector(rng, i(6)), random_vector(rng, i(6), i(3)), *random_disjoint_pair(rng, i(6)),
+                *random_disjoint_family(rng, i(6), i(3))]
+        draws.append(np.stack([v.coords for v in vecs]))
+    assert np.array_equal(*draws)

@@ -44,3 +44,10 @@ def test_is_partition_of():
     p = SupportPartition.from_blocks([[0, 1], [3]])
     assert p.is_partition_of((0, 1, 3))
     assert not p.is_partition_of((0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("blocks", [[[0.9, 1.2]], [[True, 0]], [["1"]]])
+def test_partition_atoms_are_integers(blocks):
+    # int() used to truncate 0.9 and 1.2 to the atoms 0 and 1, and read True as 1
+    with pytest.raises(ValueError, match="atom must be an integer"):
+        SupportPartition.from_blocks(blocks)

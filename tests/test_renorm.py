@@ -257,11 +257,20 @@ def test_batch_rejects_non_number_p(p):
         renorm_batch(LqNorm(2, 3), p, np.eye(3))
 
 
-@pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []]])
+@pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []], [[0.9, 1.2]], [[True, 0]]])
 def test_power_sum_rejects_blocks_that_do_not_partition_the_support(blocks):
-    # overlapping blocks, a missed support atom, an atom off the support, an empty block
+    # overlapping blocks, a missed support atom, an atom off the support, an empty block,
+    # and non-integer atoms, which int() once truncated to the witness [[0, 1]]
     with pytest.raises(ValueError):
         partition_power_sum(LqNorm(2, 4), 4.0, LatticeVector([1.0, 1.0, 0.0, 0.0]), blocks)
+
+
+@pytest.mark.parametrize("threshold", [True, 1.5, "a", None])
+def test_batch_threshold_is_an_integer(threshold):
+    # True and 1.5 used to run as 1, "a" and None to raise numpy's or Python's TypeError
+    with pytest.raises(ValueError, match="threshold must be an integer, got "):
+        renorm_batch(LqNorm(2, 3), 2.0, np.eye(3), threshold=threshold)
+    assert renorm_batch(LqNorm(2, 3), 2.0, np.eye(3), threshold=np.int64(-1)).result(0).method == "heuristic"
 
 
 def test_power_sum_canonicalizes_block_order():
