@@ -34,7 +34,7 @@ import numpy as np
 
 from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _seed, report_dict
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
-from .sampling import random_disjoint_family, random_disjoint_pair, random_vector
+from .sampling import _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
 
 __all__ = [
@@ -340,6 +340,7 @@ def estimate_lower_p_constant(
         for t in range(budget):
             if t % 2 == 0 and dim >= 2:
                 m = int(rng.integers(1, min(dim, 8) + 1))
+                # the public sampler on purpose: bench/tracing.py reaches random_disjoint_family only here
                 draws.append(random_disjoint_family(rng, dim, m))
             else:
                 size = int(rng.integers(1, min(dim, 8, EXACT_THRESHOLD) + 1))
@@ -368,7 +369,7 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
     def families():
         for _ in range(trials):
             m = int(rng.integers(1, min(dim, 8) + 1))
-            yield _rows(random_disjoint_family(rng, dim, m), dim)
+            yield _disjoint_rows(rng, dim, m)
 
     violations = 0
     for lhs, total in _lower_estimates(N, r, families()):

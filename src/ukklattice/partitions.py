@@ -2,13 +2,13 @@
 
 A disjoint decomposition of a vector in a purely atomic lattice is, up
 to zero summands, exactly a set partition of its support.  This module
-supplies the combinatorial side: a canonical partition type and
+supplies the combinatorial side: one canonical partition type and
 exhaustive enumeration in restricted-growth-string (RGS) order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .vectors import _integer
@@ -23,41 +23,26 @@ __all__ = [
 class SupportPartition:
     """A partition of a finite set of atom indices into nonempty blocks.
 
-    Canonical form: every block is a strictly increasing tuple, and
-    blocks are ordered by their smallest atom.  Construct through
-    :meth:`from_blocks` unless the input is already canonical.
+    Takes any iterable of blocks of integer atoms (never a bool, float or
+    string) and stores the canonical form: every block an ascending tuple,
+    blocks ordered by their smallest atom.  A negative atom, an empty block
+    or an atom in two places raises ValueError.
     """
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        prev_min: int | None = None
-        for blk in self.blocks:
-            if not blk:
-                raise ValueError("empty block in partition")
-            if any(b <= a for a, b in zip(blk, blk[1:])):
-                raise ValueError(f"block {blk} is not strictly increasing")
-            if seen.intersection(blk):
-                raise ValueError("blocks are not pairwise disjoint")
-            seen.update(blk)
-            if prev_min is not None and blk[0] <= prev_min:
-                raise ValueError("blocks are not ordered by smallest atom")
-            prev_min = blk[0]
-            if blk[0] < 0:
-                raise ValueError("atom indices must be nonnegative")
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SupportPartition":
-        """Canonicalize arbitrary nonempty disjoint blocks of integer atoms (never a bool or float)."""
-        canon = tuple(tuple(sorted(_integer(i, "atom") for i in blk)) for blk in blocks)
-        return cls(tuple(sorted(canon, key=lambda blk: blk[0] if blk else -1)))
-
-    def atoms(self) -> frozenset[int]:
-        return frozenset(i for blk in self.blocks for i in blk)
-
-    def is_partition_of(self, atoms: Iterable[int]) -> bool:
-        return self.atoms() == frozenset(int(i) for i in atoms)
+        try:  # disjoint blocks differ in their first atom, so tuple order is smallest-atom order
+            blocks = sorted(tuple(sorted(_integer(i, "atom") for i in blk)) for blk in self.blocks)
+        except TypeError:
+            raise ValueError(f"blocks must be an iterable of iterables of atoms, got {self.blocks!r}") from None
+        if not all(blocks):
+            raise ValueError("empty block in partition")
+        if blocks and blocks[0][0] < 0:
+            raise ValueError("atom indices must be nonnegative")
+        if len({i for blk in blocks for i in blk}) < sum(map(len, blocks)):
+            raise ValueError("blocks are not pairwise disjoint or repeat an atom")
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def to_lists(self) -> list[list[int]]:
         return [list(blk) for blk in self.blocks]

@@ -156,8 +156,8 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     p = _check_p(p)
     a = _rows([x], N.dim)[0]
     supp = np.flatnonzero(a)
-    part = SupportPartition.from_blocks(blocks)
-    if not part.is_partition_of(supp.tolist()):
+    part = SupportPartition(blocks)
+    if sorted(i for blk in part.blocks for i in blk) != supp.tolist():
         raise ValueError(f"blocks {part.to_lists()} do not partition the support of x")
     if not part.blocks:
         return 0.0
@@ -246,7 +246,7 @@ def _dp_witness(group: tuple, r: int) -> SupportPartition:
         B = int(cand[np.argmax(tp[cand] + g[cand ^ m] == g[m])])
         blocks.append(tuple(supp[tables.bits[B]].tolist()))
         m ^= B
-    return SupportPartition(tuple(blocks))
+    return SupportPartition(blocks)
 
 
 @dataclass(frozen=True)

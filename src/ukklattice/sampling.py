@@ -62,7 +62,12 @@ def random_disjoint_pair(rng: np.random.Generator, dim: int) -> tuple[LatticeVec
 
 
 def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> list[LatticeVector]:
-    """``count`` pairwise disjoint nonzero vectors.
+    """``count`` pairwise disjoint nonzero vectors: the rows of :func:`_disjoint_rows`."""
+    return [LatticeVector(a) for a in _disjoint_rows(rng, dim, count)]
+
+
+def _disjoint_rows(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array.
 
     A support whose size is drawn uniformly from count..dim is dealt to
     the members so that each gets at least one atom.
@@ -89,4 +94,4 @@ def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> li
     sign = np.where(u[at + np.repeat(sizes, sizes)] < 0.5, -1.0, 1.0)
     out = np.zeros((count, dim), dtype=np.float64)
     out[owner[order], idx[order]] = mag * sign
-    return [LatticeVector(a) for a in out]
+    return out

@@ -146,6 +146,10 @@ def require_finite(a: np.ndarray) -> None:
 def _rows(X, dim: int) -> np.ndarray:
     """The package's one row gate: a 2-d array or a sequence of vectors as validated (n, dim) float64 rows."""
     if not isinstance(X, np.ndarray):
+        try:
+            X = iter(X)
+        except TypeError:
+            raise DimensionMismatch(f"expected rows of {dim} coordinates, got {X!r}") from None
         X = [x._a if isinstance(x, LatticeVector) else np.asarray(x, dtype=np.float64) for x in X]
         if any(x.shape != (dim,) for x in X):
             raise DimensionMismatch(f"expected rows of {dim} coordinates, a row has another shape")

@@ -155,6 +155,60 @@ def test_signatures_match_inventory():
             assert tuple(inspect.signature(obj).parameters) == params, name
 
 
+# the public methods (their parameter names, less ``self``) and properties of
+# every exported class, as defined in the package or inherited from a package
+# base, so that adding or removing a method or a method option shows as an edit
+# here.  ``SupportPartition``'s classmethod constructor, its atom set and its
+# partition test were removed: the constructor itself sorts and gates any blocks
+PROPERTY = "property"
+_ORACLE = {"values": ("X",), "describe": (), "monotone_constant": PROPERTY}
+METHODS = {
+    "BlockNorm": _ORACLE,
+    "ConfigError": {},
+    "DimensionMismatch": {},
+    "EquivalenceAudit": {"to_dict": ()},
+    "EstimateReport": {"to_dict": ()},
+    "InfChainCheck": {},
+    "LatticeVector": {"zeros": ("dim",), "unit": ("dim", "atom", "height"), "coords": PROPERTY,
+                      "dim": PROPERTY, "support": (), "to_list": ()},
+    "LqNorm": _ORACLE,
+    "NormAuditReport": {"passed": PROPERTY, "to_dict": ()},
+    "NormOracle": _ORACLE,
+    "PosNegMaxNorm": _ORACLE,
+    "RenormBatch": {"witness": ("i",), "result": ("i",)},
+    "RenormResult": {"to_dict": ()},
+    "Separation": {},
+    "SuperadditivityCheck": {},
+    "SupportPartition": {"to_lists": ()},
+    "SupportTooLarge": {},
+    "UkkCampaign": {"to_dict": ("include_trials",)},
+    "UkkTrial": {"to_dict": ()},
+    "WeightedLqNorm": _ORACLE,
+}
+
+
+def _public_members(cls) -> dict:
+    members = {}
+    for base in cls.__mro__:
+        if base.__module__.startswith("ukklattice."):
+            for name, attr in vars(base).items():
+                if name.startswith("_") or name in members:
+                    continue
+                if isinstance(attr, property):
+                    members[name] = PROPERTY
+                elif callable(attr) or isinstance(attr, (classmethod, staticmethod)):
+                    params = inspect.signature(getattr(cls, name)).parameters
+                    members[name] = tuple(p for p in params if p != "self")
+    return members
+
+
+def test_methods_match_inventory():
+    classes = {name for name in ukklattice.__all__ if inspect.isclass(getattr(ukklattice, name))}
+    assert classes == set(METHODS)
+    for name, members in METHODS.items():
+        assert _public_members(getattr(ukklattice, name)) == members, name
+
+
 # the fields of each CLI config section, so that adding or removing a config
 # option shows as an edit here too; ``audit.tol`` and ``ukk.tol`` were removed
 # with the library tolerances they set

@@ -20,7 +20,7 @@ from ukklattice import (
 )
 from ukklattice import estimates, norms
 from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
-from ukklattice.sampling import random_coords, random_disjoint_family, random_disjoint_pair, random_vector
+from ukklattice.sampling import _disjoint_rows, random_coords, random_disjoint_family, random_disjoint_pair, random_vector
 from ukklattice.vectors import _rows
 
 
@@ -338,6 +338,17 @@ def test_random_disjoint_family_matches_member_by_member_draws():
                 assert rng.bit_generator.state == ref.bit_generator.state
                 cases += 1
     assert cases >= 1000
+
+
+@pytest.mark.parametrize("dim, count, seed", [(1, 1, 0), (6, 3, 1), (10, 8, 2), (30, 9, 3), (30, 1, 4)])
+def test_disjoint_rows_are_the_family_rows(dim, count, seed):
+    # verify_lower_r_estimate reads the rows; the public sampler wraps the same rows in vectors
+    rows_rng, family_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = _disjoint_rows(rows_rng, dim, count)
+    family = random_disjoint_family(family_rng, dim, count)
+    assert rows.shape == (count, dim)
+    assert rows.tobytes() == np.stack([v.coords for v in family]).tobytes()
+    assert rows_rng.bit_generator.state == family_rng.bit_generator.state
 
 
 FOUR_KINDS = [

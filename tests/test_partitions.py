@@ -27,27 +27,34 @@ def test_enumeration_on_empty():
 
 
 def test_partition_canonical_form():
-    p = SupportPartition.from_blocks([[9, 2], [5], [0, 7]])
+    p = SupportPartition([[9, 2], [5], [0, 7]])
     assert p.to_lists() == [[0, 7], [2, 9], [5]]
-    assert sorted(p.atoms()) == [0, 2, 5, 7, 9]
+    assert p.blocks == ((0, 7), (2, 9), (5,))
     assert len(p) == 3
 
 
-def test_partition_rejects_overlap_and_empty():
-    with pytest.raises(ValueError):
-        SupportPartition.from_blocks([[1, 2], [2, 3]])
-    with pytest.raises(ValueError):
-        SupportPartition.from_blocks([[1], []])
+def test_partition_equal_inputs_are_equal_and_hash_alike():
+    # a list input used to be stored as given: unhashable and unequal to its tuple form
+    lists, tuples = SupportPartition([[0, 1]]), SupportPartition(((0, 1),))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert SupportPartition(iter([(3,), range(2)])) == SupportPartition(((0, 1), (3,)))
 
 
-def test_is_partition_of():
-    p = SupportPartition.from_blocks([[0, 1], [3]])
-    assert p.is_partition_of((0, 1, 3))
-    assert not p.is_partition_of((0, 1, 2, 3))
+@pytest.mark.parametrize("blocks, match", [
+    ([[-1]], "nonnegative"),
+    ([[1, 2], [2, 3]], "not pairwise disjoint"),
+    ([[1, 1]], "repeat an atom"),
+    ([[1], []], "empty block"),
+    ([0, 1], "iterable of iterables"),
+    (None, "iterable of iterables"),
+])
+def test_partition_rejects_bad_blocks(blocks, match):
+    with pytest.raises(ValueError, match=match):
+        SupportPartition(blocks)
 
 
-@pytest.mark.parametrize("blocks", [[[0.9, 1.2]], [[True, 0]], [["1"]]])
+@pytest.mark.parametrize("blocks", [((True, 3),), [[0.9, 1.2]], [[True, 0]], [["1"]]])
 def test_partition_atoms_are_integers(blocks):
-    # int() used to truncate 0.9 and 1.2 to the atoms 0 and 1, and read True as 1
+    # the direct constructor used to accept (True, 3), and int() to truncate 0.9 and 1.2
     with pytest.raises(ValueError, match="atom must be an integer"):
-        SupportPartition.from_blocks(blocks)
+        SupportPartition(blocks)

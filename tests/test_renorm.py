@@ -257,10 +257,12 @@ def test_batch_rejects_non_number_p(p):
         renorm_batch(LqNorm(2, 3), p, np.eye(3))
 
 
-@pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []], [[0.9, 1.2]], [[True, 0]]])
+@pytest.mark.parametrize("blocks", [[[0], [0, 1]], [[0]], [[0], [1], [2]], [[0, 1], []], [[0.9, 1.2]], [[True, 0]],
+                                    [0, 1]])
 def test_power_sum_rejects_blocks_that_do_not_partition_the_support(blocks):
     # overlapping blocks, a missed support atom, an atom off the support, an empty block,
-    # and non-integer atoms, which int() once truncated to the witness [[0, 1]]
+    # non-integer atoms, which int() once truncated to the witness [[0, 1]], and bare
+    # atoms, which used to raise TypeError
     with pytest.raises(ValueError):
         partition_power_sum(LqNorm(2, 4), 4.0, LatticeVector([1.0, 1.0, 0.0, 0.0]), blocks)
 

@@ -4,13 +4,17 @@ import pytest
 from ukklattice import (
     DimensionMismatch,
     LatticeVector,
+    LqNorm,
     absolute,
+    check_inf_chain,
     disjoint_residuals,
     is_disjoint,
     join,
+    measure_separation,
     meet,
     neg_part,
     pos_part,
+    renorm_batch,
     restrict,
     truncate,
 )
@@ -160,6 +164,17 @@ def test_restrict():
 def test_restrict_atoms_must_be_integers(atom):
     with pytest.raises(ValueError, match="^block atom must be an integer"):
         restrict(LatticeVector([1.0, 2.0, 3.0]), [atom])
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: renorm_batch(N, 2.0, None),
+    lambda N: measure_separation(5, N, 2.0),
+    lambda N: check_inf_chain(N, 1.4, 5),
+], ids=["renorm_batch None", "measure_separation 5", "check_inf_chain 5"])
+def test_row_gate_rejects_non_iterables(call):
+    # the row gate's iteration used to raise TypeError
+    with pytest.raises(DimensionMismatch, match="expected rows of 4 coordinates, got "):
+        call(LqNorm(2, 4))
 
 
 def test_support():
