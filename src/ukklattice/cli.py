@@ -140,11 +140,12 @@ def _cmd_renorm(args) -> tuple[int, dict]:
     mode = require(ren, "mode", str, "config.renorm", "auto")
     if mode not in ("auto", "exact", "heuristic"):
         raise ConfigError("config.renorm.mode", f"expected auto|exact|heuristic, got {mode!r}")
-    if "vectors" in ren and "random" in ren:
+    given, rnd = ren.get("vectors"), ren.get("random")  # a null source is absent
+    if given is not None and rnd is not None:
         raise ConfigError("config.renorm", "give one vector source, vectors or random, not both")
-    if "vectors" in ren:
-        vectors = coordinate_arrays(ren["vectors"], "config.renorm.vectors")
-    elif "random" in ren:
+    if given is not None:
+        vectors = coordinate_arrays(given, "config.renorm.vectors")
+    elif rnd is not None:
         rnd = known_fields(require(ren, "random", dict, "config.renorm"), ("count", "support"), "config.renorm.random")
         n = count(rnd, "count", "config.renorm.random", 10)
         support = require(rnd, "support", int, "config.renorm.random", min(N.dim, EXACT_THRESHOLD))
@@ -168,16 +169,8 @@ def _ukk_csv(campaign) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["index", "seed", "valid", "epsilon", "delta", "limit_renorm", "pass", "advisory"])
     for i, t in enumerate(campaign.trials):
-        w.writerow([
-            i,
-            t.seed,
-            int(t.valid),
-            "" if t.epsilon is None else repr(t.epsilon),
-            "" if t.delta is None else repr(t.delta),
-            "" if t.limit_renorm is None else repr(t.limit_renorm),
-            "" if t.passed is None else int(t.passed),
-            int(t.advisory),
-        ])
+        passed = None if t.passed is None else int(t.passed)
+        w.writerow([i, t.seed, int(t.valid), t.epsilon, t.delta, t.limit_renorm, passed, int(t.advisory)])
     return buf.getvalue()
 
 

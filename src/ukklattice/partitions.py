@@ -51,46 +51,25 @@ class SupportPartition:
         return len(self.blocks)
 
 
-def _iter_rgs(n: int) -> Iterator[list[int]]:
-    """Restricted growth strings of length n in lexicographic order.
-
-    a[0] = 0 and a[i] <= 1 + max(a[:i]); each string encodes one set
-    partition (equal labels share a block).  The yielded list is reused;
-    callers must not mutate or retain it.
-    """
-    a = [0] * n
-    m = [1] * n  # m[i] = 1 + max(a[:i]), the ceiling for a[i]
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] == m[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        ceiling = m[i] + 1 if a[i] == m[i] else m[i]
-        for j in range(i + 1, n):
-            a[j] = 0
-            m[j] = ceiling
-
-
 def iter_set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All set partitions of ``items``, in RGS lexicographic order.
 
-    Blocks appear ordered by first occurrence, which for sorted items is
-    order of smallest member; the first partition yielded is the single
-    whole-set block, the last is all singletons.  The empty sequence has
-    exactly one partition, the empty one.
+    A lazy depth-first walk over the sorted items on an explicit stack (no
+    recursion at any size): item i joins each open block, earliest first,
+    then opens a new one, which is RGS order (Knuth, TAOCP 4A 7.2.1.5).
+    Blocks appear ordered by smallest member; the first partition yielded
+    is the single whole-set block, the last is all singletons.  The empty
+    sequence has exactly one partition, the empty one.
     """
     items = tuple(sorted(items))
     n = len(items)
-    if n == 0:
-        yield ()
-        return
-    for rgs in _iter_rgs(n):
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for item, label in zip(items, rgs):
-            blocks[label].append(item)
-        yield tuple(tuple(blk) for blk in blocks)
-
+    stack: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(0, ())]
+    while stack:
+        i, blocks = stack.pop()
+        if i == n:
+            yield blocks
+            continue
+        item = items[i]
+        stack.append((i + 1, (*blocks, (item,))))  # a new block: popped last
+        for b in reversed(range(len(blocks))):
+            stack.append((i + 1, (*blocks[:b], (*blocks[b], item), *blocks[b + 1:])))

@@ -507,6 +507,34 @@ def test_renorm_takes_one_vector_source(tmp_path, capsys):
     assert captured.err == "error: config.renorm: give one vector source, vectors or random, not both\n"
 
 
+@pytest.mark.parametrize("sources, absent, records", [
+    ({"vectors": None}, {}, 0),
+    ({"vectors": None, "random": {"count": 2}}, {"random": {"count": 2}}, 2),
+    ({"random": None}, {}, 0),
+])
+def test_null_vector_source_is_absent(tmp_path, capsys, sources, absent, records):
+    # each used to exit 2: null vectors as a bad array, or beside random as a second
+    # source, and null random as a missing field
+    outs = []
+    for i, ren in enumerate([sources, absent]):
+        doc = {**BASE_CFG, "renorm": {"p": 2, **ren}}
+        assert main(["renorm", "--config", write(tmp_path, f"cfg{i}.json", doc)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].strip().splitlines()) == records
+
+
+@pytest.mark.parametrize("sources, message", [
+    ({"vectors": 5}, "config.renorm.vectors: expected an array of coordinate arrays"),
+    ({"random": 5}, "config.renorm.random: expected dict, got 5"),
+    ({"vectors": [], "random": {}}, "config.renorm: give one vector source, vectors or random, not both"),
+])
+def test_non_null_vector_source_is_checked(tmp_path, capsys, sources, message):
+    doc = {**BASE_CFG, "renorm": {"p": 2, **sources}}
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["space-check", "estimate", "renorm", "ukk"])
 def test_misspelt_top_level_section_is_exit_2(tmp_path, capsys, command):
     # BASE_CFG holds every section, and stays valid for each subcommand

@@ -1,17 +1,51 @@
+import hashlib
+import json
+
 import pytest
 
 from ukklattice import SupportPartition, iter_set_partitions
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877]  # set partitions of an n-set, n = 0..7
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]  # set partitions of an n-set, n = 0..10
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(len(BELL)))
 def test_enumeration_count_matches_bell(n):
     parts = list(iter_set_partitions(range(n)))
     assert len(parts) == BELL[n]
     # no duplicates
     seen = {tuple(tuple(b) for b in p) for p in parts}
     assert len(seen) == len(parts)
+
+
+def test_enumeration_order_at_n3():
+    # restricted-growth-string order: item i joins each open block, earliest first, then opens one
+    assert list(iter_set_partitions([0, 1, 2])) == [
+        ((0, 1, 2),),
+        ((0, 1), (2,)),
+        ((0, 2), (1,)),
+        ((0,), (1, 2)),
+        ((0,), (1,), (2,)),
+    ]
+
+
+def test_enumeration_order_at_n9_is_pinned():
+    # sha256 of the 21147 partitions as compact JSON, recorded from the restricted-growth-string enumerator
+    text = json.dumps([[list(b) for b in p] for p in iter_set_partitions(range(9))], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == "008617bf3985b8545407be9a3cdfd0bd204bc422d60a5642eb71f6d4fa06c2f5"
+
+
+@pytest.mark.parametrize("items, sorted_items", [
+    ([7, 3, 9, 0], [0, 3, 7, 9]),
+    ([2, 2, 1], [1, 2, 2]),
+    ((5, 1, 5, 1, 3), [1, 1, 3, 5, 5]),
+])
+def test_enumeration_of_unsorted_or_repeated_items(items, sorted_items):
+    assert list(iter_set_partitions(items)) == list(iter_set_partitions(sorted_items))
+
+
+def test_enumeration_is_lazy_without_recursion():
+    # 2000 items would overflow a recursive walk and Bell(2000) partitions any eager one
+    assert next(iter_set_partitions(range(2000))) == (tuple(range(2000)),)
 
 
 def test_enumeration_covers_all_atoms():

@@ -21,6 +21,7 @@ from ukklattice import (
     renorm_batch,
     renorm_exact,
     renorm_heuristic,
+    run_bump_campaign,
     verify_lower_r_estimate,
 )
 from ukklattice import norms
@@ -565,3 +566,58 @@ def test_heuristic_work_is_pinned(counting_lq):
     assert N.calls == [39, 26, 52, 54, 52, 49, 44, 43, 42, 29, 35, 33, 20, 27, 35, 25, 22, 20, 6, 4,
                        103, 46, 25, 41, 21, 21, 19, 17, 17, 84, 23, 21, 21, 19, 17, 18, 15, 15, 14, 16,
                        62, 45, 26, 23, 18, 18, 15, 13, 13, 12, 113, 27, 24, 19, 18, 17, 12, 13]
+
+
+# -- large p: block terms that under- or overflow binary64 ----------------
+# On Lq(2, 6) and any p >= 2 the renorm of a vector is its norm.  At large p the
+# terms N(block)^p of SMALL underflow to 0 and those of [2, 1, 0, ...] overflow.
+# Each strict xfail asserts the right value and fails the suite once it holds.
+
+SMALL = LatticeVector([0.05, 0.05, 0, 0, 0, 0])
+SPIKE = LatticeVector([4, 1, 0, 0, 0, 0])
+
+
+def test_exact_at_p100_is_the_base_norm():
+    N = LqNorm(2, 6)
+    assert renorm_exact(N, 100, SMALL).value == N(SMALL)
+
+
+def test_lq_at_q200():
+    N = LqNorm(200, 6)
+    assert N(SPIKE) == 4.0
+    assert N(SMALL) == pytest.approx(0.05 * 2 ** (1 / 200), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the terms underflow: the value is 0.0")
+@pytest.mark.parametrize("p", [400, 1200])
+def test_exact_at_large_p_is_the_base_norm(p):
+    N = LqNorm(2, 6)
+    assert renorm_exact(N, p, SMALL).value == pytest.approx(N(SMALL), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the terms underflow: the value is 0.0")
+def test_heuristic_at_large_p_is_the_base_norm():
+    N = LqNorm(2, 6)
+    assert renorm_heuristic(N, 1200, SMALL, seed=0).value == pytest.approx(N(SMALL), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="x_i^q overflows to inf or underflows to 0.0")
+@pytest.mark.parametrize("x, value", [(SPIKE, 4.0), (SMALL, 0.05 * 2 ** (1 / 600))], ids=["spike", "small"])
+def test_lq_at_q600(x, value):
+    assert LqNorm(600, 6)(x) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="the terms overflow")
+def test_renorm_at_p1e6_without_overflow():
+    assert renorm(LqNorm(2, 6), 1e6, [2, 1, 0, 0, 0, 0]).value == pytest.approx(math.sqrt(5), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the terms underflow: the value is 0.0")
+def test_renorm_at_p1e6_without_underflow():
+    assert renorm(LqNorm(2, 6), 1e6, [0.9, 0.3, 0, 0, 0, 0]).value == pytest.approx(math.sqrt(0.9), rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="the bump trial divides by a renorm of 0.0")
+def test_bump_campaign_at_p1e6_finishes():
+    assert run_bump_campaign(LqNorm(2, 12), 1e6, 3, horizon=8, seed=11).failed == 0
