@@ -216,8 +216,7 @@ def main(argv=None) -> int:
     try:
         code, reports = _COMMANDS[args.command][1](args)
         if args.out is None:  # stdout carries the first report
-            text = next(iter(reports.values()))
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.write(next(iter(reports.values())))
         else:
             os.makedirs(args.out, exist_ok=True)
             for name, text in reports.items():

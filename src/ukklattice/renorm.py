@@ -124,26 +124,26 @@ def fold_terms(terms) -> float:
     return acc
 
 
-def _write_blocks(Z: np.ndarray, vals: np.ndarray, supp: np.ndarray, bits: np.ndarray) -> None:
-    """Write the block rows of K rows under M masks of their support into ``Z``.
+def _mask_terms(N: NormOracle, p: float, chunks: list) -> list[np.ndarray]:
+    """Block terms of every chunk, one (M, K) array each, from one ``N.values`` call.
 
-    ``Z`` is a zero (M, K, dim) array or view, ``vals`` and ``supp``
-    (K, s) are the support values and atoms of each row, ``bits`` (M, s)
-    marks the atoms of each mask.  Block row (m, r) is row r restricted
-    to mask m; its off-block support atoms hold ``0 * value``, a signed
+    The engine's one block-term path.  A chunk starts ``(vals, supp,
+    bits)``: ``vals`` and ``supp`` (K, s) are the support values and atoms
+    of K rows, ``bits`` (M, s) marks the atoms of M masks; the rest is the
+    caller's.  Block row (m, r), row r restricted to mask m, goes into one
+    zero buffer; its off-block support atoms hold ``0 * value``, a signed
     zero that no built-in norm tells from 0.
     """
-    Z[:, np.arange(vals.shape[0])[:, None], supp] = bits[:, None, :] * vals
-
-
-def _mask_terms(N: NormOracle, p: float, vals: np.ndarray, supp: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Block terms of K rows under M masks of their support, as an (M, K) array.
-
-    The M * K block rows of :func:`_write_blocks` go through one ``N.values`` call.
-    """
-    Z = np.zeros((bits.shape[0], vals.shape[0], N.dim))
-    _write_blocks(Z, vals, supp, bits)
-    return np.array(block_terms(N.values(Z.reshape(-1, N.dim)), p)).reshape(Z.shape[:2])
+    spans, at = [], 0  # per chunk: its block rows' slice of the buffer, and M
+    for chunk in chunks:
+        M = len(chunk[2])
+        spans.append((at, at + M * len(chunk[0]), M))
+        at = spans[-1][1]
+    Z = np.zeros((at, N.dim))
+    for (vals, supp, bits, *_), (a, b, M) in zip(chunks, spans):
+        Z[a:b].reshape(M, -1, N.dim)[:, np.arange(len(vals))[:, None], supp] = bits[:, None, :] * vals
+    terms = np.array(block_terms(N.values(Z), p))
+    return [terms[a:b].reshape(M, -1) for a, b, M in spans]
 
 
 def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> float:
@@ -162,7 +162,7 @@ def partition_power_sum(N: NormOracle, p: float, x: LatticeVector, blocks) -> fl
     if not part.blocks:
         return 0.0
     bits = np.array([np.isin(supp, blk) for blk in part.blocks])
-    return fold_terms(_mask_terms(N, p, a[None, supp], supp[None], bits)[:, 0].tolist())
+    return fold_terms(_mask_terms(N, p, [(a[None, supp], supp[None], bits)])[0][:, 0].tolist())
 
 
 def _require_exact(s: int) -> None:
@@ -294,7 +294,7 @@ def renorm_batch(
     ``norms._MAX_CALL_ENTRIES`` = 2^16 entries; a lone row past the cap is
     a chunk of its own.  Chunks are packed, in order of s, by
     ``norms._packed`` into ``N.values`` calls of at most that many
-    entries, written into one buffer per call, so a batch of small
+    entries, each one :func:`_mask_terms` call, so a batch of small
     supports makes one call.  This bounds the memory of a call at any
     dim, and no row's value depends on the packing.  Each chunk then runs
     the subset DP layered by popcount with a batch axis over its K rows.
@@ -320,33 +320,21 @@ def renorm_batch(
     methods = ["exact"] * n
     sources: list = [None] * n
 
-    def chunks():  # (s, rows) of at most the cap's entries each, a lone larger row alone
+    def chunks():  # (vals, supp, bits, rows, tables) of at most the cap's entries each, a lone larger row alone
         for s in sorted(set(sizes[sizes <= threshold].tolist())):
-            rows = np.flatnonzero(sizes == s)
+            same, tables = np.flatnonzero(sizes == s), _dp_tables(s)
             step = max(1, norms._MAX_CALL_ENTRIES // ((1 << s) * N.dim))
-            for lo in range(0, rows.size, step):
-                yield s, rows[lo : lo + step]
+            for lo in range(0, same.size, step):
+                rows = same[lo : lo + step]
+                Xs = X[rows]
+                nz = np.nonzero(Xs)
+                yield Xs[nz].reshape(rows.size, s), nz[1].reshape(rows.size, s), tables.bits, rows, tables
 
-    for call in _packed(chunks(), lambda chunk: (chunk[1].size << chunk[0]) * N.dim):
-        Z = np.zeros((sum(rows.size << s for s, rows in call), N.dim))
-        at, layout = 0, []  # per chunk: its block rows' slice of Z, rows, support atoms, DP tables
-        for s, rows in call:
-            K = rows.size
-            tables = _dp_tables(s)
-            Xs = X[rows]
-            nz = np.nonzero(Xs)
-            supp = nz[1].reshape(K, s)
-            part = slice(at, at + (K << s))
-            _write_blocks(Z[part].reshape(1 << s, K, N.dim), Xs[nz].reshape(K, s), supp, tables.bits)
-            layout.append((part, rows, supp, tables))
-            at = part.stop
-        terms = np.array(block_terms(N.values(Z), p))
-        for part, rows, supp, tables in layout:
-            K = rows.size
-            tp = terms[part].reshape(-1, K)
+    for call in _packed(chunks(), lambda chunk: len(chunk[2]) * chunk[3].size * N.dim):
+        for (_, supp, _, rows, tables), tp in zip(call, _mask_terms(N, p, call)):
             g = np.zeros_like(tp)
             # a lone row runs on 1-d views, which numpy indexes about three times faster
-            dp_tp, dp_g = (tp[:, 0], g[:, 0]) if K == 1 else (tp, g)
+            dp_tp, dp_g = (tp[:, 0], g[:, 0]) if rows.size == 1 else (tp, g)
             for masks, blocks in tables.layers:
                 dp_g[masks] = (dp_tp[blocks] + dp_g[blocks ^ masks[:, None]]).max(axis=1)
             group = (tp, g, supp, tables)
@@ -432,7 +420,7 @@ def _local_search(N: NormOracle, p: float, a: np.ndarray, seed: int) -> tuple[fl
                                     for t in (term, low, flips))
             buf = np.frombuffer(b"".join([B.to_bytes(width, "little") for B in fresh]), dtype=np.uint8)
             bits = np.unpackbits(buf.reshape(len(fresh), width), axis=1, count=s, bitorder="little")
-            term[n0:n] = _mask_terms(N, p, vals, supp[None], bits)[:, 0]
+            term[n0:n] = _mask_terms(N, p, [(vals, supp[None], bits)])[0][:, 0]
             low[n0:n] = bits.argmax(axis=1)
         return np.fromiter(map(ids.__getitem__, blocks), np.intp, len(blocks))
 
@@ -572,7 +560,7 @@ class EquivalenceAudit:
     upper_violations: int
     worst_lower_excess: float  # max of (base - renorm) / base
     worst_upper_excess: float  # max of (renorm - C*base) / (C*base)
-    passed: bool = field(default=False)
+    passed: bool
 
     def to_dict(self) -> dict:
         return report_dict(self)

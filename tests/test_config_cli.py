@@ -580,7 +580,7 @@ def sha(blob: bytes) -> str:
 
 # (sha256 of stdout, sha256 of each --out file) on BASE_CFG, recorded while each
 # handler still wrote its own output; stdout carries the first report, and a
-# renorm section with no vectors prints one empty line and writes an empty file
+# renorm section with no vectors prints nothing and writes an empty file
 CONSOLE_DIGESTS = {
     "estimate": ("1667642982fcaab5dae58ed6beeffc6cce1d6c4398a9724e94a9ea28e9fef7f3", {
         "estimate.json": "1667642982fcaab5dae58ed6beeffc6cce1d6c4398a9724e94a9ea28e9fef7f3",
@@ -588,7 +588,7 @@ CONSOLE_DIGESTS = {
     "renorm": ("059dbfd03f51b3b1fb878ae5569002586ab5734ac56e73d0a86227d37833d204", {
         "renorm.jsonl": "059dbfd03f51b3b1fb878ae5569002586ab5734ac56e73d0a86227d37833d204",
     }),
-    "renorm:empty": ("01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", {
+    "renorm:empty": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {
         "renorm.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     }),
     "space-check": ("022f83f77643907199c9b6c6a21ebae31fa44278f7321bcb63c6417d1681eb91", {
@@ -614,6 +614,15 @@ def test_console_reports_unchanged(tmp_path, case):
     assert console(command, "--config", cfg, "--out", str(tmp_path / "out")) == (0, b"", "")
     files = {f.name: sha(f.read_bytes()) for f in (tmp_path / "out").iterdir()}
     assert (sha(out), files) == CONSOLE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("renorm", [{"p": 2}, {"p": 2, "vectors": []}, {"p": 2, "random": {"count": 0}}], ids=json.dumps)
+def test_empty_renorm_writes_nothing(tmp_path, renorm):
+    # an empty report is written as it is: no stray newline, which is not valid JSONL
+    cfg = write(tmp_path, "cfg.json", {**BASE_CFG, "renorm": renorm})
+    assert console("renorm", "--config", cfg) == (0, b"", "")
+    assert console("renorm", "--config", cfg, "--out", str(tmp_path / "out")) == (0, b"", "")
+    assert (tmp_path / "out" / "renorm.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("seed", ["3", True, 1.5, None], ids=json.dumps)

@@ -25,7 +25,7 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import norms
-from ukklattice.renorm import _mask_dtype, _random_cut
+from ukklattice.renorm import _mask_dtype, _mask_terms, _random_cut
 from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
 
@@ -454,6 +454,52 @@ def test_stacked_calls_stay_within_the_entries_cap(counting_lq):
     N = counting_lq(2, 64)
     verify_lower_r_estimate(N, 3.0, 1.0, trials=400, seed=1)
     assert len(N.calls) > 1 and max(N.entries) <= norms._MAX_CALL_ENTRIES
+
+
+def test_mask_terms_scores_every_chunk_in_one_call(counting_lq):
+    # chunks of K in {1, 3} rows at s in {2, 5}, masks as bool or as uint8 (the
+    # local search's), and one chunk of 400 masks x 3 rows x dim 64 = 76,800
+    # entries, past the cap: _mask_terms makes one call, and packing is the caller's
+    class Keep(counting_lq):
+        def values(self, X):
+            self.Z = X.copy()
+            return super().values(X)
+
+    N, p = Keep(3, 64), 2.5
+    rng = np.random.default_rng(47)
+
+    def chunk(K, s, bits):
+        supp = np.stack([np.sort(rng.choice(64, s, replace=False)) for _ in range(K)])
+        return random_coords(rng, K * s).reshape(K, s), supp, bits
+
+    every = [((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool) for s in (2, 5)]
+    chunks = [
+        chunk(1, 2, every[0]),
+        chunk(3, 5, every[1]),
+        chunk(3, 2, rng.integers(0, 2, (3, 2)).astype(np.uint8)),
+        chunk(3, 5, rng.integers(0, 2, (400, 5)).astype(bool)),
+        chunk(1, 5, every[1][::-1]),
+    ]
+    chunks[1] = (-np.abs(chunks[1][0]), *chunks[1][1:])  # every coordinate negative
+    sizes = [len(bits) * len(vals) for vals, _, bits in chunks]
+    assert sizes[3] * N.dim > norms._MAX_CALL_ENTRIES
+    terms = _mask_terms(N, p, chunks)
+    assert N.calls == [sum(sizes)]
+    alone = [_mask_terms(LqNorm(3, 64), p, [c])[0] for c in chunks]
+    assert [(t.shape, t.tobytes()) for t in terms] == [(a.shape, a.tobytes()) for a in alone]
+    # the block rows: row r under mask m holds x_r on the mask's atoms and a zero
+    # of x_r's sign on the other support atoms, -0.0 under a negative coordinate
+    at = 0
+    for (vals, supp, bits), n in zip(chunks, sizes):
+        Z = N.Z[at : at + n].reshape(len(bits), len(vals), N.dim)
+        at += n
+        for m, r in np.ndindex(len(bits), len(vals)):
+            on, off = supp[r][bits[m] == 1], supp[r][bits[m] == 0]
+            assert Z[m, r, on].tolist() == vals[r][bits[m] == 1].tolist()
+            assert np.array_equal(np.signbit(Z[m, r, off]), vals[r][bits[m] == 0] < 0)
+            assert not Z[m, r, off].any() and not np.delete(Z[m, r], supp[r]).any()
+    negative = N.Z[sizes[0] : sum(sizes[:2])]  # each of its 3 x 5 atoms is off the block under 16 of the 32 masks
+    assert np.count_nonzero((negative == 0) & np.signbit(negative)) == 3 * 5 * 16
 
 
 def test_batch_with_zero_rows_matches_scalar_bit_for_bit():
