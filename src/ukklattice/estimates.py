@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _seed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _Report, _seed
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
 from .sampling import _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
@@ -350,8 +350,7 @@ def estimate_lower_p_constant(
         for d in draws:
             if isinstance(d, LatticeVector):
                 d = [restrict(d, blk) for blk in next(witnesses)]
-            if d:
-                yield _rows(d, dim), True
+            yield _rows(d, dim), True
 
     ratio, X = _search(N, p, candidates(), _hill_climb)
     return ratio, [LatticeVector(row) for row in X]
@@ -380,7 +379,7 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
 
 
 @dataclass
-class EstimateReport:
+class EstimateReport(_Report):
     """Full constant-estimation pipeline output for one space."""
 
     norm: dict
@@ -393,9 +392,6 @@ class EstimateReport:
     lower_p_constant: float | None
     lower_p_witness: list[LatticeVector] | None
     budget_used: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return report_dict(self)
 
 
 def run_estimate_pipeline(

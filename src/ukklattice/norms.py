@@ -21,7 +21,7 @@ double the value), which is why :attr:`NormOracle.monotone_constant`
 exists instead of a hard-coded 1.
 
 :func:`report_dict` is the one JSON serializer of the package's report
-dataclasses; every report's ``to_dict`` is a call to it.
+dataclasses; they take ``to_dict`` from :class:`_Report`, which calls it.
 """
 
 from __future__ import annotations
@@ -293,6 +293,13 @@ def report_dict(report, omit=()) -> dict:
     return {f.name: _json_value(getattr(report, f.name)) for f in fields(report) if f.name not in omit}
 
 
+class _Report:
+    """Base of the report dataclasses: ``to_dict`` is ``report_dict`` of every field."""
+
+    def to_dict(self) -> dict:
+        return report_dict(self)
+
+
 def _json_value(v, field: bool = True):
     if isinstance(v, (list, tuple)):
         return [_json_value(m, field=False) for m in v] if field else list(v)
@@ -308,7 +315,7 @@ def _json_value(v, field: bool = True):
 
 
 @dataclass(frozen=True)
-class NormAuditReport:
+class NormAuditReport(_Report):
     """Worst-case relative violations found by :func:`audit_norm_axioms`."""
 
     kind: dict
@@ -321,25 +328,13 @@ class NormAuditReport:
     homogeneity_violation: float
     triangle_violation: float
     monotonicity_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.zero_value == 0.0
-            and self.positivity_violations == 0
-            and self.homogeneity_violation <= self.tol
-            and self.triangle_violation <= self.tol
-            and self.monotonicity_violation <= self.tol
-        )
-
-    def to_dict(self) -> dict:
-        return {**report_dict(self), "passed": self.passed}
+    passed: bool
 
 
 def _rel_excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest (lhs - rhs) / max(rhs, tiny); <= 0 when the inequality holds."""
+    """Largest (lhs - rhs) / max(rhs, tiny), or 0 when the inequality holds."""
     denom = np.maximum(rhs, 1e-12)
-    return float(((lhs - rhs) / denom).max())
+    return max(0.0, float(((lhs - rhs) / denom).max()))
 
 
 def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> NormAuditReport:
@@ -348,9 +343,9 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     Checks, per sample: positivity on nonzero vectors, absolute
     homogeneity, the triangle inequality, and K-monotonicity with
     ``K = N.monotone_constant`` on pairs |x| <= |y| built by shrinking.
-    Violations are relative; the audit passes iff every worst case is
-    within ``REL_TOL``, which the report carries as ``tol``.  Failures
-    are reported, never raised.
+    Violations are relative; the audit passes iff N(0) = 0, no nonzero
+    sample has N <= 0 and every worst case is within ``REL_TOL``, which
+    the report carries as ``tol``.  Failures are reported, never raised.
     """
     samples, seed = _count(samples, "samples"), _seed(seed)
     rng = np.random.default_rng(seed)
@@ -368,7 +363,7 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     scaled = N.values(X * t[:, None])
     expected = np.abs(t) * nx
     denom = np.maximum(expected, 1e-12)
-    homogeneity = float((np.abs(scaled - expected) / denom).max())
+    homogeneity = max(0.0, float((np.abs(scaled - expected) / denom).max()))
 
     triangle = _rel_excess(N.values(X + Y), nx + ny)
 
@@ -385,7 +380,8 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
         monotone_constant=K,
         zero_value=zero_value,
         positivity_violations=positivity_violations,
-        homogeneity_violation=max(0.0, homogeneity),
-        triangle_violation=max(0.0, triangle),
-        monotonicity_violation=max(0.0, monotonicity),
+        homogeneity_violation=homogeneity,
+        triangle_violation=triangle,
+        monotonicity_violation=monotonicity,
+        passed=zero_value == 0.0 and positivity_violations == 0 and max(homogeneity, triangle, monotonicity) <= REL_TOL,
     )

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import norms
-from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _seed, report_dict
+from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _Report, _seed
 from .partitions import SupportPartition
 from .sampling import random_vector
 from .vectors import LatticeVector, _family_rows, _integer, _rows
@@ -82,7 +82,7 @@ class SupportTooLarge(ValueError):
 
 
 @dataclass(frozen=True)
-class RenormResult:
+class RenormResult(_Report):
     """Value and witness decomposition for one renorm evaluation.
 
     ``power_sum`` is the folded objective (sum of block norm p-powers)
@@ -97,9 +97,6 @@ class RenormResult:
     method: str  # "exact" | "heuristic"
     p: float
     norm: NormOracle
-
-    def to_dict(self) -> dict:
-        return report_dict(self)
 
 
 def block_terms(values: np.ndarray, p: float) -> list[float]:
@@ -548,7 +545,7 @@ def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeV
 
 
 @dataclass(frozen=True)
-class EquivalenceAudit:
+class EquivalenceAudit(_Report):
     """Sampled check of base_norm(x) <= renorm(x) <= C * base_norm(x)."""
 
     samples: int
@@ -561,9 +558,6 @@ class EquivalenceAudit:
     worst_lower_excess: float  # max of (base - renorm) / base
     worst_upper_excess: float  # max of (renorm - C*base) / (C*base)
     passed: bool
-
-    def to_dict(self) -> dict:
-        return report_dict(self)
 
 
 def audit_equivalence(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormOracle, _check_p, _count, _real, _seed, report_dict
+from .norms import NormOracle, _check_p, _count, _real, _Report, _seed, report_dict
 from .renorm import renorm, renorm_batch
 from .sampling import random_coords, random_vector
 from .vectors import LatticeVector, _rows, truncate
@@ -83,26 +83,27 @@ def generate_bump_sequence(
     """
     c = _rows([core], N.dim)[0]
     horizon, bump_height = _count(horizon, "horizon"), _real(bump_height, "bump_height")
-    supp = np.flatnonzero(c)
-    first_fresh = int(supp[-1]) + 1 if supp.size else 0
-    if first_fresh + horizon > N.dim:
-        raise ValueError(
-            f"ambient dim {N.dim} too small: need {first_fresh + horizon} atoms "
-            f"for the core plus {horizon} fresh bumps"
-        )
-    X = _bump_rows(c, first_fresh, bump_height, horizon)
+    X = _bump_rows(c, bump_height, horizon)
     for n, value in enumerate(renorm_batch(N, p, X).values):
         if value > 1.0 + _TOL:
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
     return [LatticeVector(x) for x in X]
 
 
-def _bump_rows(core: np.ndarray, first_fresh: int, bump_height: float, horizon: int) -> np.ndarray:
-    """Rows core + bump_height * e_(first_fresh + n), n < horizon.
+def _bump_rows(core: np.ndarray, bump_height: float, horizon: int) -> np.ndarray:
+    """Rows core + bump_height * e_(first_fresh + n), n < horizon, first_fresh right after the core's support.
 
     The bumps ride on a zero matrix added to the core, so each row equals
-    ``core + LatticeVector.unit(...)`` bit for bit, signed zeros included.
+    ``core + LatticeVector.unit(...)`` bit for bit, signed zeros included;
+    a core whose dim has no room for ``horizon`` fresh atoms raises ValueError.
     """
+    supp = np.flatnonzero(core)
+    first_fresh = int(supp[-1]) + 1 if supp.size else 0
+    if first_fresh + horizon > core.size:
+        raise ValueError(
+            f"ambient dim {core.size} too small: need {first_fresh + horizon} atoms "
+            f"for the core plus {horizon} fresh bumps"
+        )
     bumps = np.zeros((horizon, core.size))
     bumps[np.arange(horizon), first_fresh + np.arange(horizon)] = bump_height
     return core + bumps
@@ -172,7 +173,7 @@ def check_truncation_vanishing(
 
 
 @dataclass
-class UkkTrial:
+class UkkTrial(_Report):
     """One finite-horizon trial record; serializable for replay."""
 
     valid: bool
@@ -191,9 +192,6 @@ class UkkTrial:
     limit_renorm: float | None = None
     min_dist_to_limit: float | None = None
     liminf_ok: bool | None = None  # epsilon/2 <= min distance to limit + _TOL
-
-    def to_dict(self) -> dict:
-        return report_dict(self)
 
 
 def run_ukk_trial(
@@ -310,14 +308,12 @@ def _bump_trial(
     atoms = np.sort(rng.choice(core_room, size=size, replace=False))
     coords = np.zeros(dim, dtype=np.float64)
     coords[atoms] = random_coords(rng, size)
-    core = LatticeVector(coords)
     bump = float(rng.uniform(0.3, 1.0))
 
     # scale the whole family into the unit ball, with headroom for rounding
-    family = _bump_rows(core.coords, max(core.support()) + 1, bump, horizon)
-    worst = max(0.0, *renorm_batch(N, p, family).values)
+    worst = max(0.0, *renorm_batch(N, p, _bump_rows(coords, bump, horizon)).values)
     scale = (1.0 - 1e-12) / worst
-    core = core * scale
+    core = coords * scale
     bump = bump * scale
 
     seq = generate_bump_sequence(N, p, core, bump, horizon=horizon)

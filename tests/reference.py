@@ -1,7 +1,7 @@
 """A high-precision reference for the renorm, for tests only.
 
-``mp_norm`` evaluates an ``Lq`` or ``WeightedLq`` oracle on one row in
-mpmath at 50 significant digits.  ``mp_renorm`` is the renorm at exponent
+``mp_norm`` evaluates an oracle of any built-in kind on one row in mpmath
+at 50 significant digits.  ``mp_renorm`` is the renorm at exponent
 p by brute force: the maximum, over every set partition of the support
 (at most 6 atoms), of the sum of the blocks' ``mp_norm`` p-powers, to the
 1/p.  ``ulp_distance`` measures a float against such a value in units in
@@ -13,7 +13,7 @@ import math
 
 import mpmath
 
-from ukklattice import LqNorm, WeightedLqNorm
+from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm
 from ukklattice.partitions import iter_set_partitions
 
 DPS = 50
@@ -21,7 +21,11 @@ MAX_SUPPORT = 6
 
 
 def mp_norm(N, coords) -> mpmath.mpf:
-    """``N(coords)`` at 50 digits, for an ``LqNorm`` or a ``WeightedLqNorm``."""
+    """``N(coords)`` at 50 digits, for an ``Lq``, ``WeightedLq``, ``Block`` or ``PosNegMax`` oracle."""
+    if isinstance(N, BlockNorm):  # the outer norm of the inner norms' values
+        return mp_norm(N.outer, [mp_norm(M, [coords[i] for i in blk]) for blk, M in zip(N.blocks, N.inner)])
+    if isinstance(N, PosNegMaxNorm):  # the larger of the base norms of the positive and the negative part
+        return max(mp_norm(N.base, [max(c, 0) for c in coords]), mp_norm(N.base, [max(-c, 0) for c in coords]))
     if not isinstance(N, (LqNorm, WeightedLqNorm)):
         raise TypeError(f"no reference for {type(N).__name__}")
     weights = N.weights.tolist() if isinstance(N, WeightedLqNorm) else [1.0] * N.dim

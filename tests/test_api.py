@@ -75,7 +75,8 @@ def test_star_import_matches_all():
 # ``run_bump_campaign``, ``run_ukk_trial``) and the scalar exact threshold
 # (``threshold`` of ``renorm``, ``renorm_exact``): no caller set them either,
 # and a record from a campaign at another ``tol`` did not replay to itself.
-# ``check_truncation_vanishing``'s ``tol`` went the same way: it reads ``ukk._TOL``
+# ``check_truncation_vanishing``'s ``tol`` went the same way: it reads ``ukk._TOL``.
+# ``NormAuditReport``'s verdict ``passed`` is a field, as in the other reports
 SIGNATURES = {
     "BlockNorm": ("blocks", "inner", "outer"),
     "ConfigError": ("path", "message"),
@@ -90,7 +91,7 @@ SIGNATURES = {
     "LqNorm": ("q", "dim"),
     "NormAuditReport": ("kind", "samples", "seed", "tol", "monotone_constant", "zero_value",
                         "positivity_violations", "homogeneity_violation", "triangle_violation",
-                        "monotonicity_violation"),
+                        "monotonicity_violation", "passed"),
     "NormOracle": (),
     "PosNegMaxNorm": ("base",),
     "RenormBatch": ("values", "power_sums", "methods", "p", "norm", "_sources"),
@@ -159,7 +160,8 @@ def test_signatures_match_inventory():
 # every exported class, as defined in the package or inherited from a package
 # base, so that adding or removing a method or a method option shows as an edit
 # here.  ``SupportPartition``'s classmethod constructor, its atom set and its
-# partition test were removed: the constructor itself sorts and gates any blocks
+# partition test were removed: the constructor itself sorts and gates any blocks.
+# ``NormAuditReport.passed`` is a field, no longer a property
 PROPERTY = "property"
 _ORACLE = {"values": ("X",), "describe": (), "monotone_constant": PROPERTY}
 METHODS = {
@@ -172,7 +174,7 @@ METHODS = {
     "LatticeVector": {"zeros": ("dim",), "unit": ("dim", "atom", "height"), "coords": PROPERTY,
                       "dim": PROPERTY, "support": (), "to_list": ()},
     "LqNorm": _ORACLE,
-    "NormAuditReport": {"passed": PROPERTY, "to_dict": ()},
+    "NormAuditReport": {"to_dict": ()},
     "NormOracle": _ORACLE,
     "PosNegMaxNorm": _ORACLE,
     "RenormBatch": {"witness": ("i",), "result": ("i",)},

@@ -7,7 +7,7 @@ mpmath = pytest.importorskip("mpmath")
 
 from reference import mp_norm, mp_renorm, ulp_distance  # noqa: E402
 
-from ukklattice import LqNorm, WeightedLqNorm, renorm_exact  # noqa: E402
+from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm, renorm_exact  # noqa: E402
 from ukklattice.sampling import random_vector  # noqa: E402
 
 MAX_ULP = 4.0
@@ -18,11 +18,21 @@ def _vectors(seed: int, n: int = 40):
     return [random_vector(rng, 6) for _ in range(n)]
 
 
+def _pairs(inner, outer):
+    """A ``BlockNorm`` on dim 6: ``inner`` on each of the blocks {0, 1}, {2, 3}, {4, 5}, ``outer`` on the three values."""
+    return BlockNorm([[0, 1], [2, 3], [4, 5]], [inner] * 3, outer)
+
+
 @pytest.mark.parametrize("N,p", [
     (WeightedLqNorm(3, [1, 2, 3, 1, 2, 3]), 6.0),
     (LqNorm(2, 6), 4.0),
     (LqNorm(3, 6), 2.0),
-], ids=["WeightedLq3-p6", "Lq2-p4", "Lq3-p2"])
+    (_pairs(LqNorm(1, 2), LqNorm(3, 3)), 2.0),
+    (_pairs(LqNorm(2, 2), LqNorm("inf", 3)), 2.0),
+    (PosNegMaxNorm(LqNorm(1.5, 6)), 2.0),
+    (PosNegMaxNorm(LqNorm(2, 6)), 4.0),
+], ids=["WeightedLq3-p6", "Lq2-p4", "Lq3-p2", "Block-L1-pairs-L3-p2", "Block-L2-pairs-Linf-p2",
+        "PosNegMax-Lq1.5-p2", "PosNegMax-Lq2-p4"])
 def test_exact_is_within_4_ulp_of_the_reference(N, p):
     worst = max(ulp_distance(renorm_exact(N, p, x).value, mp_renorm(N, p, x.to_list())) for x in _vectors(41))
     assert worst <= MAX_ULP
