@@ -332,9 +332,9 @@ class NormAuditReport(_Report):
 
 
 def _rel_excess(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Largest (lhs - rhs) / max(rhs, tiny), or 0 when the inequality holds."""
-    denom = np.maximum(rhs, 1e-12)
-    return max(0.0, float(((lhs - rhs) / denom).max()))
+    """Largest (lhs - rhs) / max(rhs, tiny), 0 when the inequality holds, NaN when a value is NaN."""
+    worst = float(((lhs - rhs) / np.maximum(rhs, 1e-12)).max())
+    return 0.0 if worst <= 0.0 else worst
 
 
 def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> NormAuditReport:
@@ -343,9 +343,10 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     Checks, per sample: positivity on nonzero vectors, absolute
     homogeneity, the triangle inequality, and K-monotonicity with
     ``K = N.monotone_constant`` on pairs |x| <= |y| built by shrinking.
-    Violations are relative; the audit passes iff N(0) = 0, no nonzero
-    sample has N <= 0 and every worst case is within ``REL_TOL``, which
-    the report carries as ``tol``.  Failures are reported, never raised.
+    Violations are relative; the audit passes iff N(0) = 0, every nonzero
+    sample has N > 0 and every worst case is within ``REL_TOL``, which
+    the report carries as ``tol``.  A NaN value is a violation, and a NaN
+    worst case stays NaN.  Failures are reported, never raised.
     """
     samples, seed = _count(samples, "samples"), _seed(seed)
     rng = np.random.default_rng(seed)
@@ -358,12 +359,12 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
 
     nx = N.values(X)
     ny = N.values(Y)
-    positivity_violations = int(((nx <= 0.0) & np.any(X != 0.0, axis=1)).sum())
+    positivity_violations = int((~(nx > 0.0) & np.any(X != 0.0, axis=1)).sum())
 
     scaled = N.values(X * t[:, None])
     expected = np.abs(t) * nx
     denom = np.maximum(expected, 1e-12)
-    homogeneity = max(0.0, float((np.abs(scaled - expected) / denom).max()))
+    homogeneity = float((np.abs(scaled - expected) / denom).max())
 
     triangle = _rel_excess(N.values(X + Y), nx + ny)
 
@@ -383,5 +384,6 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
         homogeneity_violation=homogeneity,
         triangle_violation=triangle,
         monotonicity_violation=monotonicity,
-        passed=zero_value == 0.0 and positivity_violations == 0 and max(homogeneity, triangle, monotonicity) <= REL_TOL,
+        passed=zero_value == 0.0 and positivity_violations == 0
+        and all(v <= REL_TOL for v in (homogeneity, triangle, monotonicity)),
     )

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from ukklattice import LqNorm
@@ -23,3 +24,17 @@ class CountingLq(LqNorm):
 def counting_lq():
     """The counting Lq oracle class: ``counting_lq(q, dim).calls`` lists the rows of each call, ``.entries`` its entries."""
     return CountingLq
+
+
+class NanLq(LqNorm):
+    """An Lq oracle whose every nonzero row reads NaN."""
+
+    def values(self, X):
+        v = super().values(X)
+        return np.where(v > 0.0, np.nan, v)
+
+
+@pytest.fixture
+def nan_lq():
+    """The NaN Lq oracle class: ``nan_lq(q, dim)`` is 0 at the zero row and NaN elsewhere."""
+    return NanLq

@@ -679,6 +679,13 @@ def test_only_a_verdict_exits_1(tmp_path, capsys, monkeypatch, fault, message):
     assert capsys.readouterr() == ("", message)
 
 
+def test_space_check_of_a_nan_oracle_is_not_exit_0(tmp_path, capsys, monkeypatch, nan_lq):
+    # its audit fails with NaN worst cases, a report that is rejected rather than written
+    monkeypatch.setattr(cli, "parse_norm_spec", lambda spec: nan_lq(2, 12))
+    assert main(["space-check", "--config", write(tmp_path, "cfg.json", BASE_CFG)]) == 2
+    assert capsys.readouterr() == ("", "error: Out of range float values are not JSON compliant\n")
+
+
 def test_unwritable_out_is_exit_2(tmp_path, capsys):
     (tmp_path / "taken").write_text("")
     cfg = write(tmp_path, "cfg.json", BASE_CFG)

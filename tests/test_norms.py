@@ -256,6 +256,16 @@ def test_audit_catches_broken_oracle():
     assert report.zero_value > 0
 
 
+def test_audit_fails_a_nan_oracle(nan_lq):
+    # max(0.0, nan) is 0.0 and nan <= 0.0 is False: this oracle used to pass
+    # with no positivity violation and every worst case 0.0
+    report = audit_norm_axioms(nan_lq(2, 4), samples=100, seed=0)
+    assert not report.passed
+    assert (report.zero_value, report.positivity_violations) == (0.0, 100)
+    assert all(math.isnan(v) for v in (report.homogeneity_violation, report.triangle_violation,
+                                       report.monotonicity_violation))
+
+
 def test_dim_mismatch_raises():
     from ukklattice import DimensionMismatch
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -25,7 +26,7 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import norms
-from ukklattice.renorm import _mask_dtype, _mask_terms, _random_cut
+from ukklattice.renorm import _dp_tables, _mask_dtype, _mask_terms, _random_cut
 from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
 
@@ -135,6 +136,45 @@ def test_ties_go_to_the_first_block_in_descending_submask_order():
     y = LatticeVector([0.5, 0.25, 1.0, 0.0])
     assert renorm_exact(pairs, 1.0, y).witness.to_lists() == [[0, 1], [2]]
     assert partition_power_sum(pairs, 1.0, y, [[0], [1], [2]]) == renorm_exact(pairs, 1.0, y).power_sum
+
+
+@pytest.mark.parametrize("s", [9, 10, 11, 12])
+def test_ties_at_large_supports_keep_the_whole_support(counting_lq, monkeypatch, s):
+    # L1 at p = 1 on signed dyadic coordinates: every partition's power sum is
+    # the same exact float, so each remainder keeps its first candidate, itself
+    rng = np.random.default_rng(s)
+    X = np.zeros((3, 12))
+    for row in X:
+        atoms = rng.choice(12, size=s, replace=False)
+        row[atoms] = 2.0 ** rng.integers(-4, 4, size=s) * rng.choice([-1.0, 1.0], size=s)
+    N = counting_lq(1, 12)
+    for row in X:
+        assert renorm_exact(N, 1.0, row).witness.to_lists() == [np.flatnonzero(row).tolist()]
+    # a cap of exactly three rows' block rows makes the three one chunk of the DP
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 3 * (1 << s) * 12)
+    N = counting_lq(1, 12)
+    batch = renorm_batch(N, 1.0, X)
+    assert N.calls == [3 << s]
+    assert [batch.witness(i).to_lists() for i in range(3)] == [[np.flatnonzero(row).tolist()] for row in X]
+    _assert_rows_are_one_row_calls(N, 1.0, X, batch)
+
+
+@pytest.mark.parametrize("s", range(9))
+def test_dp_tables_list_each_masks_blocks_down_its_column(s):
+    tables = _dp_tables(s)
+    assert tables.bits.tolist() == [[m >> i & 1 == 1 for i in range(s)] for m in range(1 << s)]
+    assert len(tables.layers) == s
+    for k, (masks, blocks) in enumerate(tables.layers, start=1):
+        layer = [m for m in range(1 << s) if m.bit_count() == k]  # ascending
+        assert masks.dtype == blocks.dtype == np.uint16
+        assert masks.tolist() == layer
+        assert blocks.shape == (1 << (k - 1), len(layer)) and blocks.flags.c_contiguous
+        for j, m in enumerate(layer):
+            # the submasks of m holding its lowest atom, in descending order
+            assert blocks[:, j].tolist() == [B for B in range(m, 0, -1) if B & m == B and B & m & -m]
+            assert tables.pos[m] == j
+    for a in (tables.bits, tables.pos, *(a for layer in tables.layers for a in layer)):
+        assert not a.flags.writeable
 
 
 def test_l2_matching_exponent_is_identity():
@@ -356,6 +396,14 @@ def test_equivalence_audit_flags_small_c():
     assert not audit_equivalence(LqNorm(2, 6), 2.0, 0.9, samples=5).passed
 
 
+def test_equivalence_audit_fails_a_nan_oracle(nan_lq):
+    # nan > REL_TOL is False: every sample used to count as no violation
+    audit = audit_equivalence(nan_lq(2, 4), 2.0, 1.5, samples=20)
+    assert not audit.passed
+    assert (audit.lower_violations, audit.upper_violations) == (20, 20)
+    assert math.isnan(audit.worst_lower_excess) and math.isnan(audit.worst_upper_excess)
+
+
 def test_equivalence_audit_needs_a_sample():
     # no samples used to pass with worst excesses of -inf
     with pytest.raises(ValueError, match="samples"):
@@ -500,6 +548,30 @@ def test_mask_terms_scores_every_chunk_in_one_call(counting_lq):
             assert not Z[m, r, off].any() and not np.delete(Z[m, r], supp[r]).any()
     negative = N.Z[sizes[0] : sum(sizes[:2])]  # each of its 3 x 5 atoms is off the block under 16 of the 32 masks
     assert np.count_nonzero((negative == 0) & np.signbit(negative)) == 3 * 5 * 16
+
+
+# sha256 over (value.hex(), power_sum.hex(), witness) of two seeded signed rows
+# at each support size 0 to 12, recorded before the DP tables were transposed
+@pytest.mark.parametrize("N,p,digest", [
+    (LqNorm(3, 24), 2.0, "2fa17760af5213ded6eb1e087ecb434836d7463df624dd51ab3212922f3ea3ab"),
+    (BlockNorm([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)], [LqNorm(2, 3)] * 8, LqNorm(1, 8)), 3.0,
+     "e74e64d71eefaea0d9791c01e4c52a804629495115edfbb292ce0c346199c5ad"),
+    (PosNegMaxNorm(LqNorm(1.5, 24)), 2.0, "324c3de245bc27c74cdec90e1a891cc851909e184996ac5104170179de1d05a2"),
+])
+def test_exact_rows_are_pinned_bit_for_bit(N, p, digest):
+    rng = np.random.default_rng(2024)
+    X = np.zeros((26, 24))
+    for i, row in enumerate(X):
+        s = i // 2  # two rows at each support size
+        row[rng.choice(24, size=s, replace=False)] = rng.uniform(0.1, 1.0, s) * np.where(rng.random(s) < 0.5, -1, 1)
+
+    def sha(results):
+        text = repr([(v.hex(), total.hex(), w.to_lists()) for v, total, w in results])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    batch = renorm_batch(N, p, X)
+    assert sha((batch.values[i], batch.power_sums[i], batch.witness(i)) for i in range(len(X))) == digest
+    assert sha((r.value, r.power_sum, r.witness) for r in (renorm_exact(N, p, row) for row in X)) == digest
 
 
 def test_batch_with_zero_rows_matches_scalar_bit_for_bit():
