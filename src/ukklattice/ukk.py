@@ -135,13 +135,13 @@ def measure_separation(sequence, N: NormOracle, p: float) -> Separation:
 def _tracks_settle(T: np.ndarray, tol: float) -> bool:
     """Finite-horizon reading of the deviation tracks in the columns of ``T``.
 
-    A track fails only if it is above ``tol`` at its last entry and already
-    was before the final quarter; otherwise it settled or is still in flight.
+    A track fails if any entry is non-finite, or if it is above ``tol`` at its last
+    entry and already was before the final quarter; else it settled or is in flight.
     """
     moving = T > tol
     # the final quarter starts at this row; movements starting there are "in flight"
     cutoff = max(1, math.ceil(0.75 * len(T)))
-    return not np.any(moving[-1] & moving[:cutoff].any(axis=0))
+    return bool(np.isfinite(T).all()) and not np.any(moving[-1] & moving[:cutoff].any(axis=0))
 
 
 def check_truncation_vanishing(
@@ -234,10 +234,7 @@ def run_ukk_trial(
     n = len(X)
     D = X - limit  # deviations from the limit: read for convergence, then renormed as distances
     settled = _tracks_settle(np.abs(D), _TOL)
-    # an overflowed distance row stays out of the batch, so that an element
-    # outside the ball is still reported as such; the distance stage gates it
-    finite = bool(np.isfinite(D).all())
-    res = renorm_batch(N, p, np.vstack([X, D, limit]) if settled and finite else X)
+    res = renorm_batch(N, p, np.vstack([X, D, limit]) if settled else X)
     for i, (value, method) in enumerate(zip(res.values[:n], res.methods[:n])):
         advisory = advisory or method == "heuristic"
         if value > 1.0 + _TOL:
@@ -252,8 +249,6 @@ def run_ukk_trial(
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)")
 
-    if not finite:
-        _rows(D, N.dim)  # raises the row gate's error on the overflowed distances
     advisory = advisory or "heuristic" in res.methods[n : 2 * n]
     min_dist = float(min(res.values[n : 2 * n]))
     if not epsilon / 2.0 <= min_dist + _TOL:

@@ -497,6 +497,13 @@ def test_null_library_field_takes_the_library_default(tmp_path, capsys):
     assert (summary["horizon"], summary["mode"], summary["p"]) == (16, "bump", 2.5)
 
 
+def test_unknown_renorm_mode_is_exit_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CFG))
+    doc["renorm"]["mode"] = "fast"
+    assert main(["renorm", "--config", write(tmp_path, "cfg.json", doc)]) == 2
+    assert capsys.readouterr() == ("", "error: config.renorm.mode: expected auto|exact|heuristic, got 'fast'\n")
+
+
 def test_renorm_takes_one_vector_source(tmp_path, capsys):
     # random used to be ignored when vectors was given
     doc = json.loads(json.dumps(BASE_CFG))

@@ -185,6 +185,16 @@ def test_check_inf_chain_requires_disjoint():
         check_inf_chain(N, 1.5, [x, x])
 
 
+def test_check_inf_chain_needs_a_family():
+    with pytest.raises(ValueError, match="^family must be nonempty$"):
+        check_inf_chain(LqNorm(2, 4), 1.5, [])
+
+
+def test_two_disjoint_constant_needs_two_atoms():
+    with pytest.raises(ValueError, match="^dim must be >= 2: no disjoint pair has both parts nonzero$"):
+        estimate_two_disjoint_constant(LqNorm(2, 1))
+
+
 def test_lower_estimate_ratio_of_unit_family():
     # (4 * 1^2)^(1/2) / 1 = 2
     assert _ratio(LqNorm(float("inf"), 4), 2.0, np.eye(4)) == 2.0
@@ -433,6 +443,16 @@ def test_random_disjoint_family_is_disjoint():
 def test_samplers_take_integer_sizes_only(draw, name):
     # these used to raise numpy's TypeError, or to draw with a bool as 1
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        draw(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("draw,message", [
+    (lambda rng: random_vector(rng, 4, support_size=5), "support_size 5 out of range 1..4"),
+    (lambda rng: random_disjoint_pair(rng, 1), "need dim >= 2 for a nonzero disjoint pair"),
+    (lambda rng: random_disjoint_family(rng, 4, 5), "count 5 out of range 1..4"),
+], ids=["support_size 5 of 4", "pair dim 1", "count 5 of 4"])
+def test_samplers_reject_sizes_beyond_the_dim(draw, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         draw(np.random.default_rng(0))
 
 

@@ -7,7 +7,14 @@ mpmath = pytest.importorskip("mpmath")
 
 from reference import mp_norm, mp_renorm, ulp_distance  # noqa: E402
 
-from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm, renorm_exact  # noqa: E402
+from ukklattice import (  # noqa: E402
+    BlockNorm,
+    LqNorm,
+    PosNegMaxNorm,
+    WeightedLqNorm,
+    estimate_two_disjoint_constant,
+    renorm_exact,
+)
 from ukklattice.sampling import random_vector  # noqa: E402
 
 MAX_ULP = 4.0
@@ -36,6 +43,17 @@ def _pairs(inner, outer):
 def test_exact_is_within_4_ulp_of_the_reference(N, p):
     worst = max(ulp_distance(renorm_exact(N, p, x).value, mp_renorm(N, p, x.to_list())) for x in _vectors(41))
     assert worst <= MAX_ULP
+
+
+@pytest.mark.parametrize("dim", [6, 12])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 4, 7.25])
+def test_two_disjoint_constant_of_lq_is_within_2_ulp_of_its_closed_form(q, dim):
+    # two disjoint equal-norm vectors give (N(x) + N(y)) / N(x + y) = 2 / 2^(1/q), the constant
+    # of Lq; the search's maximum was measured at 0 to 1.0 ulp from this 50-digit value
+    with mpmath.workdps(50):
+        ref = mpmath.mpf(2) ** (1 - 1 / mpmath.mpf(q))
+    c_hat, _ = estimate_two_disjoint_constant(LqNorm(q, dim), budget=40, seed=0)
+    assert ulp_distance(c_hat, ref) <= 2.0
 
 
 def test_reference_renorm_at_p_equal_to_q_is_the_norm():

@@ -15,6 +15,7 @@ from ukklattice import (
     WeightedLqNorm,
     audit_equivalence,
     check_superadditivity,
+    estimate_lower_p_constant,
     iter_set_partitions,
     measure_separation,
     partition_power_sum,
@@ -23,6 +24,7 @@ from ukklattice import (
     renorm_exact,
     renorm_heuristic,
     run_bump_campaign,
+    run_ukk_trial,
     verify_lower_r_estimate,
 )
 from ukklattice import norms
@@ -332,6 +334,11 @@ def test_entry_points_gate_their_vector():
             entry(N, 2.0, [1.0, math.nan, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         partition_power_sum(N, 2.0, LatticeVector([1.0, 2.0]), [[0, 1]])
+
+
+def test_batch_gates_the_width_of_its_rows():
+    with pytest.raises(DimensionMismatch, match=r"^expected rows of 4 coordinates, got shape \(2, 3\)$"):
+        renorm_batch(LqNorm(2, 4), 2.0, np.zeros((2, 3)))
 
 
 def test_renorm_accepts_coordinate_lists():
@@ -739,3 +746,35 @@ def test_renorm_at_p1e6_without_underflow():
 @pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason="the bump trial divides by a renorm of 0.0")
 def test_bump_campaign_at_p1e6_finishes():
     assert run_bump_campaign(LqNorm(2, 12), 1e6, 3, horizon=8, seed=11).failed == 0
+
+
+def test_lower_estimates_at_p100_and_p400():
+    # K = 0.5 is below Lq(2)'s lower p-estimate constant, which is 1 at every p >= 2:
+    # 196 of the 200 sampled families violate it
+    for p in (100, 400):
+        assert verify_lower_r_estimate(LqNorm(2, 6), p, 0.5, trials=200, seed=0) == 196
+        assert estimate_lower_p_constant(LqNorm(2, 6), p, budget=20)[0] == 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the left side underflows to 0.0 in 11 families")
+def test_verify_at_r1200_counts_every_violation():
+    # a max-scaled fold of the same families finds 196 violations here too; the
+    # left side (sum N(x_i)^r)^(1/r) of 11 of them underflows to 0.0 and passes
+    assert verify_lower_r_estimate(LqNorm(2, 6), 1200, 0.5, trials=200, seed=0) == 196
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="the renorm candidates' block terms overflow")
+def test_lower_p_constant_at_p1200_is_one():
+    assert estimate_lower_p_constant(LqNorm(2, 6), 1200, budget=20)[0] == 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="x_6 - x_7 overflows and the row gate raises")
+def test_trial_with_an_overflowing_separation_is_invalid():
+    # every element lies in the ball and every deviation from the limit is finite,
+    # and the two moving elements are in flight, so the tracks settle; but the
+    # separation's difference 1.7e308 - (-1.7e308) overflows
+    N = WeightedLqNorm(2, [5e-309, 1, 1])
+    seq = [[0.0, 0.0, 0.0]] * 6 + [[1.7e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0]]
+    with np.errstate(over="ignore"):
+        trial = run_ukk_trial(N, 2.0, seq, [0.0, 0.0, 0.0])
+    assert not trial.valid

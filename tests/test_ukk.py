@@ -9,6 +9,7 @@ from ukklattice import (
     DimensionMismatch,
     LatticeVector,
     LqNorm,
+    WeightedLqNorm,
     check_truncation_vanishing,
     generate_bump_sequence,
     measure_separation,
@@ -20,6 +21,8 @@ from ukklattice import (
     ukk_modulus,
 )
 from ukklattice.ukk import _tracks_settle
+
+CONVERGENCE = "coordinatewise convergence to the declared limit not established at this horizon"
 
 
 def test_modulus_closed_forms():
@@ -126,7 +129,7 @@ def test_convergence_bump_and_constant():
     # a coordinate that deviates from the first element to the last does not converge
     e1 = LatticeVector.unit(3, 0)
     trial = run_ukk_trial(LqNorm(2, 3), 2.0, [e1] * 6, LatticeVector.zeros(3))
-    assert trial.reason == "coordinatewise convergence to the declared limit not established at this horizon"
+    assert trial.reason == CONVERGENCE
 
 
 def test_convergence_one_over_n():
@@ -451,6 +454,42 @@ def test_trial_with_an_overflowing_distance_still_reports_the_ball():
     with np.errstate(over="ignore"):
         trial = run_ukk_trial(N, 2.0, seq, limit)
     assert not trial.valid and trial.reason.startswith("element 0 outside")
+
+
+def test_trial_with_an_overflowed_deviation_is_invalid():
+    # every element lies in the ball (the tiny weight), but the last one's
+    # deviation from the limit, 1.7e308 + 1.7e308, overflows: a deviation
+    # beyond binary64 never settles; this used to raise the row gate's ValueError
+    N = WeightedLqNorm(2, [5e-309, 1, 1])
+    limit = [-1.7e308, 0.0, 0.0]
+    with np.errstate(over="ignore"):
+        trial = run_ukk_trial(N, 2.0, [limit] * 7 + [[1.7e308, 0.0, 0.0]], limit)
+    assert (trial.valid, trial.reason, trial.advisory) == (False, CONVERGENCE, False)
+
+
+def test_settle_rule_rejects_an_infinite_entry_in_the_final_quarter():
+    T = np.zeros((8, 2))
+    T[7, 0] = 1.0
+    assert _tracks_settle(T, 1e-9)  # a finite movement there is in flight
+    T[7, 0] = np.inf
+    assert not _tracks_settle(T, 1e-9)
+
+
+def test_truncation_track_that_overflows_does_not_vanish():
+    # N(1e300, 1e300) overflows to inf in the last element; it used to pass as in flight
+    seq = [[0.0, 0.0]] * 7 + [[1e300, 1e300]]
+    with np.errstate(over="ignore"):
+        assert not check_truncation_vanishing([1e300, 1e300], seq, [0.0, 0.0], LqNorm(2, 2))
+
+
+def test_truncation_vanishing_needs_a_sequence():
+    with pytest.raises(ValueError, match="^empty sequence$"):
+        check_truncation_vanishing([1.0, 1.0], [], [0.0, 0.0], LqNorm(2, 2))
+
+
+def test_campaign_needs_room_for_a_core():
+    with pytest.raises(ValueError, match=r"^oracle dim 8 leaves no room for a core before 8 bumps$"):
+        run_bump_campaign(LqNorm(2, 8), 2, 1, horizon=8)
 
 
 @pytest.mark.parametrize("mode,calls", [("bump", 4), ("fuzz", 3)])

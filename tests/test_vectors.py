@@ -159,6 +159,20 @@ def test_restrict():
     assert restrict(x, np.array([3], dtype=np.int64)).to_list() == [0.0, 0.0, 0.0, 4.0]
 
 
+def test_restrict_rejects_atoms_beyond_the_dim():
+    with pytest.raises(ValueError, match=r"^block contains atom indices outside 0\.\.3$"):
+        restrict(LatticeVector([1.0, 2.0, 3.0, 4.0]), [5])
+
+
+def test_equality_hash_and_length():
+    x = LatticeVector([1.0, 2.0, 0.0, 4.0])
+    assert x != [1.0, 2.0, 0.0, 4.0] and not x == [1.0, 2.0, 0.0, 4.0]
+    assert x == LatticeVector([1.0, 2.0, 0.0, 4.0]) and x != LatticeVector([1.0, 2.0, 0.0])
+    assert hash(x) == hash(LatticeVector([1.0, 2.0, 0.0, 4.0]))
+    assert len({x, LatticeVector(x.coords), LatticeVector([1.0, 2.0, 0.0, 5.0])}) == 2
+    assert len(x) == 4
+
+
 # int(1.5) and int(True) used to keep atom 1
 @pytest.mark.parametrize("atom", [1.5, True])
 def test_restrict_atoms_must_be_integers(atom):
