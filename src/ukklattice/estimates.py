@@ -57,25 +57,27 @@ def _lower_estimates(N: NormOracle, p: float, families):
 
     The families' rows and sums are stacked into one ``N.values`` call per
     run of ``norms._packed``: at most ``norms._MAX_CALL_ENTRIES`` = 2^16
-    entries (rows times dim), a lone larger family alone.  The iterable is
-    consumed a run at a time and the pairs yielded in order.
+    entries (rows times dim), a lone larger family alone, every sum after
+    every row, so one ``block_terms`` call raises the rows and no sum.  The
+    iterable is consumed a run at a time and the pairs yielded in order.
     Each family's terms fold in order of smallest support atom (zero rows
     first), as the renorm objective does; at p = 1 on two rows this is
     N(x) + N(y) exactly.
     """
 
-    for chunk in _packed(families, lambda X: X.size + X.shape[1]):
-        stack = []
-        for X in chunk:
+    for run in _packed(families, lambda X: X.size + X.shape[1]):
+        rows = []
+        for X in run:
             nz = X != 0.0
             first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
-            stack += [X[np.argsort(first, kind="stable")], X.sum(axis=0)[None]]
-        v = N.values(np.vstack(stack))
+            rows.append(X[np.argsort(first, kind="stable")])
+        n = sum(map(len, run))
+        v = N.values(np.vstack([*rows, *(X.sum(axis=0)[None] for X in run)]))
+        terms = block_terms(v[:n], p).tolist()
         at = 0
-        for X in chunk:
-            m = len(X)
-            yield fold_terms(block_terms(v[at:at + m], p)) ** (1.0 / p), float(v[at + m])
-            at += m + 1
+        for X, total in zip(run, v[n:].tolist()):
+            yield fold_terms(terms[at:at + len(X)]) ** (1.0 / p), total
+            at += len(X)
 
 
 def _ratios(N: NormOracle, p: float, families):
@@ -89,22 +91,47 @@ def _ratio(N: NormOracle, p: float, X: np.ndarray) -> float:
     return next(_ratios(N, p, [X]))
 
 
-def _hill_climb(X: np.ndarray, best: float, score) -> tuple[np.ndarray, float]:
+def _walk(X: np.ndarray, best: float, moves: list, scores) -> tuple[np.ndarray, float, bool]:
+    """Keep, in order, each move ``(index, factor)``, ``X[index] *= factor``, that strictly improves ``best``.
+
+    The moves left are built from the current rows and scored a batch
+    ahead by ``scores`` (families in, ratios out); once one is kept, the
+    rest are rebuilt from the new rows and scored again, so the outcome
+    is the one-at-a-time walk's.  A batch that raises ``OverflowError`` is
+    cut to its first move, that walk's next step, so only a candidate it
+    scores can raise.  Also returns whether a move was kept.
+    """
+    kept, at = False, 0
+    while at < len(moves):
+        cands = []
+        for index, factor in moves[at:]:
+            cand = X.copy()
+            cand[index] *= factor
+            cands.append(cand)
+        try:
+            ratios = list(scores(cands))
+        except OverflowError:
+            cands = cands[:1]
+            ratios = list(scores(cands))
+        for cand, r in zip(cands, ratios):
+            at += 1
+            if r > best:
+                X, best, kept = cand, r, True
+                break
+    return X, best, kept
+
+
+def _hill_climb(X: np.ndarray, best: float, scores) -> tuple[np.ndarray, float]:
     """Coordinatewise rescaling hill climb over the rows of ``X``; supports fixed.
 
     Each nonzero entry is scaled by each factor in turn and a strict
-    improvement of ``score(X)`` is kept at once; at most two sweeps.
+    improvement of the score is kept at once; at most two sweeps.  A move
+    changes one row only, so a sweep's moves are listed at its start.
     """
     for _ in range(2):
-        improved = False
-        for i in range(X.shape[0]):
-            for j in np.flatnonzero(X[i]):
-                for f in (0.5, 0.8, 1.25, 2.0):
-                    cand = X.copy()
-                    cand[i, j] *= f
-                    r = score(cand)
-                    if r > best:
-                        X, best, improved = cand, r, True
+        moves = [((i, j), f) for i in range(X.shape[0]) for j in np.flatnonzero(X[i]).tolist()
+                 for f in (0.5, 0.8, 1.25, 2.0)]
+        X, best, improved = _walk(X, best, moves, scores)
         if not improved:
             break
     return X, best
@@ -115,24 +142,21 @@ def _search(N: NormOracle, p: float, candidates, refine) -> tuple[float, np.ndar
 
     The candidates are drawn and scored a batch ahead of the walk, which is
     exact because a refinement changes no other candidate; each new best is
-    first improved by ``refine(X, ratio, score)``, one family per score.
+    first improved by ``refine(X, ratio, scores)``, whose ``scores`` maps
+    a batch of families to their ratios.
     """
-
-    def score(X):
-        return _ratio(N, p, X)
-
     # tee holds only the candidates drawn for the batch being walked
     walk, scored = itertools.tee(candidates)
     best, best_X = -1.0, None
     for (X, polish), r in zip(walk, _ratios(N, p, (X for X, _ in scored))):
         if r > best:
             if polish:
-                X, r = refine(X, r, score)
+                X, r = refine(X, r, lambda families: _ratios(N, p, families))
             best, best_X = r, X
     return best, best_X
 
 
-def _refine_pair(N: NormOracle, X: np.ndarray, ratio: float, score) -> tuple[np.ndarray, float]:
+def _refine_pair(N: NormOracle, X: np.ndarray, ratio: float, scores) -> tuple[np.ndarray, float]:
     """Local improvement of a disjoint pair of rows; supports never change.
 
     The first row is rescaled to balance the two norms (equal norms maximize
@@ -140,13 +164,9 @@ def _refine_pair(N: NormOracle, X: np.ndarray, ratio: float, score) -> tuple[np.
     """
     v = N.values(X)
     balance = [v[1] / v[0]] if v[0] > 0 and v[1] > 0 else []
-    for t in balance + [0.25, 0.5, 0.8, 1.25, 2.0, 4.0]:
-        cand = X.copy()
-        cand[0] *= t
-        r = score(cand)
-        if r > ratio:
-            X, ratio = cand, r
-    return _hill_climb(X, ratio, score)
+    moves = [(0, t) for t in balance + [0.25, 0.5, 0.8, 1.25, 2.0, 4.0]]
+    X, ratio, _ = _walk(X, ratio, moves, scores)
+    return _hill_climb(X, ratio, scores)
 
 
 def estimate_two_disjoint_constant(
@@ -174,7 +194,7 @@ def estimate_two_disjoint_constant(
             x, y = random_disjoint_pair(rng, dim)
             yield _rows([x, y], dim), True
 
-    ratio, X = _search(N, 1.0, candidates(), lambda X, r, score: _refine_pair(N, X, r, score))
+    ratio, X = _search(N, 1.0, candidates(), lambda X, r, scores: _refine_pair(N, X, r, scores))
     return ratio, (LatticeVector(X[0]), LatticeVector(X[1]))
 
 

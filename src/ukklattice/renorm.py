@@ -35,7 +35,9 @@ distinction in the general definition does not arise.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -99,22 +101,31 @@ class RenormResult(_Report):
     norm: NormOracle
 
 
-def block_terms(values: np.ndarray, p: float) -> list[float]:
-    """Block p-powers of block norm values, in the given order.
+def block_terms(values: np.ndarray, p: float) -> np.ndarray:
+    """Block p-powers of block norm values, in the given order, as one array.
 
-    The one place the term arithmetic is written: each term is a Python
-    float power, which numpy ``** p`` does not match bit for bit, so
-    every objective, exact or heuristic, takes its terms from here.
+    The one place the term arithmetic is written: every objective, exact or
+    heuristic, takes its terms from here.  ``np.float_power`` calls the C
+    library's ``pow``, as a Python float power does, so each term is
+    ``v ** p`` bit for bit (numpy's ``** p`` is not), and a finite value
+    whose term overflows raises that power's ``OverflowError``, unwarned.
     """
-    return [v ** p for v in values.tolist()]
+    with np.errstate(over="ignore"):
+        terms = np.float_power(values, p)
+    if np.isinf(terms).any() and np.isfinite(values[np.isinf(terms)]).any():
+        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+    return terms
 
 
 def fold_terms(terms) -> float:
     """Right fold of block p-powers; the one true objective arithmetic.
 
-    ``terms`` may also be the rows of a 2-d array, one column per
-    partition, which folds every column at once with the same additions.
+    ``terms`` may also be a 2-d array, one column per partition, which folds
+    every column at once with the same sequential additions; a single column
+    goes row by row, as numpy would sum it as one contiguous run, pairwise.
     """
+    if isinstance(terms, np.ndarray) and terms.ndim == 2 and terms.shape[1] > 1:
+        return np.add.reduce(terms[::-1], axis=0)
     acc = 0.0
     for t in reversed(terms):
         acc = t + acc
@@ -139,7 +150,7 @@ def _mask_terms(N: NormOracle, p: float, chunks: list) -> list[np.ndarray]:
     Z = np.zeros((at, N.dim))
     for (vals, supp, bits, *_), (a, b, M) in zip(chunks, spans):
         Z[a:b].reshape(M, -1, N.dim)[:, np.arange(len(vals))[:, None], supp] = bits[:, None, :] * vals
-    terms = np.array(block_terms(N.values(Z), p))
+    terms = block_terms(N.values(Z), p)
     return [terms[a:b].reshape(M, -1) for a, b, M in spans]
 
 

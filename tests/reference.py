@@ -1,4 +1,4 @@
-"""A high-precision reference for the renorm, for tests only.
+"""High-precision and one-at-a-time references, for tests only.
 
 ``mp_norm`` evaluates an oracle of any built-in kind on one row in mpmath
 at 50 significant digits.  ``mp_renorm`` is the renorm at exponent
@@ -6,6 +6,11 @@ p by brute force: the maximum, over every set partition of the support
 (at most 6 atoms), of the sum of the blocks' ``mp_norm`` p-powers, to the
 1/p.  ``ulp_distance`` measures a float against such a value in units in
 the last place of the value rounded to a float.
+
+``climb_pair`` and ``hill_climb`` are the estimators' refinements walked
+one move at a time, each candidate scored alone by ``score`` (a family of
+rows in, its ratio out) before the next one is built: the walk that
+``estimates``' batched refinements must reproduce.
 """
 
 import functools
@@ -57,3 +62,37 @@ def ulp_distance(x: float, ref: mpmath.mpf) -> float:
     """|x - ref| in units in the last place of ``ref`` rounded to a float."""
     with mpmath.workdps(DPS):
         return float(abs(mpmath.mpf(x) - ref) / math.ulp(float(ref)))
+
+
+HILL_FACTORS = (0.5, 0.8, 1.25, 2.0)
+PAIR_FACTORS = (0.25, 0.5, 0.8, 1.25, 2.0, 4.0)
+
+
+def hill_climb(X, best, score):
+    """Each nonzero entry scaled by each factor in turn, a strict improvement kept at once; two sweeps at most."""
+    for _ in range(2):
+        improved = False
+        for i in range(X.shape[0]):
+            for j in X[i].nonzero()[0]:
+                for f in HILL_FACTORS:
+                    cand = X.copy()
+                    cand[i, j] *= f
+                    r = score(cand)
+                    if r > best:
+                        X, best, improved = cand, r, True
+        if not improved:
+            break
+    return X, best
+
+
+def climb_pair(N, X, ratio, score):
+    """The first row rescaled to balance the two norms, then by a grid, each strict gain kept; then the climb."""
+    v = N.values(X)
+    balance = [v[1] / v[0]] if v[0] > 0 and v[1] > 0 else []
+    for t in balance + list(PAIR_FACTORS):
+        cand = X.copy()
+        cand[0] *= t
+        r = score(cand)
+        if r > ratio:
+            X, ratio = cand, r
+    return hill_climb(X, ratio, score)

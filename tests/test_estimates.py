@@ -312,13 +312,14 @@ def test_families_are_built_a_batch_ahead(counting_lq, monkeypatch):
 
 def test_estimate_norm_call_budget(counting_lq):
     # verify scores all its families in one call; the pipeline batch-scores
-    # each search's candidates and each greedy step, refinements one by one
+    # each search's candidates and each greedy step, and each refinement's
+    # moves a batch ahead: the pair's balance, its grid, then each climb sweep
     N = counting_lq(2, 12)
     verify_lower_r_estimate(N, 5.0, 1.5, trials=50)
     assert len(N.calls) == 1
     N = counting_lq(2, 12)
     run_estimate_pipeline(N, budget=40, seed=5)
-    assert len(N.calls) == 45 and sum(N.calls) == 1311
+    assert len(N.calls) == 9 and sum(N.calls) == 1311
 
 
 def _reference_family(rng, dim, count):

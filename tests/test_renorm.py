@@ -733,6 +733,19 @@ def test_lq_at_q600(x, value):
     assert LqNorm(600, 6)(x) == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1a: the q = 2 branch squares without scaling, so 1e300^2 overflows to inf")
+def test_lq2_of_a_huge_coordinate():
+    assert LqNorm(2, 2)([1e300, 0]) == pytest.approx(1e300, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1a: the q = 2 branch squares without scaling, so 1e-200^2 underflows to 0.0")
+def test_lq2_of_a_tiny_coordinate_is_positive():
+    assert LqNorm(2, 2)([1e-200, 0]) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.xfail(strict=True, raises=OverflowError, reason="the terms overflow")
 def test_renorm_at_p1e6_without_overflow():
     assert renorm(LqNorm(2, 6), 1e6, [2, 1, 0, 0, 0, 0]).value == pytest.approx(math.sqrt(5), rel=1e-12)
