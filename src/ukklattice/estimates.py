@@ -55,29 +55,41 @@ HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 def _lower_estimates(N: NormOracle, p: float, families):
     """(fold of row norms^p)^(1/p) and N(sum of rows), for each family of disjoint rows.
 
-    The families' rows and sums are stacked into one ``N.values`` call per
-    run of ``norms._packed``: at most ``norms._MAX_CALL_ENTRIES`` = 2^16
-    entries (rows times dim), a lone larger family alone, every sum after
-    every row, so one ``block_terms`` call raises the rows and no sum.  The
-    iterable is consumed a run at a time and the pairs yielded in order.
-    Each family's terms fold in order of smallest support atom (zero rows
-    first), as the renorm objective does; at p = 1 on two rows this is
-    N(x) + N(y) exactly.
+    The families of a run of ``norms._packed`` (at most
+    ``norms._MAX_CALL_ENTRIES`` = 2^16 entries, rows times dim, a lone
+    larger family alone) are scored together: their rows, sorted by family
+    and then by smallest support atom (zero rows first), and then their sums
+    go into one ``N.values`` call, and the rows alone into one
+    ``block_terms`` call.  Each family's terms fold in that order, as the
+    renorm objective does; at p = 1 on two rows this is N(x) + N(y) exactly
+    unless below 2^-900.  A fold below 2^-900, where terms may have
+    underflowed, is refolded as m * (fold of (norm / m)^p)^(1/p) when the
+    family's largest norm m is above 0.  The iterable is consumed a run at
+    a time and the pairs yielded in order.
     """
 
     for run in _packed(families, lambda X: X.size + X.shape[1]):
-        rows = []
-        for X in run:
-            nz = X != 0.0
-            first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
-            rows.append(X[np.argsort(first, kind="stable")])
-        n = sum(map(len, run))
-        v = N.values(np.vstack([*rows, *(X.sum(axis=0)[None] for X in run)]))
-        terms = block_terms(v[:n], p).tolist()
-        at = 0
-        for X, total in zip(run, v[n:].tolist()):
-            yield fold_terms(terms[at:at + len(X)]) ** (1.0 / p), total
-            at += len(X)
+        sizes = [len(X) for X in run]
+        fam = np.repeat(np.arange(len(run)), sizes)
+        at = np.cumsum([0] + sizes[:-1])
+        rows = np.concatenate(run)
+        nz = rows != 0.0
+        rows = rows[np.lexsort((np.where(nz.any(axis=1), nz.argmax(axis=1), -1), fam))]
+        # a family's rows are disjoint, so each sum entry has one nonzero addend and
+        # any order of the adds is ``X.sum(axis=0)``'s, which starts from 0.0 (no -0.0)
+        v = N.values(np.concatenate([rows, np.add.reduceat(rows, at, axis=0) + 0.0]))
+        norms, totals = v[:len(rows)], v[len(rows):].tolist()
+        if len(run) == 1:
+            folds = np.array([fold_terms(block_terms(norms, p).tolist())])
+        else:  # one column per family, zero-padded after its last term
+            grid = np.zeros((max(sizes), len(run)))
+            grid[np.arange(len(rows)) - at[fam], fam] = block_terms(norms, p)
+            folds = fold_terms(grid)
+        lhs = np.float_power(folds, 1.0 / p)
+        m = np.maximum.reduceat(norms, at)
+        for f in np.flatnonzero((folds < 2.0 ** -900) & (m > 0.0)):
+            lhs[f] = m[f] * fold_terms(block_terms(norms[at[f]:at[f] + sizes[f]] / m[f], p).tolist()) ** (1.0 / p)
+        yield from zip(lhs.tolist(), totals)
 
 
 def _ratios(N: NormOracle, p: float, families):

@@ -51,10 +51,10 @@ __all__ = [
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-# entries (rows x dim) per N.values call that stacks many rows: ``_packed``
-# bounds the stacked calls of ``renorm_batch`` and of the family scoring in
-# ``estimates`` by it, at any dim; ``audit_norm_axioms``' samples x dim arrays
-# stay outside it, as their caller sets their size
+# entries (rows x dim) per N.values call that stacks many rows, at any dim:
+# ``_packed`` bounds the stacked calls of ``renorm_batch`` and of the family
+# scoring in ``estimates`` by it, and ``audit_norm_axioms`` checks its
+# samples in runs of at most that many entries
 _MAX_CALL_ENTRIES = 1 << 16
 
 
@@ -346,7 +346,10 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     Violations are relative; the audit passes iff N(0) = 0, every nonzero
     sample has N > 0 and every worst case is within ``REL_TOL``, which
     the report carries as ``tol``.  A NaN value is a violation, and a NaN
-    worst case stays NaN.  Failures are reported, never raised.
+    worst case stays NaN.  Failures are reported, never raised.  The
+    samples are drawn at once and checked in runs of at most
+    ``_MAX_CALL_ENTRIES`` entries, five ``N.values`` calls a run; the
+    report does not depend on the run size.
     """
     samples, seed = _count(samples, "samples"), _seed(seed)
     rng = np.random.default_rng(seed)
@@ -354,24 +357,22 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     X = rng.standard_normal((samples, d))
     Y = rng.standard_normal((samples, d))
     t = rng.standard_normal(samples) * 3.0
-
-    zero_value = float(N.values(np.zeros((1, d)))[0])
-
-    nx = N.values(X)
-    ny = N.values(Y)
-    positivity_violations = int((~(nx > 0.0) & np.any(X != 0.0, axis=1)).sum())
-
-    scaled = N.values(X * t[:, None])
-    expected = np.abs(t) * nx
-    denom = np.maximum(expected, 1e-12)
-    homogeneity = float((np.abs(scaled - expected) / denom).max())
-
-    triangle = _rel_excess(N.values(X + Y), nx + ny)
-
     # shrink factors in [-1, 1] give |U * Y| <= |Y| coordinatewise
     U = rng.uniform(-1.0, 1.0, size=(samples, d))
     K = N.monotone_constant
-    monotonicity = _rel_excess(N.values(U * Y), K * ny)
+
+    zero_value = float(N.values(np.zeros((1, d)))[0])
+    positivity_violations, worst = 0, []
+    step = max(1, _MAX_CALL_ENTRIES // d)
+    for at in range(0, samples, step):
+        x, y, s, u = X[at:at + step], Y[at:at + step], t[at:at + step], U[at:at + step]
+        nx, ny = N.values(x), N.values(y)
+        positivity_violations += int((~(nx > 0.0) & np.any(x != 0.0, axis=1)).sum())
+        expected = np.abs(s) * nx
+        worst.append(((np.abs(N.values(x * s[:, None]) - expected) / np.maximum(expected, 1e-12)).max(),
+                      _rel_excess(N.values(x + y), nx + ny), _rel_excess(N.values(u * y), K * ny)))
+    # np.max keeps a NaN worst case of any run
+    homogeneity, triangle, monotonicity = np.max(worst, axis=0).tolist()
 
     return NormAuditReport(
         kind=N.describe(),

@@ -10,16 +10,22 @@ the last place of the value rounded to a float.
 ``climb_pair`` and ``hill_climb`` are the estimators' refinements walked
 one move at a time, each candidate scored alone by ``score`` (a family of
 rows in, its ratio out) before the next one is built: the walk that
-``estimates``' batched refinements must reproduce.
+``estimates``' batched refinements must reproduce.  ``lower_estimates``
+scores the families of each packed run one at a time, with a sort, a sum
+and a fold of their own: the scorer whose bits ``estimates``' whole-run
+scorer must keep wherever no fold underflows.
 """
 
 import functools
 import math
 
 import mpmath
+import numpy as np
 
 from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm
+from ukklattice.norms import _packed
 from ukklattice.partitions import iter_set_partitions
+from ukklattice.renorm import block_terms, fold_terms
 
 DPS = 50
 MAX_SUPPORT = 6
@@ -96,3 +102,20 @@ def climb_pair(N, X, ratio, score):
         if r > ratio:
             X, ratio = cand, r
     return hill_climb(X, ratio, score)
+
+
+def lower_estimates(N, p: float, families):
+    """(fold of row norms^p)^(1/p) and N(sum of rows) of each family, one family at a time in each packed run."""
+    for run in _packed(families, lambda X: X.size + X.shape[1]):
+        rows = []
+        for X in run:
+            nz = X != 0.0
+            first = np.where(nz.any(axis=1), nz.argmax(axis=1), -1)
+            rows.append(X[np.argsort(first, kind="stable")])
+        n = sum(map(len, run))
+        v = N.values(np.vstack([*rows, *(X.sum(axis=0)[None] for X in run)]))
+        terms = block_terms(v[:n], p).tolist()
+        at = 0
+        for X, total in zip(run, v[n:].tolist()):
+            yield fold_terms(terms[at:at + len(X)]) ** (1.0 / p), total
+            at += len(X)

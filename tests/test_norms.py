@@ -26,6 +26,7 @@ from ukklattice import (
     run_ukk_trial,
     verify_lower_r_estimate,
 )
+from ukklattice import norms
 
 
 def test_lq_values():
@@ -262,6 +263,50 @@ def test_audit_fails_a_nan_oracle(nan_lq):
     report = audit_norm_axioms(nan_lq(2, 4), samples=100, seed=0)
     assert not report.passed
     assert (report.zero_value, report.positivity_violations) == (0.0, 100)
+    assert all(math.isnan(v) for v in (report.homogeneity_violation, report.triangle_violation,
+                                       report.monotonicity_violation))
+
+
+AUDIT_SPACES = [
+    LqNorm(2.5, 6),
+    WeightedLqNorm(3, [0.5, 1.0, 2.0, 1.5, 3.0, 0.25]),
+    BlockNorm([[0, 1], [2, 3, 4], [5]], [LqNorm(1, 2), LqNorm(3, 3), LqNorm(2, 1)], LqNorm(2, 3)),
+    PosNegMaxNorm(LqNorm(1.5, 6)),
+]
+
+
+@pytest.mark.parametrize("N", AUDIT_SPACES, ids=["lq", "weighted", "block", "posneg"])
+@pytest.mark.parametrize("rows", [0, 7, 64])
+def test_audit_in_runs_is_the_whole_audit(monkeypatch, N, rows):
+    want = json.dumps(audit_norm_axioms(N, samples=300, seed=5).to_dict())
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", rows * N.dim + N.dim - 1)  # runs of max(1, rows) rows
+    assert json.dumps(audit_norm_axioms(N, samples=300, seed=5).to_dict()) == want
+
+
+# at the default cap, 10^4 samples of dim 12 are two runs of at most 5461 rows
+@pytest.mark.parametrize("cap, dim, samples, runs", [(None, 12, 10_000, 2), (40 * 6 + 5, 6, 300, 8)])
+def test_audit_calls_stay_within_the_cap(counting_lq, monkeypatch, cap, dim, samples, runs):
+    if cap is not None:
+        monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", cap)
+    N = counting_lq(2, dim)
+    audit_norm_axioms(N, samples=samples, seed=2)
+    # the zero row, then five calls a run
+    assert len(N.calls) == 1 + 5 * runs and sum(N.calls) == 1 + 5 * samples
+    assert max(N.entries) <= norms._MAX_CALL_ENTRIES
+
+
+def test_audit_keeps_a_nan_that_first_shows_in_a_later_run(monkeypatch):
+    class LateNan(LqNorm):
+        calls = 0
+
+        def values(self, X):
+            self.calls += 1
+            v = super().values(X)
+            return v if self.calls <= 6 else np.where(v > 0.0, np.nan, v)  # NaN after the first run
+
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 50 * 4)
+    report = audit_norm_axioms(LateNan(2, 4), samples=100, seed=0)
+    assert not report.passed and report.positivity_violations == 50
     assert all(math.isnan(v) for v in (report.homogeneity_violation, report.triangle_violation,
                                        report.monotonicity_violation))
 

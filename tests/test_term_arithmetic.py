@@ -5,8 +5,9 @@ a Python float power calls, and ``fold_terms`` folds a 2-d array's columns
 with the loop's own sequential additions; both are pinned against the
 Python arithmetic bit for bit.  The estimators' packed family scoring and
 their batched refinements are pinned against one family per run and
-against the one-at-a-time walks of ``reference.py``.  None of these bits
-comes from numpy's SIMD power loops, so they hold with those loops off too.
+against the one-family-at-a-time scorer and the one-at-a-time walks of
+``reference.py``.  None of these bits comes from numpy's SIMD power loops,
+so they hold with those loops off too.
 """
 
 import math
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import climb_pair, hill_climb
+from reference import climb_pair, hill_climb, lower_estimates
 
 from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm, norms
 from ukklattice.estimates import _hill_climb, _lower_estimates, _ratios, _refine_pair
@@ -124,6 +125,54 @@ def test_lower_estimates_do_not_depend_on_the_packing(monkeypatch, N, p):
     monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 1)  # every family a run of its own
     alone = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, families)]
     assert packed == alone
+
+
+class _SignLq(LqNorm):
+    """Lq plus 1/8 per entry with its sign bit set, -0.0 included: it tells a sum's -0.0 from 0.0."""
+
+    def values(self, X):
+        return super().values(X) + np.signbit(X).sum(axis=1) / 8.0
+
+
+def _mixed_families(dim: int) -> list:
+    """Families with zero rows, rows out of first-atom order, -0.0 entries, one-row families and 20 rows."""
+    rng = np.random.default_rng(11)
+    out = []
+    for i, X in enumerate(_families(4, dim, 40)):
+        X = X[rng.permutation(len(X))]
+        if i % 3 == 0:
+            X = np.insert(X, rng.integers(0, len(X) + 1, size=2), 0.0, axis=0)
+        if i % 4 == 1:
+            X[(X == 0.0) & (rng.random(X.shape) < 0.5)] = -0.0
+        out.append(X)
+    lone = np.zeros((20, dim))  # 21 * dim entries with its sum: above a 16-row cap
+    lone[[3, 9, 15], [5, 0, 2]] = [1.5, -2.0, 0.25]
+    lone[1] = -0.0
+    lone[0, 1] = -0.0
+    return out[:20] + [np.zeros((1, dim)), np.full((3, dim), -0.0), out[20][:1], lone] + out[20:]
+
+
+@pytest.mark.parametrize("N", [*SPACES, _SignLq(2, 8)], ids=[*IDS, "sign"])
+@pytest.mark.parametrize("p", [1.0, 2.5, 7.0])
+@pytest.mark.parametrize("rows", [None, 16])
+def test_whole_run_scorer_is_the_one_family_loop(monkeypatch, N, p, rows):
+    if rows is not None:
+        monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", rows * N.dim)
+    families = _mixed_families(N.dim)
+    got = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, families)]
+    assert got == [(a.hex(), b.hex()) for a, b in lower_estimates(N, p, families)]
+
+
+def test_an_underflowed_fold_is_refolded_by_the_largest_norm():
+    N = LqNorm(2, 4)
+    tiny = np.array([[0.0, 0.25, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])  # terms 2^-2400 and 2^-1200: both 0.0
+    even = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])  # folds to 1.0: kept as it is
+    zero = np.zeros((2, 4))  # largest norm 0: the fold stays 0
+    families = [tiny, even, zero, 1e-200 * even]
+    assert [a for a, _ in lower_estimates(N, 1200.0, families)] == [0.0, 1.0, 0.0, 0.0]
+    got = list(_lower_estimates(N, 1200.0, families))
+    assert got[:3] == [(0.5, N(tiny.sum(axis=0))), (1.0, N(even.sum(axis=0))), (0.0, 0.0)]
+    assert got[3][0] == pytest.approx(1e-200, rel=1e-15)
 
 
 class _Scorer:
