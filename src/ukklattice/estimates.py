@@ -79,12 +79,9 @@ def _lower_estimates(N: NormOracle, p: float, families):
         # any order of the adds is ``X.sum(axis=0)``'s, which starts from 0.0 (no -0.0)
         v = N.values(np.concatenate([rows, np.add.reduceat(rows, at, axis=0) + 0.0]))
         norms, totals = v[:len(rows)], v[len(rows):].tolist()
-        if len(run) == 1:
-            folds = np.array([fold_terms(block_terms(norms, p).tolist())])
-        else:  # one column per family, zero-padded after its last term
-            grid = np.zeros((max(sizes), len(run)))
-            grid[np.arange(len(rows)) - at[fam], fam] = block_terms(norms, p)
-            folds = fold_terms(grid)
+        grid = np.zeros((max(sizes), len(run)))  # one column per family, zero-padded after its last term
+        grid[np.arange(len(rows)) - at[fam], fam] = block_terms(norms, p)
+        folds = fold_terms(grid)
         lhs = np.float_power(folds, 1.0 / p)
         m = np.maximum.reduceat(norms, at)
         for f in np.flatnonzero((folds < 2.0 ** -900) & (m > 0.0)):
