@@ -48,7 +48,7 @@ def _line(doc: dict) -> str:
 
 
 def _reason(e: Exception) -> str:
-    """An error's message, typed unless it is a ValueError: an overflow's own text may be a bare errno tuple."""
+    """An error's message, led by its type unless it is a ValueError, whose message names what was rejected."""
     return str(e) if isinstance(e, ValueError) else f"{type(e).__name__}: {e}"
 
 

@@ -62,10 +62,11 @@ def _lower_estimates(N: NormOracle, p: float, families):
     go into one ``N.values`` call, and the rows alone into one
     ``block_terms`` call.  Each family's terms fold in that order, as the
     renorm objective does; at p = 1 on two rows this is N(x) + N(y) exactly
-    unless below 2^-900.  A fold below 2^-900, where terms may have
-    underflowed, is refolded as m * (fold of (norm / m)^p)^(1/p) when the
-    family's largest norm m is above 0.  The iterable is consumed a run at
-    a time and the pairs yielded in order.
+    unless outside [2^-900, 2^900].  The one range rule: a fold outside
+    that range, ``inf`` included, where terms may have underflowed or
+    overflowed, is refolded as m * (fold of (norm / m)^p)^(1/p) when the
+    family's largest norm m is finite and above 0.  The iterable is
+    consumed a run at a time and the pairs yielded in order.
     """
 
     for run in _packed(families, lambda X: X.size + X.shape[1]):
@@ -84,7 +85,7 @@ def _lower_estimates(N: NormOracle, p: float, families):
         folds = fold_terms(grid)
         lhs = np.float_power(folds, 1.0 / p)
         m = np.maximum.reduceat(norms, at)
-        for f in np.flatnonzero((folds < 2.0 ** -900) & (m > 0.0)):
+        for f in np.flatnonzero(((folds < 2.0 ** -900) | (folds > 2.0 ** 900)) & np.isfinite(m) & (m > 0.0)):
             lhs[f] = m[f] * fold_terms(block_terms(norms[at[f]:at[f] + sizes[f]] / m[f], p).tolist()) ** (1.0 / p)
         yield from zip(lhs.tolist(), totals)
 
@@ -106,9 +107,7 @@ def _walk(X: np.ndarray, best: float, moves: list, scores) -> tuple[np.ndarray, 
     The moves left are built from the current rows and scored a batch
     ahead by ``scores`` (families in, ratios out); once one is kept, the
     rest are rebuilt from the new rows and scored again, so the outcome
-    is the one-at-a-time walk's.  A batch that raises ``OverflowError`` is
-    cut to its first move, that walk's next step, so only a candidate it
-    scores can raise.  Also returns whether a move was kept.
+    is the one-at-a-time walk's.  Also returns whether a move was kept.
     """
     kept, at = False, 0
     while at < len(moves):
@@ -117,12 +116,7 @@ def _walk(X: np.ndarray, best: float, moves: list, scores) -> tuple[np.ndarray, 
             cand = X.copy()
             cand[index] *= factor
             cands.append(cand)
-        try:
-            ratios = list(scores(cands))
-        except OverflowError:
-            cands = cands[:1]
-            ratios = list(scores(cands))
-        for cand, r in zip(cands, ratios):
+        for cand, r in zip(cands, scores(cands)):
             at += 1
             if r > best:
                 X, best, kept = cand, r, True

@@ -35,9 +35,7 @@ distinction in the general definition does not arise.
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -107,14 +105,12 @@ def block_terms(values: np.ndarray, p: float) -> np.ndarray:
     The one place the term arithmetic is written: every objective, exact or
     heuristic, takes its terms from here.  ``np.float_power`` calls the C
     library's ``pow``, as a Python float power does, so each term is
-    ``v ** p`` bit for bit (numpy's ``** p`` is not), and a finite value
-    whose term overflows raises that power's ``OverflowError``, unwarned.
+    ``v ** p`` bit for bit (numpy's ``** p`` is not); a finite value whose
+    term overflows, where Python's power raises, gives ``inf``, unwarned.
+    Each caller's fold keeps its own range rule.
     """
     with np.errstate(over="ignore"):
-        terms = np.float_power(values, p)
-    if np.isinf(terms).any() and np.isfinite(values[np.isinf(terms)]).any():
-        raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
-    return terms
+        return np.float_power(values, p)
 
 
 def fold_terms(terms) -> float:
@@ -140,7 +136,8 @@ def _mask_terms(N: NormOracle, p: float, chunks: list) -> list[np.ndarray]:
     of K rows, ``bits`` (M, s) marks the atoms of M masks; the rest is the
     caller's.  Block row (m, r), row r restricted to mask m, goes into one
     zero buffer; its off-block support atoms hold ``0 * value``, a signed
-    zero that no built-in norm tells from 0.
+    zero that no built-in norm tells from 0.  A finite block value whose
+    term overflows raises ``OverflowError``: the engine's one range rule.
     """
     spans, at = [], 0  # per chunk: its block rows' slice of the buffer, and M
     for chunk in chunks:
@@ -150,7 +147,10 @@ def _mask_terms(N: NormOracle, p: float, chunks: list) -> list[np.ndarray]:
     Z = np.zeros((at, N.dim))
     for (vals, supp, bits, *_), (a, b, M) in zip(chunks, spans):
         Z[a:b].reshape(M, -1, N.dim)[:, np.arange(len(vals))[:, None], supp] = bits[:, None, :] * vals
-    terms = block_terms(N.values(Z), p)
+    values = N.values(Z)
+    terms = block_terms(values, p)
+    if np.isinf(terms).any() and np.isfinite(values[np.isinf(terms)]).any():
+        raise OverflowError(f"a block term N(x_B)^p overflows binary64 at p = {p}")
     return [terms[a:b].reshape(M, -1) for a, b, M in spans]
 
 

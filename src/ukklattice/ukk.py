@@ -203,10 +203,10 @@ def run_ukk_trial(
 ) -> UkkTrial:
     """Verify preconditions, then the modulus bound on the declared limit.
 
-    Precondition failures (outside the ball, not convergent, not
-    separated, separation inconsistent with the limit distances) yield
-    an invalid trial with the reason recorded; they are never counted
-    as property violations.  For a valid trial:
+    Precondition failures (outside the ball, not convergent, a pairwise
+    difference beyond binary64, not separated, separation inconsistent
+    with the limit distances) yield an invalid trial with the reason
+    recorded; they are never counted as property violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + ``_TOL``.
     ``sequence`` is rows or vectors, ``declared_limit`` a vector or a list: a record replays as written.
 
@@ -243,6 +243,9 @@ def run_ukk_trial(
     if not settled:
         return invalid("coordinatewise convergence to the declared limit not established at this horizon")
 
+    with np.errstate(over="ignore"):  # a coordinate's largest pairwise difference bounds all the others
+        if not np.isfinite(np.ptp(X, axis=0)).all():
+            return invalid("a pairwise difference x_n - x_m overflows binary64: separation not measured")
     sep = measure_separation(X, N, p)
     advisory = advisory or sep.advisory
     epsilon = sep.value

@@ -13,7 +13,7 @@ rows in, its ratio out) before the next one is built: the walk that
 ``estimates``' batched refinements must reproduce.  ``lower_estimates``
 scores the families of each packed run one at a time, with a sort, a sum
 and a fold of their own: the scorer whose bits ``estimates``' whole-run
-scorer must keep wherever no fold underflows.
+scorer must keep wherever every fold lies in [2^-900, 2^900].
 """
 
 import functools

@@ -2,8 +2,11 @@ import hashlib
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+
+from reference import DPS, mp_norm
 
 from ukklattice import (
     BlockNorm,
@@ -28,8 +31,9 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import norms
+from ukklattice.norms import ABS_TOL, REL_TOL
 from ukklattice.renorm import _dp_tables, _mask_dtype, _mask_terms, _random_cut
-from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
+from ukklattice.sampling import _disjoint_rows, random_coords, random_disjoint_pair, random_vector
 
 
 def brute_force_power_sum(N, p, x):
@@ -775,12 +779,34 @@ def test_verify_at_r1200_counts_every_violation():
     assert verify_lower_r_estimate(LqNorm(2, 6), 1200, 0.5, trials=200, seed=0) == 196
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError, reason="the renorm candidates' block terms overflow")
+def _reference_violations(N, r, K, trials, seed):
+    """``verify_lower_r_estimate``'s count on its own draws, each side in 50-digit ``mp_norm``."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    with mpmath.workdps(DPS):
+        for _ in range(trials):
+            X = _disjoint_rows(rng, N.dim, int(rng.integers(1, min(N.dim, 8) + 1)))
+            lhs = mpmath.fsum(mp_norm(N, row) ** r for row in X.tolist()) ** (1 / mpmath.mpf(r))
+            rhs = K * mp_norm(N, X.sum(axis=0).tolist())
+            count += lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL
+    return count
+
+
+@pytest.mark.parametrize("N, r, K, count", [(LqNorm(1, 8), 1200, 0.5, 76), (LqNorm(1, 8), 1200, 1.0, 0),
+                                            (LqNorm(2, 12), 2000, 0.5, 187)], ids=["l1-half", "l1-one", "l2"])
+def test_verify_where_the_terms_overflow_counts_every_violation(N, r, K, count):
+    # terms N(x_i)^r above 2^1024 are inf; the refold scaled by the largest member
+    # norm counts each family as the 50-digit reference does
+    assert verify_lower_r_estimate(N, r, K, trials=200, seed=0) == count
+    assert _reference_violations(N, r, K, 200, 0) == count
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 1a: the renorm candidates' block terms still overflow in _mask_terms")
 def test_lower_p_constant_at_p1200_is_one():
     assert estimate_lower_p_constant(LqNorm(2, 6), 1200, budget=20)[0] == 1.0
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason="x_6 - x_7 overflows and the row gate raises")
 def test_trial_with_an_overflowing_separation_is_invalid():
     # every element lies in the ball and every deviation from the limit is finite,
     # and the two moving elements are in flight, so the tracks settle; but the
@@ -790,3 +816,4 @@ def test_trial_with_an_overflowing_separation_is_invalid():
     with np.errstate(over="ignore"):
         trial = run_ukk_trial(N, 2.0, seq, [0.0, 0.0, 0.0])
     assert not trial.valid
+    assert trial.reason == "a pairwise difference x_n - x_m overflows binary64: separation not measured"
