@@ -34,7 +34,7 @@ import numpy as np
 
 from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _Report, _seed
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
-from .sampling import _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
+from .sampling import _disjoint_batches, random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
 
 __all__ = [
@@ -386,15 +386,11 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
         raise ValueError(f"K must be a finite number, got {K!r}")
     trials, seed = _count(trials, "trials"), _seed(seed)
     rng = np.random.default_rng(seed)
-    dim = N.dim
-
-    def families():
-        for _ in range(trials):
-            m = int(rng.integers(1, min(dim, 8) + 1))
-            yield _disjoint_rows(rng, dim, m)
-
+    counts = (int(rng.integers(1, min(N.dim, 8) + 1)) for _ in range(trials))
+    # each scoring run's families are built at once, a run ahead of the scoring
+    families = itertools.chain.from_iterable(_disjoint_batches(rng, N.dim, counts))
     violations = 0
-    for lhs, total in _lower_estimates(N, r, families()):
+    for lhs, total in _lower_estimates(N, r, families):
         rhs = K * total
         if lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL:
             violations += 1

@@ -52,9 +52,10 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 # entries (rows x dim) per N.values call that stacks many rows, at any dim:
-# ``_packed`` bounds the stacked calls of ``renorm_batch`` and of the family
-# scoring in ``estimates`` by it, and ``audit_norm_axioms`` checks its
-# samples in runs of at most that many entries
+# ``_packed`` bounds by it the stacked calls of ``renorm_batch``, of the family
+# scoring in ``estimates`` and the family batches ``sampling`` builds for that
+# scoring, and ``audit_norm_axioms`` checks its samples in runs of at most
+# that many entries
 _MAX_CALL_ENTRIES = 1 << 16
 
 
@@ -177,7 +178,8 @@ class LqNorm(NormOracle):
         if self.q == 1.0:
             return A.sum(axis=1)
         if self.q == 2.0:
-            return np.sqrt((A * A).sum(axis=1))
+            A *= A
+            return np.sqrt(A.sum(axis=1))
         # numpy's float64 power leaves its SIMD path on any zero lane, so zero
         # lanes are raised as 1 and brought back to 0 after, bit for bit
         z = A == 0.0
@@ -354,8 +356,7 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     samples, seed = _count(samples, "samples"), _seed(seed)
     rng = np.random.default_rng(seed)
     d = N.dim
-    X = rng.standard_normal((samples, d))
-    Y = rng.standard_normal((samples, d))
+    X, Y = rng.standard_normal((2, samples, d))  # the stream of two draws, in one allocation
     t = rng.standard_normal(samples) * 3.0
     # shrink factors in [-1, 1] give |U * Y| <= |Y| coordinatewise
     U = rng.uniform(-1.0, 1.0, size=(samples, d))

@@ -8,8 +8,11 @@ supports asked for.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from .norms import _packed
 from .vectors import LatticeVector, _integer
 
 __all__ = [
@@ -67,31 +70,52 @@ def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> li
 
 
 def _disjoint_rows(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array.
-
-    A support whose size is drawn uniformly from count..dim is dealt to
-    the members so that each gets at least one atom.
-    """
+    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array: a one-family batch."""
     dim, count = _integer(dim, "dim"), _integer(count, "count")
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} out of range 1..{dim}")
+    return _build_families(dim, [_draw_family(rng, dim, count)])[0]
+
+
+def _disjoint_batches(rng: np.random.Generator, dim: int, counts):
+    """Lists of pairwise disjoint nonzero families, a ``(count, dim)`` array per count read.
+
+    ``counts`` (each in 1..dim) is read lazily, so it may draw from
+    ``rng`` too: each count is followed by its family's draws.  The
+    families of a run of ``norms._packed``, each sized as the
+    lower-estimate scorer sizes it with its sum, (count + 1) * dim
+    entries, are built at once and yielded as one list.
+    """
+    for run in _packed((_draw_family(rng, dim, count) for count in counts), lambda d: (d[0] + 1) * dim):
+        yield _build_families(dim, run)
+
+
+def _draw_family(rng: np.random.Generator, dim: int, count: int) -> tuple:
+    """One family's draws: a support whose size is uniform in count..dim, its owners, then its uniforms."""
     total = int(rng.integers(count, dim + 1))
     idx = rng.choice(dim, size=total, replace=False)
     # one atom each first, then the rest land anywhere
-    owner = np.concatenate([
-        np.arange(count),
-        rng.integers(0, count, size=total - count),
-    ])
+    owner = np.concatenate([np.arange(count), rng.integers(0, count, size=total - count)])
     rng.shuffle(owner)
-    # one block of draws, read as random_coords drew them member by member: a
+    return count, idx, owner, rng.random(2 * total)
+
+
+def _build_families(dim: int, draws) -> list[np.ndarray]:
+    """The rows of each family of ``_draw_family`` draws, all built at once."""
+    members, idx, owner, u = zip(*draws)
+    ends = list(itertools.accumulate(members))
+    totals = [len(i) for i in idx]
+    idx, owner, u = np.concatenate(idx), np.concatenate(owner), np.concatenate(u)
+    # a row per member: each family's owners move past the rows of the families before it
+    owner += np.subtract(ends, members).repeat(totals)
+    # the uniforms are read as random_coords drew them member by member: a
     # member's k magnitudes, then its k signs; so an atom's magnitude sits at its
     # place in owner order plus the atom count of the members before its own
-    u = rng.random(2 * total)
-    order = np.argsort(owner, kind="stable")
-    sizes = np.bincount(owner, minlength=count)
-    at = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(total)
+    order = owner.argsort(kind="stable")
+    sizes = np.bincount(owner, minlength=ends[-1])
+    at = (sizes.cumsum() - sizes).repeat(sizes) + np.arange(len(owner))
     mag = 0.1 + (1.0 - 0.1) * u[at]  # rng.uniform(0.1, 1.0) bit for bit
-    sign = np.where(u[at + np.repeat(sizes, sizes)] < 0.5, -1.0, 1.0)
-    out = np.zeros((count, dim), dtype=np.float64)
+    sign = np.where(u[at + sizes.repeat(sizes)] < 0.5, -1.0, 1.0)
+    out = np.zeros((ends[-1], dim), dtype=np.float64)
     out[owner[order], idx[order]] = mag * sign
-    return out
+    return [out[e - m:e] for e, m in zip(ends, members)]

@@ -117,16 +117,27 @@ class Separation:
     advisory: bool
 
 
+_OVERFLOW = "a pairwise difference x_n - x_m overflows binary64"
+
+
+def _difference_overflows(X: np.ndarray) -> bool:
+    """Does some difference x_n - x_m of the rows of ``X`` overflow?  Each coordinate's largest bounds the rest."""
+    with np.errstate(over="ignore"):
+        return not np.isfinite(np.ptp(X, axis=0)).all()
+
+
 def measure_separation(sequence, N: NormOracle, p: float) -> Separation:
     """Min over n != m of renorm(x_n - x_m).
 
     Heuristic renorm values are lower bounds on the true distances, so a
     separation involving them is itself only a lower bound; the flag
-    says so.
+    says so.  A difference that overflows binary64 raises ValueError.
     """
     X = _rows(sequence, N.dim)
     if len(X) < 2:
         raise ValueError("separation needs at least two elements")
+    if _difference_overflows(X):
+        raise ValueError(_OVERFLOW)
     n, m = np.triu_indices(len(X), 1)
     res = renorm_batch(N, p, X[n] - X[m])
     return Separation(float(min(res.values)), "heuristic" in res.methods)
@@ -243,9 +254,8 @@ def run_ukk_trial(
     if not settled:
         return invalid("coordinatewise convergence to the declared limit not established at this horizon")
 
-    with np.errstate(over="ignore"):  # a coordinate's largest pairwise difference bounds all the others
-        if not np.isfinite(np.ptp(X, axis=0)).all():
-            return invalid("a pairwise difference x_n - x_m overflows binary64: separation not measured")
+    if _difference_overflows(X):
+        return invalid(f"{_OVERFLOW}: separation not measured")
     sep = measure_separation(X, N, p)
     advisory = advisory or sep.advisory
     epsilon = sep.value

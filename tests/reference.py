@@ -14,6 +14,12 @@ rows in, its ratio out) before the next one is built: the walk that
 scores the families of each packed run one at a time, with a sort, a sum
 and a fold of their own: the scorer whose bits ``estimates``' whole-run
 scorer must keep wherever every fold lies in [2^-900, 2^900].
+
+``disjoint_family`` draws and builds one disjoint family alone, member by
+member through ``random_coords``, and ``verify_families`` draws
+``verify_lower_r_estimate``'s families with it one at a time: the
+per-family loop whose rows and stream ``sampling``'s batch builder must
+keep.
 """
 
 import functools
@@ -26,6 +32,7 @@ from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm
 from ukklattice.norms import _packed
 from ukklattice.partitions import iter_set_partitions
 from ukklattice.renorm import block_terms, fold_terms
+from ukklattice.sampling import random_coords
 
 DPS = 50
 MAX_SUPPORT = 6
@@ -119,3 +126,22 @@ def lower_estimates(N, p: float, families):
         for X, total in zip(run, v[n:].tolist()):
             yield fold_terms(terms[at:at + len(X)]) ** (1.0 / p), total
             at += len(X)
+
+
+def disjoint_family(rng, dim: int, count: int) -> np.ndarray:
+    """``count`` disjoint rows: a support of count..dim atoms dealt one each first, then at random, then shuffled."""
+    total = int(rng.integers(count, dim + 1))
+    idx = rng.choice(dim, size=total, replace=False)
+    owner = np.concatenate([np.arange(count), rng.integers(0, count, size=total - count)])
+    rng.shuffle(owner)
+    X = np.zeros((count, dim))
+    for j in range(count):
+        mine = idx[owner == j]
+        X[j, mine] = random_coords(rng, mine.size)
+    return X
+
+
+def verify_families(rng, dim: int, trials: int):
+    """``verify_lower_r_estimate``'s families: a count in 1..min(dim, 8), then its family, one at a time."""
+    for _ in range(trials):
+        yield disjoint_family(rng, dim, int(rng.integers(1, min(dim, 8) + 1)))

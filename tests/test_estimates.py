@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference import disjoint_family, lower_estimates, verify_families
+
 from ukklattice import (
     BlockNorm,
     LatticeVector,
@@ -20,7 +22,8 @@ from ukklattice import (
 )
 from ukklattice import estimates, norms
 from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
-from ukklattice.sampling import _disjoint_rows, random_coords, random_disjoint_family, random_disjoint_pair, random_vector
+from ukklattice.norms import ABS_TOL, REL_TOL
+from ukklattice.sampling import _disjoint_batches, _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
 from ukklattice.vectors import _rows
 
 
@@ -322,28 +325,13 @@ def test_estimate_norm_call_budget(counting_lq):
     assert len(N.calls) == 9 and sum(N.calls) == 1311
 
 
-def _reference_family(rng, dim, count):
-    """random_disjoint_family drawn member by member through random_coords."""
-    total = int(rng.integers(count, dim + 1))
-    idx = rng.choice(dim, size=total, replace=False)
-    owner = np.concatenate([np.arange(count), rng.integers(0, count, size=total - count)])
-    rng.shuffle(owner)
-    out = []
-    for j in range(count):
-        mine = idx[owner == j]
-        a = np.zeros(dim)
-        a[mine] = random_coords(rng, mine.size)
-        out.append(a)
-    return np.array(out)
-
-
 def test_random_disjoint_family_matches_member_by_member_draws():
     cases = 0
     for seed in range(5):
         for dim in range(1, 31):
             for count in range(1, min(dim, 9) + 1):
                 ref, rng = np.random.default_rng([seed, dim, count]), np.random.default_rng([seed, dim, count])
-                want = _reference_family(ref, dim, count)
+                want = disjoint_family(ref, dim, count)
                 got = np.array([v.coords for v in random_disjoint_family(rng, dim, count)])
                 assert got.tobytes() == want.tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -368,6 +356,54 @@ FOUR_KINDS = [
     BlockNorm([[2 * i, 2 * i + 1] for i in range(5)], [LqNorm(1, 2)] * 5, LqNorm(2.5, 5)),
     PosNegMaxNorm(LqNorm(1.5, 10)),
 ]
+
+
+@pytest.mark.parametrize("small_cap", [False, True])
+def test_disjoint_batches_are_the_per_family_loop_in_packed_runs(monkeypatch, small_cap):
+    # every dim 1..30, its counts 1..min(dim, 9) in turn and then reversed; the
+    # batches are the scorer's packed runs, each at most the cap's entries with
+    # each family's sum row unless one family alone is larger
+    for dim in range(1, 31):
+        counts = [*range(1, min(dim, 9) + 1), *range(min(dim, 9), 0, -1)]
+        if small_cap:
+            monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 3 * dim + 7)
+        ref, rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        want = [disjoint_family(ref, dim, m) for m in counts]
+        batches = list(_disjoint_batches(rng, dim, iter(counts)))
+        sizes = [[(len(X) + 1) * dim for X in batch] for batch in batches]
+        assert all(sum(s) <= norms._MAX_CALL_ENTRIES or len(s) == 1 for s in sizes)
+        assert [len(b) for b in batches] == [len(run) for run in norms._packed(want, lambda X: X.size + X.shape[1])]
+        got = [X for batch in batches for X in batch]
+        assert [X.shape for X in got] == [(m, dim) for m in counts]
+        assert b"".join(X.tobytes() for X in got) == b"".join(X.tobytes() for X in want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # at dim 30 the default cap takes all 18 families at once, 97 entries one family each
+    assert len(batches) == (18 if small_cap else 1)
+
+
+def test_disjoint_batches_draw_each_count_before_its_family(monkeypatch):
+    # verify draws each count from the same generator as the families, so a batch
+    # is built only after the count and draws of the first family past it
+    monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 40 * 12)
+    ref, rng = np.random.default_rng(9), np.random.default_rng(9)
+    want = list(verify_families(ref, 12, 60))
+    counts = (int(rng.integers(1, 9)) for _ in range(60))
+    batches = list(_disjoint_batches(rng, 12, counts))
+    assert len(batches) > 3
+    assert b"".join(X.tobytes() for b in batches for X in b) == b"".join(X.tobytes() for X in want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("r", [3.0, 1200.0])
+@pytest.mark.parametrize("N", FOUR_KINDS, ids=lambda N: N.kind)
+def test_verify_counts_the_per_family_loop(N, r):
+    families = list(verify_families(np.random.default_rng(7), N.dim, 300))
+    want = sum(lhs > 0.8 * total + REL_TOL * abs(0.8 * total) + ABS_TOL
+               for lhs, total in _lower_estimates(N, r, families))
+    assert want > 0 and verify_lower_r_estimate(N, r, 0.8, trials=300, seed=7) == want
+    # at r = 1200 some plain fold leaves [2^-900, 2^900]: the refold path runs
+    plain = [lhs for lhs, _ in lower_estimates(N, r, families)]
+    assert (r == 1200.0) == any(lhs in (0.0, math.inf) for lhs in plain)
 
 
 @pytest.mark.parametrize("N", FOUR_KINDS, ids=lambda N: N.kind)

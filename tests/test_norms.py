@@ -377,3 +377,29 @@ def test_lq_kernel_matches_plain_power_bit_for_bit(q):
         want = N.values(X32.astype(np.float64))
         assert N.values(X32).dtype == np.float64 and N.values(X32).tobytes() == want.tobytes()
         assert np.concatenate([N.values(x[None]) for x in X32]).tobytes() == want.tobytes()
+
+
+def _four_kinds(q, dim=6):
+    """One oracle of each built-in kind at exponent ``q``, on ``dim`` atoms."""
+    return [
+        LqNorm(q, dim),
+        WeightedLqNorm(q, [1.0 + 0.5 * i for i in range(dim)]),
+        BlockNorm([[0, 1], [2, 3, 4], [5]], [LqNorm(q, 2), LqNorm(q, 3), LqNorm(q, 1)], LqNorm(q, 3)),
+        PosNegMaxNorm(LqNorm(q, dim)),
+    ]
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, "inf"])
+def test_builtin_oracles_leave_their_input_alone(q):
+    X = np.random.default_rng(4).standard_normal((50, 6))
+    X[::7, 2] = 0.0
+    for N in _four_kinds(q):
+        for rows in (X, X[:1]):
+            Y = rows.copy()
+            got = N.values(Y)
+            assert Y.tobytes() == rows.tobytes()
+            Y.flags.writeable = False  # a write into the input raises
+            assert N.values(Y).tobytes() == got.tobytes()
+    # the q = 2 branch squares its own copy of |X| in place: the plain formula's bits
+    A = np.abs(X)
+    assert LqNorm(2, 6).values(X).tobytes() == np.sqrt((A * A).sum(axis=1)).tobytes()

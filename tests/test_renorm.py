@@ -436,11 +436,11 @@ def test_batch_rejects_non_finite_rows():
     with pytest.raises(ValueError) as from_batch:
         renorm_batch(N, 2.0, np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]))
     assert str(from_batch.value) == message
-    # differences of finite elements can overflow
+    # differences of finite elements can overflow, and the error says so
     seq = [LatticeVector([1e308, 0.0, 0.0]), LatticeVector([-1e308, 0.0, 0.0])]
-    with pytest.raises(ValueError) as from_pairs, np.errstate(over="ignore"):
+    with pytest.raises(ValueError) as from_pairs:
         measure_separation(seq, N, 2.0)
-    assert str(from_pairs.value) == message
+    assert str(from_pairs.value) == "a pairwise difference x_n - x_m overflows binary64"
 
 
 def test_batch_of_no_rows():
@@ -817,3 +817,12 @@ def test_trial_with_an_overflowing_separation_is_invalid():
         trial = run_ukk_trial(N, 2.0, seq, [0.0, 0.0, 0.0])
     assert not trial.valid
     assert trial.reason == "a pairwise difference x_n - x_m overflows binary64: separation not measured"
+
+
+def test_separation_whose_difference_overflows_says_so():
+    # the rows are finite; their difference is not, and the error names it rather
+    # than the row gate's "coordinates must be finite reals"
+    N = WeightedLqNorm(2, [5e-309, 1, 1])
+    with pytest.raises(ValueError, match=r"^a pairwise difference x_n - x_m overflows binary64$"):
+        measure_separation([[1.7e308, 0, 0], [-1.7e308, 0, 0]], N, 2.0)
+    assert measure_separation([[1.7e308, 0, 0], [0, 0, 0]], N, 2.0).value > 0.0
