@@ -34,7 +34,7 @@ import numpy as np
 
 from .norms import ABS_TOL, REL_TOL, NormOracle, _check_p, _count, _packed, _real, _Report, _seed
 from .renorm import EXACT_THRESHOLD, block_terms, fold_terms, renorm_batch
-from .sampling import _disjoint_batches, random_disjoint_family, random_disjoint_pair, random_vector
+from .sampling import _build_families, _draw_family, random_disjoint_family, random_disjoint_pair, random_vector
 from .vectors import LatticeVector, _family_rows, _rows, restrict
 
 __all__ = [
@@ -52,36 +52,33 @@ __all__ = [
 HYPOTHESIS_MARGIN = 1e-9  # c_hat must clear 2 by this much to count as c < 2
 
 
-def _lower_estimates(N: NormOracle, p: float, families):
-    """(fold of row norms^p)^(1/p) and N(sum of rows), for each family of disjoint rows.
+def _lower_estimates(N: NormOracle, p: float, runs):
+    """(fold of row norms^p)^(1/p) and N(sum of rows), for each family of each run ``(rows, sizes)``.
 
-    The families of a run of ``norms._packed`` (at most
-    ``norms._MAX_CALL_ENTRIES`` = 2^16 entries, rows times dim, a lone
-    larger family alone) are scored together: their rows, sorted by family
-    and then by smallest support atom (zero rows first), and then their sums
-    go into one ``N.values`` call, and the rows alone into one
+    A run is its families of disjoint rows, stacked family by family, and
+    their row counts, packed by ``_runs``.  Its rows, sorted by family and
+    then by smallest support atom (zero rows first), and then its family
+    sums go into one ``N.values`` call, and the rows alone into one
     ``block_terms`` call.  Each family's terms fold in that order, as the
     renorm objective does; at p = 1 on two rows this is N(x) + N(y) exactly
     unless outside [2^-900, 2^900].  The one range rule: a fold outside
-    that range, ``inf`` included, where terms may have underflowed or
-    overflowed, is refolded as m * (fold of (norm / m)^p)^(1/p) when the
-    family's largest norm m is finite and above 0.  The iterable is
-    consumed a run at a time and the pairs yielded in order.
+    that range, ``inf`` included, is refolded as
+    m * (fold of (norm / m)^p)^(1/p) when the family's largest norm m is
+    finite and above 0.  The runs are consumed one at a time.
     """
-
-    for run in _packed(families, lambda X: X.size + X.shape[1]):
-        sizes = [len(X) for X in run]
-        fam = np.repeat(np.arange(len(run)), sizes)
-        at = np.cumsum([0] + sizes[:-1])
-        rows = np.concatenate(run)
+    for rows, sizes in runs:
+        n, fam = len(rows), np.repeat(np.arange(len(sizes)), sizes)
+        at = np.cumsum(sizes) - sizes
+        stack = np.empty((n + len(sizes), rows.shape[1]))
         nz = rows != 0.0
-        rows = rows[np.lexsort((np.where(nz.any(axis=1), nz.argmax(axis=1), -1), fam))]
+        stack[:n] = rows[np.lexsort((np.where(nz.any(axis=1), nz.argmax(axis=1), -1), fam))]
         # a family's rows are disjoint, so each sum entry has one nonzero addend and
         # any order of the adds is ``X.sum(axis=0)``'s, which starts from 0.0 (no -0.0)
-        v = N.values(np.concatenate([rows, np.add.reduceat(rows, at, axis=0) + 0.0]))
-        norms, totals = v[:len(rows)], v[len(rows):].tolist()
-        grid = np.zeros((max(sizes), len(run)))  # one column per family, zero-padded after its last term
-        grid[np.arange(len(rows)) - at[fam], fam] = block_terms(norms, p)
+        np.add(np.add.reduceat(stack[:n], at, axis=0), 0.0, out=stack[n:])
+        v = N.values(stack)
+        norms, totals = v[:n], v[n:].tolist()
+        grid = np.zeros((max(sizes), len(sizes)))  # one column per family, zero-padded after its last term
+        grid[np.arange(n) - at[fam], fam] = block_terms(norms, p)
         folds = fold_terms(grid)
         lhs = np.float_power(folds, 1.0 / p)
         m = np.maximum.reduceat(norms, at)
@@ -90,9 +87,26 @@ def _lower_estimates(N: NormOracle, p: float, families):
         yield from zip(lhs.tolist(), totals)
 
 
+def _runs(items, dim: int, rows=len):
+    """``norms._packed`` runs of families of ``rows(item)`` rows, each sized with its sum: (rows + 1) * dim entries."""
+    return _packed(items, lambda item: (rows(item) + 1) * dim)
+
+
+def _stacked(families, dim: int):
+    """The runs ``(rows, sizes)`` of a stream of per-family arrays, for ``_lower_estimates``."""
+    for run in _runs(families, dim):
+        yield np.concatenate(run), [len(X) for X in run]
+
+
+def _sampled_runs(rng: np.random.Generator, dim: int, counts):
+    """Runs ``(rows, sizes)`` of sampled disjoint families, each built at once; a count is read before its draws."""
+    for run in _runs((_draw_family(rng, dim, count) for count in counts), dim, lambda draws: draws[0]):
+        yield _build_families(dim, run)
+
+
 def _ratios(N: NormOracle, p: float, families):
     """The lower-estimate ratio of each family of disjoint rows; 0 when its sum has norm 0."""
-    for num, denom in _lower_estimates(N, p, families):
+    for num, denom in _lower_estimates(N, p, _stacked(families, N.dim)):
         yield num / denom if denom > 0.0 else 0.0
 
 
@@ -387,12 +401,10 @@ def verify_lower_r_estimate(N: NormOracle, r: float, K: float, trials: int = 10_
     trials, seed = _count(trials, "trials"), _seed(seed)
     rng = np.random.default_rng(seed)
     counts = (int(rng.integers(1, min(N.dim, 8) + 1)) for _ in range(trials))
-    # each scoring run's families are built at once, a run ahead of the scoring
-    families = itertools.chain.from_iterable(_disjoint_batches(rng, N.dim, counts))
     violations = 0
-    for lhs, total in _lower_estimates(N, r, families):
+    for lhs, total in _lower_estimates(N, r, _sampled_runs(rng, N.dim, counts)):
         rhs = K * total
-        if lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL:
+        if not lhs <= rhs + REL_TOL * abs(rhs) + ABS_TOL:  # a NaN side is a violation
             violations += 1
     return violations
 

@@ -12,7 +12,6 @@ import itertools
 
 import numpy as np
 
-from .norms import _packed
 from .vectors import LatticeVector, _integer
 
 __all__ = [
@@ -70,24 +69,11 @@ def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> li
 
 
 def _disjoint_rows(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array: a one-family batch."""
+    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array: a one-family run."""
     dim, count = _integer(dim, "dim"), _integer(count, "count")
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} out of range 1..{dim}")
     return _build_families(dim, [_draw_family(rng, dim, count)])[0]
-
-
-def _disjoint_batches(rng: np.random.Generator, dim: int, counts):
-    """Lists of pairwise disjoint nonzero families, a ``(count, dim)`` array per count read.
-
-    ``counts`` (each in 1..dim) is read lazily, so it may draw from
-    ``rng`` too: each count is followed by its family's draws.  The
-    families of a run of ``norms._packed``, each sized as the
-    lower-estimate scorer sizes it with its sum, (count + 1) * dim
-    entries, are built at once and yielded as one list.
-    """
-    for run in _packed((_draw_family(rng, dim, count) for count in counts), lambda d: (d[0] + 1) * dim):
-        yield _build_families(dim, run)
 
 
 def _draw_family(rng: np.random.Generator, dim: int, count: int) -> tuple:
@@ -100,8 +86,8 @@ def _draw_family(rng: np.random.Generator, dim: int, count: int) -> tuple:
     return count, idx, owner, rng.random(2 * total)
 
 
-def _build_families(dim: int, draws) -> list[np.ndarray]:
-    """The rows of each family of ``_draw_family`` draws, all built at once."""
+def _build_families(dim: int, draws) -> tuple[np.ndarray, tuple]:
+    """The rows of the families of ``_draw_family`` draws, all built at once, and their member counts."""
     members, idx, owner, u = zip(*draws)
     ends = list(itertools.accumulate(members))
     totals = [len(i) for i in idx]
@@ -118,4 +104,4 @@ def _build_families(dim: int, draws) -> list[np.ndarray]:
     sign = np.where(u[at + sizes.repeat(sizes)] < 0.5, -1.0, 1.0)
     out = np.zeros((ends[-1], dim), dtype=np.float64)
     out[owner[order], idx[order]] = mag * sign
-    return [out[e - m:e] for e, m in zip(ends, members)]
+    return out, members

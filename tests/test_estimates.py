@@ -21,9 +21,9 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import estimates, norms
-from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios
+from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios, _sampled_runs, _stacked
 from ukklattice.norms import ABS_TOL, REL_TOL
-from ukklattice.sampling import _disjoint_batches, _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
+from ukklattice.sampling import _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
 from ukklattice.vectors import _rows
 
 
@@ -270,6 +270,11 @@ def test_verify_lower_r_estimate_rejects_bool_k(K):
         verify_lower_r_estimate(LqNorm(2, 4), 3.0, K, trials=5)
 
 
+def test_verify_counts_a_nan_side_as_a_violation(nan_lq):
+    # every sampled row and sum reads NaN: each family's test is false, so each is a violation
+    assert verify_lower_r_estimate(nan_lq(2, 6), 3.0, 1.5, trials=50) == 50
+
+
 def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
     N = counting_lq(2, 8)
     want = verify_lower_r_estimate(N, 5.0, 0.9, trials=200, seed=4)
@@ -282,8 +287,8 @@ def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
     monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 16 * 20)
     lone = counting_lq(2, 20)
     family = np.eye(20)[:17]
-    assert list(_lower_estimates(lone, 2.0, [family[:2], family, family[:3]])) == [
-        next(_lower_estimates(lone, 2.0, [X])) for X in (family[:2], family, family[:3])
+    assert list(_lower_estimates(lone, 2.0, _stacked([family[:2], family, family[:3]], 20))) == [
+        next(_lower_estimates(lone, 2.0, _stacked([X], 20))) for X in (family[:2], family, family[:3])
     ]
     assert lone.calls[:3] == [3, 18, 4]
 
@@ -359,9 +364,9 @@ FOUR_KINDS = [
 
 
 @pytest.mark.parametrize("small_cap", [False, True])
-def test_disjoint_batches_are_the_per_family_loop_in_packed_runs(monkeypatch, small_cap):
+def test_sampled_runs_are_the_per_family_loop_in_packed_runs(monkeypatch, small_cap):
     # every dim 1..30, its counts 1..min(dim, 9) in turn and then reversed; the
-    # batches are the scorer's packed runs, each at most the cap's entries with
+    # runs are the scorer's packed runs, each at most the cap's entries with
     # each family's sum row unless one family alone is larger
     for dim in range(1, 31):
         counts = [*range(1, min(dim, 9) + 1), *range(min(dim, 9), 0, -1)]
@@ -369,29 +374,64 @@ def test_disjoint_batches_are_the_per_family_loop_in_packed_runs(monkeypatch, sm
             monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 3 * dim + 7)
         ref, rng = np.random.default_rng(dim), np.random.default_rng(dim)
         want = [disjoint_family(ref, dim, m) for m in counts]
-        batches = list(_disjoint_batches(rng, dim, iter(counts)))
-        sizes = [[(len(X) + 1) * dim for X in batch] for batch in batches]
-        assert all(sum(s) <= norms._MAX_CALL_ENTRIES or len(s) == 1 for s in sizes)
-        assert [len(b) for b in batches] == [len(run) for run in norms._packed(want, lambda X: X.size + X.shape[1])]
-        got = [X for batch in batches for X in batch]
-        assert [X.shape for X in got] == [(m, dim) for m in counts]
-        assert b"".join(X.tobytes() for X in got) == b"".join(X.tobytes() for X in want)
+        runs = list(_sampled_runs(rng, dim, iter(counts)))
+        entries = [[(m + 1) * dim for m in sizes] for _, sizes in runs]
+        assert all(sum(e) <= norms._MAX_CALL_ENTRIES or len(e) == 1 for e in entries)
+        assert [len(sizes) for _, sizes in runs] == [len(run) for run in norms._packed(want, lambda X: X.size + X.shape[1])]
+        assert [m for _, sizes in runs for m in sizes] == counts
+        assert [rows.shape for rows, sizes in runs] == [(sum(sizes), dim) for _, sizes in runs]
+        assert b"".join(rows.tobytes() for rows, _ in runs) == b"".join(X.tobytes() for X in want)
         assert rng.bit_generator.state == ref.bit_generator.state
     # at dim 30 the default cap takes all 18 families at once, 97 entries one family each
-    assert len(batches) == (18 if small_cap else 1)
+    assert len(runs) == (18 if small_cap else 1)
 
 
-def test_disjoint_batches_draw_each_count_before_its_family(monkeypatch):
-    # verify draws each count from the same generator as the families, so a batch
+def test_sampled_runs_draw_each_count_before_its_family(monkeypatch):
+    # verify draws each count from the same generator as the families, so a run
     # is built only after the count and draws of the first family past it
     monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 40 * 12)
     ref, rng = np.random.default_rng(9), np.random.default_rng(9)
     want = list(verify_families(ref, 12, 60))
     counts = (int(rng.integers(1, 9)) for _ in range(60))
-    batches = list(_disjoint_batches(rng, 12, counts))
-    assert len(batches) > 3
-    assert b"".join(X.tobytes() for b in batches for X in b) == b"".join(X.tobytes() for X in want)
+    runs = list(_sampled_runs(rng, 12, counts))
+    assert len(runs) > 3
+    assert b"".join(rows.tobytes() for rows, _ in runs) == b"".join(X.tobytes() for X in want)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cap_rows", [None, 16])
+@pytest.mark.parametrize("N", FOUR_KINDS, ids=lambda N: N.kind)
+def test_built_runs_score_as_the_stacked_families(monkeypatch, N, cap_rows):
+    # the same sampled families scored as verify lays them out, one built array a
+    # run, and as _stacked's runs of per-family arrays: the same bits
+    if cap_rows is not None:
+        monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", cap_rows * N.dim)
+    rng = np.random.default_rng(5)
+    runs = list(_sampled_runs(rng, N.dim, (int(rng.integers(1, 9)) for _ in range(120))))
+    before = [rows.tobytes() for rows, _ in runs]
+    families = [X for rows, sizes in runs for X in np.split(rows, np.cumsum(sizes)[:-1])]
+    built = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, 3.0, runs)]
+    assert built == [(a.hex(), b.hex()) for a, b in _lower_estimates(N, 3.0, _stacked(families, N.dim))]
+    assert len(built) == 120 and (len(runs) == 1) == (cap_rows is None)
+    assert [rows.tobytes() for rows, _ in runs] == before  # the scorer leaves its runs as they are
+
+
+@pytest.mark.parametrize("cap_rows", [None, 16])
+def test_each_verify_call_scores_one_built_run(counting_lq, monkeypatch, cap_rows):
+    if cap_rows is not None:
+        monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", cap_rows * 8)
+    build, built = estimates._build_families, []
+
+    def recorded(dim, draws):
+        rows, sizes = build(dim, draws)
+        built.append(sum(sizes) + len(sizes))
+        return rows, sizes
+
+    monkeypatch.setattr(estimates, "_build_families", recorded)
+    N = counting_lq(2, 8)
+    verify_lower_r_estimate(N, 5.0, 0.9, trials=200, seed=4)
+    assert N.calls == built
+    assert (len(built) == 1) if cap_rows is None else (len(built) > 1 and max(built) <= cap_rows)
 
 
 @pytest.mark.parametrize("r", [3.0, 1200.0])
@@ -399,7 +439,7 @@ def test_disjoint_batches_draw_each_count_before_its_family(monkeypatch):
 def test_verify_counts_the_per_family_loop(N, r):
     families = list(verify_families(np.random.default_rng(7), N.dim, 300))
     want = sum(lhs > 0.8 * total + REL_TOL * abs(0.8 * total) + ABS_TOL
-               for lhs, total in _lower_estimates(N, r, families))
+               for lhs, total in _lower_estimates(N, r, _stacked(families, N.dim)))
     assert want > 0 and verify_lower_r_estimate(N, r, 0.8, trials=300, seed=7) == want
     # at r = 1200 some plain fold leaves [2^-900, 2^900]: the refold path runs
     plain = [lhs for lhs, _ in lower_estimates(N, r, families)]
@@ -412,8 +452,8 @@ def test_lower_estimates_batch_equals_one_family(N):
     families = [_rows(random_disjoint_family(rng, 10, m), 10) for m in range(1, 9) for _ in range(3)]
     families.insert(5, np.zeros((2, 10)))  # a zero-sum family
     p = 2.5
-    one = [next(_lower_estimates(N, p, [X])) for X in families]
-    assert list(_lower_estimates(N, p, families)) == one
+    one = [next(_lower_estimates(N, p, _stacked([X], 10))) for X in families]
+    assert list(_lower_estimates(N, p, _stacked(families, 10))) == one
     for X, (num, total) in zip(families, one):
         # the terms fold in order of smallest support atom, each a one-row call
         rows = sorted(X, key=lambda x: np.flatnonzero(x)[0] if x.any() else -1)

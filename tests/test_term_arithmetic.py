@@ -20,7 +20,7 @@ import pytest
 from reference import climb_pair, hill_climb, lower_estimates
 
 from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm, norms
-from ukklattice.estimates import _hill_climb, _lower_estimates, _ratios, _refine_pair
+from ukklattice.estimates import _hill_climb, _lower_estimates, _ratios, _refine_pair, _stacked
 from ukklattice.renorm import block_terms, fold_terms, partition_power_sum, renorm_exact
 from ukklattice.sampling import _disjoint_rows, random_disjoint_pair
 from ukklattice.vectors import _rows
@@ -125,9 +125,9 @@ def _families(seed: int, dim: int, n: int) -> list:
 @pytest.mark.parametrize("p", [1.0, 2.5, 7.0])
 def test_lower_estimates_do_not_depend_on_the_packing(monkeypatch, N, p):
     families = _families(3, N.dim, 60)
-    packed = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, families)]
+    packed = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, _stacked(families, N.dim))]
     monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", 1)  # every family a run of its own
-    alone = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, families)]
+    alone = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, _stacked(families, N.dim))]
     assert packed == alone
 
 
@@ -163,7 +163,7 @@ def test_whole_run_scorer_is_the_one_family_loop(monkeypatch, N, p, rows):
     if rows is not None:
         monkeypatch.setattr(norms, "_MAX_CALL_ENTRIES", rows * N.dim)
     families = _mixed_families(N.dim)
-    got = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, families)]
+    got = [(a.hex(), b.hex()) for a, b in _lower_estimates(N, p, _stacked(families, N.dim))]
     assert got == [(a.hex(), b.hex()) for a, b in lower_estimates(N, p, families)]
 
 
@@ -174,7 +174,7 @@ def test_an_underflowed_fold_is_refolded_by_the_largest_norm():
     zero = np.zeros((2, 4))  # largest norm 0: the fold stays 0
     families = [tiny, even, zero, 1e-200 * even]
     assert [a for a, _ in lower_estimates(N, 1200.0, families)] == [0.0, 1.0, 0.0, 0.0]
-    got = list(_lower_estimates(N, 1200.0, families))
+    got = list(_lower_estimates(N, 1200.0, _stacked(families, N.dim)))
     assert got[:3] == [(0.5, N(tiny.sum(axis=0))), (1.0, N(even.sum(axis=0))), (0.0, 0.0)]
     assert got[3][0] == pytest.approx(1e-200, rel=1e-15)
 
@@ -187,7 +187,7 @@ def test_an_overflowed_fold_is_refolded_by_the_largest_norm():
     endless = np.array([[0.0, 1e300, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])  # largest norm inf: the fold stays inf
     families = [huge, even, endless, 1e150 * even]
     assert [a for a, _ in lower_estimates(N, 1200.0, families)] == [math.inf, 1.0, math.inf, math.inf]
-    got = list(_lower_estimates(N, 1200.0, families))
+    got = list(_lower_estimates(N, 1200.0, _stacked(families, N.dim)))
     assert got[:3] == [(4.0, N(huge.sum(axis=0))), (1.0, N(even.sum(axis=0))), (math.inf, math.inf)]
     assert got[3][0] == pytest.approx(1e150, rel=1e-15)
 
