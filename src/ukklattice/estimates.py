@@ -105,14 +105,11 @@ def _sampled_runs(rng: np.random.Generator, dim: int, counts):
 
 
 def _ratios(N: NormOracle, p: float, families):
-    """The lower-estimate ratio of each family of disjoint rows; 0 when its sum has norm 0."""
+    """The lower-estimate ratio of each family of disjoint rows; 0 when its sum has norm 0, a NaN side raises."""
     for num, denom in _lower_estimates(N, p, _stacked(families, N.dim)):
+        if math.isnan(num) or math.isnan(denom):
+            raise ValueError(f"the oracle {N!r} gives a NaN lower estimate: fold {num}, sum norm {denom}")
         yield num / denom if denom > 0.0 else 0.0
-
-
-def _ratio(N: NormOracle, p: float, X: np.ndarray) -> float:
-    """The lower-estimate ratio of one family of disjoint rows ``X``."""
-    return next(_ratios(N, p, [X]))
 
 
 def _walk(X: np.ndarray, best: float, moves: list, scores) -> tuple[np.ndarray, float, bool]:
@@ -338,7 +335,7 @@ def _greedy_unit_family(N: NormOracle, p: float) -> np.ndarray:
     scored; the first strict best above the current ratio is taken.
     """
     chosen: list[int] = [0]
-    best = _ratio(N, p, _units(N.dim, chosen))
+    best = next(_ratios(N, p, [_units(N.dim, chosen)]))
     while len(chosen) < N.dim:
         rest = [j for j in range(N.dim) if j not in chosen]
         step_best, step_atom = best, None

@@ -186,7 +186,6 @@ def renorm_exact(N: NormOracle, p: float, x: LatticeVector) -> RenormResult:
     Raises :class:`SupportTooLarge` above ``EXACT_THRESHOLD`` instead of
     falling back to the local search.
     """
-    p = _check_p(p)
     X = _rows([x], N.dim)
     _require_exact(int(np.count_nonzero(X)))
     return renorm_batch(N, p, X).result(0)
@@ -202,8 +201,8 @@ class _Tables(NamedTuple):
     n_masks) array whose column j runs down the candidates of mask j, so
     the DP gathers a whole layer with ``take`` along axis 0 and maximizes
     across that leading axis.  The remainders m XOR B are recomputed on
-    use rather than stored.  Masks are uint16 while they fit, wider above
-    s = 16.  At s = 0 the one mask is the empty set and there are no
+    use rather than stored.  Masks are uint16, as ``renorm_batch`` takes
+    s <= 16.  At s = 0 the one mask is the empty set and there are no
     layers.  Every array is read-only.
     """
 
@@ -212,14 +211,8 @@ class _Tables(NamedTuple):
     layers: tuple  # per popcount k: (masks, blocks)
 
 
-def _mask_dtype(s: int):
-    """Narrowest unsigned type holding every mask of s atoms."""
-    return np.uint16 if s <= 16 else np.uint32
-
-
 @lru_cache(maxsize=None)
 def _dp_tables(s: int) -> _Tables:
-    dtype = _mask_dtype(s)
     every = np.arange(1 << s, dtype=np.int64)
     bits = ((every[:, None] >> np.arange(s)) & 1).astype(bool)
     popcount = bits.sum(axis=1)
@@ -234,8 +227,8 @@ def _dp_tables(s: int) -> _Tables:
         blocks = np.left_shift(1, atoms[:, 0])
         for i in range(1, k):
             blocks = blocks | (((j >> (i - 1)) & 1) << atoms[:, i])
-        blocks = np.broadcast_to(blocks, (j.size, masks.size)).astype(dtype)
-        layers.append((masks.astype(dtype), blocks))
+        blocks = np.broadcast_to(blocks, (j.size, masks.size)).astype(np.uint16)
+        layers.append((masks.astype(np.uint16), blocks))
     for a in (bits, pos, *(a for layer in layers for a in layer)):
         a.flags.writeable = False
     return _Tables(bits, pos, tuple(layers))
@@ -299,7 +292,8 @@ def renorm_batch(
 ) -> RenormBatch:
     """Renorm of every row of ``X``: exact up to ``threshold``, local search above.
 
-    ``X`` is a 2-d array of rows or a sequence of vectors.  Exact rows are
+    ``X`` is a 2-d array of rows or a sequence of vectors; ``threshold``, at
+    most 16 (the atoms of a uint16 DP mask), is an integer.  Exact rows are
     grouped by support size s and cut into chunks whose block rows (K rows
     and their K * 2^s block rows of dim entries) hold at most
     ``norms._MAX_CALL_ENTRIES`` = 2^16 entries; a lone row past the cap is
@@ -324,6 +318,8 @@ def renorm_batch(
     never depends on the other rows.  Every 1/p root is taken once, here.
     """
     p, seed, threshold = _check_p(p), _seed(seed), _integer(threshold, "threshold")
+    if threshold > 16:
+        raise ValueError(f"threshold must be at most 16, got {threshold}")
     X = _rows(X, N.dim)
     sizes = np.count_nonzero(X, axis=1)
     n = sizes.size
@@ -554,7 +550,7 @@ def check_superadditivity(N: NormOracle, p: float, x: LatticeVector, y: LatticeV
         value_x=vx,
         value_y=vy,
         value_sum=vs,
-        p=p,
+        p=res.p,
     )
 
 

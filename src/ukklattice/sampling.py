@@ -64,16 +64,11 @@ def random_disjoint_pair(rng: np.random.Generator, dim: int) -> tuple[LatticeVec
 
 
 def random_disjoint_family(rng: np.random.Generator, dim: int, count: int) -> list[LatticeVector]:
-    """``count`` pairwise disjoint nonzero vectors: the rows of :func:`_disjoint_rows`."""
-    return [LatticeVector(a) for a in _disjoint_rows(rng, dim, count)]
-
-
-def _disjoint_rows(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """``count`` pairwise disjoint nonzero rows, as a ``(count, dim)`` array: a one-family run."""
+    """``count`` pairwise disjoint nonzero vectors: the rows of a one-family run of :func:`_build_families`."""
     dim, count = _integer(dim, "dim"), _integer(count, "count")
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} out of range 1..{dim}")
-    return _build_families(dim, [_draw_family(rng, dim, count)])[0]
+    return [LatticeVector(a) for a in _build_families(dim, [_draw_family(rng, dim, count)])[0]]
 
 
 def _draw_family(rng: np.random.Generator, dim: int, count: int) -> tuple:

@@ -78,14 +78,14 @@ def generate_bump_sequence(
     Fresh atoms start right after the core's last support atom, one per
     element, so the elements' differences from the core are pairwise
     disjoint and every coordinate is eventually constant.  Each element's
-    renorm is checked against 1 + ``_TOL``; a violation raises with the
-    offending index.  ``core`` is a vector or a coordinate list.
+    renorm is checked against 1 + ``_TOL``; a violation, a NaN renorm too,
+    raises with the offending index.  ``core`` is a vector or a coordinate list.
     """
     c = _rows([core], N.dim)[0]
     horizon, bump_height = _count(horizon, "horizon"), _real(bump_height, "bump_height")
     X = _bump_rows(c, bump_height, horizon)
     for n, value in enumerate(renorm_batch(N, p, X).values):
-        if value > 1.0 + _TOL:
+        if not value <= 1.0 + _TOL:  # a NaN is outside
             raise ValueError(f"element {n} lies outside the renorm unit ball: {value}")
     return [LatticeVector(x) for x in X]
 
@@ -140,7 +140,7 @@ def measure_separation(sequence, N: NormOracle, p: float) -> Separation:
         raise ValueError(_OVERFLOW)
     n, m = np.triu_indices(len(X), 1)
     res = renorm_batch(N, p, X[n] - X[m])
-    return Separation(float(min(res.values)), "heuristic" in res.methods)
+    return Separation(float(np.min(res.values)), "heuristic" in res.methods)  # np.min keeps a NaN
 
 
 def _tracks_settle(T: np.ndarray, tol: float) -> bool:
@@ -248,7 +248,7 @@ def run_ukk_trial(
     res = renorm_batch(N, p, np.vstack([X, D, limit]) if settled else X)
     for i, (value, method) in enumerate(zip(res.values[:n], res.methods[:n])):
         advisory = advisory or method == "heuristic"
-        if value > 1.0 + _TOL:
+        if not value <= 1.0 + _TOL:  # a NaN is outside
             return invalid(f"element {i} outside the renorm unit ball ({value})")
 
     if not settled:
@@ -263,7 +263,7 @@ def run_ukk_trial(
         return invalid("sequence is not separated (epsilon = 0)")
 
     advisory = advisory or "heuristic" in res.methods[n : 2 * n]
-    min_dist = float(min(res.values[n : 2 * n]))
+    min_dist = float(np.min(res.values[n : 2 * n]))
     if not epsilon / 2.0 <= min_dist + _TOL:
         return invalid("separation inconsistent with distances to the limit (finite-horizon artifact)")
 

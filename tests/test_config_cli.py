@@ -693,6 +693,15 @@ def test_space_check_of_a_nan_oracle_is_not_exit_0(tmp_path, capsys, monkeypatch
     assert capsys.readouterr() == ("", "error: Out of range float values are not JSON compliant\n")
 
 
+def test_estimate_of_a_nan_oracle_is_exit_2(tmp_path, capsys, monkeypatch, nan_lq):
+    # the search used to rank its NaN ratios 0.0 and then reject c_hat = 0.0
+    monkeypatch.setattr(cli, "parse_norm_spec", lambda spec: nan_lq(2, 12))
+    assert main(["estimate", "--config", write(tmp_path, "cfg.json", BASE_CFG)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: config.estimate: the oracle {nan_lq(2, 12)!r} gives a NaN lower estimate: "
+                                 "fold nan, sum norm nan\n")
+
+
 def test_unwritable_out_is_exit_2(tmp_path, capsys):
     (tmp_path / "taken").write_text("")
     cfg = write(tmp_path, "cfg.json", BASE_CFG)

@@ -21,9 +21,9 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import estimates, norms
-from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratio, _ratios, _sampled_runs, _stacked
+from ukklattice.estimates import _greedy_unit_family, _lower_estimates, _ratios, _sampled_runs, _stacked
 from ukklattice.norms import ABS_TOL, REL_TOL
-from ukklattice.sampling import _disjoint_rows, random_disjoint_family, random_disjoint_pair, random_vector
+from ukklattice.sampling import random_disjoint_family, random_disjoint_pair, random_vector
 from ukklattice.vectors import _rows
 
 
@@ -200,7 +200,7 @@ def test_two_disjoint_constant_needs_two_atoms():
 
 def test_lower_estimate_ratio_of_unit_family():
     # (4 * 1^2)^(1/2) / 1 = 2
-    assert _ratio(LqNorm(float("inf"), 4), 2.0, np.eye(4)) == 2.0
+    assert list(_ratios(LqNorm(float("inf"), 4), 2.0, [np.eye(4)])) == [2.0]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, math.nan, math.inf])
@@ -275,6 +275,21 @@ def test_verify_counts_a_nan_side_as_a_violation(nan_lq):
     assert verify_lower_r_estimate(nan_lq(2, 6), 3.0, 1.5, trials=50) == 50
 
 
+NAN_ESTIMATE = r"^the oracle NanLq\(\{'kind': 'Lq', 'q': 2, 'dim': 6\}\) gives a NaN lower estimate: fold nan, sum norm nan$"
+
+
+def test_two_disjoint_constant_of_a_nan_oracle_raises(nan_lq):
+    # a NaN ratio used to rank 0.0, so c_hat read 0.0
+    with pytest.raises(ValueError, match=NAN_ESTIMATE):
+        estimate_two_disjoint_constant(nan_lq(2, 6), budget=10)
+
+
+def test_estimate_pipeline_of_a_nan_oracle_blames_the_oracle(nan_lq):
+    # it used to blame the constant: "two-disjoint constant c must be >= 1, got 0.0"
+    with pytest.raises(ValueError, match=NAN_ESTIMATE):
+        run_estimate_pipeline(nan_lq(2, 6), budget=10)
+
+
 def test_verify_chunks_stay_within_the_cap(counting_lq, monkeypatch):
     N = counting_lq(2, 8)
     want = verify_lower_r_estimate(N, 5.0, 0.9, trials=200, seed=4)
@@ -342,17 +357,6 @@ def test_random_disjoint_family_matches_member_by_member_draws():
                 assert rng.bit_generator.state == ref.bit_generator.state
                 cases += 1
     assert cases >= 1000
-
-
-@pytest.mark.parametrize("dim, count, seed", [(1, 1, 0), (6, 3, 1), (10, 8, 2), (30, 9, 3), (30, 1, 4)])
-def test_disjoint_rows_are_the_family_rows(dim, count, seed):
-    # verify_lower_r_estimate reads the rows; the public sampler wraps the same rows in vectors
-    rows_rng, family_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    rows = _disjoint_rows(rows_rng, dim, count)
-    family = random_disjoint_family(family_rng, dim, count)
-    assert rows.shape == (count, dim)
-    assert rows.tobytes() == np.stack([v.coords for v in family]).tobytes()
-    assert rows_rng.bit_generator.state == family_rng.bit_generator.state
 
 
 FOUR_KINDS = [
@@ -462,7 +466,7 @@ def test_lower_estimates_batch_equals_one_family(N):
             acc = N(row) ** p + acc
         assert (num, total) == (acc ** (1.0 / p), N(X.sum(axis=0)))
     ratios = list(_ratios(N, p, families))
-    assert ratios == [_ratio(N, p, X) for X in families]
+    assert ratios == [next(_ratios(N, p, [X])) for X in families]
     assert ratios[5] == 0.0 and min(ratios[:5] + ratios[6:]) > 0.0
 
 

@@ -46,7 +46,7 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice.cli import main as cli_main
-from ukklattice.estimates import _ratio
+from ukklattice.estimates import _ratios
 
 
 def _block(pairs: int) -> BlockNorm:
@@ -385,4 +385,4 @@ def test_pair_ratio_is_family_ratio_at_p1(space):
     rng = np.random.default_rng(8)
     for _ in range(200):
         x, y = random_disjoint_pair(rng, N.dim)
-        assert _ratio(N, 1.0, np.stack([x.coords, y.coords])) == (N(x) + N(y)) / N(x + y)
+        assert list(_ratios(N, 1.0, [np.stack([x.coords, y.coords])])) == [(N(x) + N(y)) / N(x + y)]

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from reference import DPS, mp_norm
+from reference import DPS, mp_norm, verify_families
 
 from ukklattice import (
     BlockNorm,
@@ -32,8 +32,8 @@ from ukklattice import (
 )
 from ukklattice import norms
 from ukklattice.norms import ABS_TOL, REL_TOL
-from ukklattice.renorm import _dp_tables, _mask_dtype, _mask_terms, _random_cut
-from ukklattice.sampling import _disjoint_rows, random_coords, random_disjoint_pair, random_vector
+from ukklattice.renorm import _dp_tables, _mask_terms, _random_cut
+from ukklattice.sampling import random_coords, random_disjoint_pair, random_vector
 
 
 def brute_force_power_sum(N, p, x):
@@ -372,6 +372,13 @@ def test_superadditivity_check_accepts_coordinate_lists():
     assert check_superadditivity(N, 2.0, x.to_list(), y.to_list()) == check_superadditivity(N, 2.0, x, y)
 
 
+@pytest.mark.parametrize("p", [2, np.int64(2), np.float64(2.0)])
+def test_superadditivity_check_records_the_gated_exponent(p):
+    # an int p used to be recorded as given; every other report's p is a float
+    chk = check_superadditivity(LqNorm(2, 4), p, [1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0])
+    assert type(chk.p) is float and chk.p == 2.0
+
+
 def test_superadditivity_check_gates_its_pair():
     N = LqNorm(1, 4)
     x = [1.0, 0.0, 0.0, 0.0]
@@ -448,10 +455,13 @@ def test_batch_of_no_rows():
     assert len(batch) == 0 and batch.values == []
 
 
-def test_mask_tables_widen_above_16_atoms():
-    # uint16 masks would wrap at s = 17 if a caller raised the threshold that far
-    assert _mask_dtype(16) == np.uint16
-    assert _mask_dtype(17) == np.uint32
+def test_threshold_is_at_most_16():
+    # the DP's masks are uint16: a 17-atom mask would wrap
+    N, X = LqNorm(2, 4), np.array([[0.5, -1.0, 0.25, 2.0]])
+    with pytest.raises(ValueError, match="^threshold must be at most 16, got 17$"):
+        renorm_batch(N, 2.0, X, threshold=17)
+    assert renorm_batch(N, 2.0, X, threshold=16).result(0) == renorm_exact(N, 2.0, X[0])
+    assert all(a.dtype == np.uint16 for layer in _dp_tables(4).layers for a in layer)
 
 
 def _assert_rows_are_one_row_calls(N, p, X, batch):
@@ -784,8 +794,7 @@ def _reference_violations(N, r, K, trials, seed):
     rng = np.random.default_rng(seed)
     count = 0
     with mpmath.workdps(DPS):
-        for _ in range(trials):
-            X = _disjoint_rows(rng, N.dim, int(rng.integers(1, min(N.dim, 8) + 1)))
+        for X in verify_families(rng, N.dim, trials):
             lhs = mpmath.fsum(mp_norm(N, row) ** r for row in X.tolist()) ** (1 / mpmath.mpf(r))
             rhs = K * mp_norm(N, X.sum(axis=0).tolist())
             count += lhs > rhs + REL_TOL * abs(rhs) + ABS_TOL

@@ -17,12 +17,12 @@ import warnings
 import numpy as np
 import pytest
 
-from reference import climb_pair, hill_climb, lower_estimates
+from reference import climb_pair, hill_climb, lower_estimates, verify_families
 
 from ukklattice import BlockNorm, LqNorm, PosNegMaxNorm, WeightedLqNorm, norms
 from ukklattice.estimates import _hill_climb, _lower_estimates, _ratios, _refine_pair, _stacked
 from ukklattice.renorm import block_terms, fold_terms, partition_power_sum, renorm_exact
-from ukklattice.sampling import _disjoint_rows, random_disjoint_pair
+from ukklattice.sampling import random_disjoint_pair
 from ukklattice.vectors import _rows
 
 EXPONENTS = [1, 1.5, 2, 3, 8.44, 29.83, 400, 1e6]
@@ -117,8 +117,7 @@ IDS = ["lq3", "weighted", "block", "posneg"]
 
 
 def _families(seed: int, dim: int, n: int) -> list:
-    rng = np.random.default_rng(seed)
-    return [_disjoint_rows(rng, dim, int(rng.integers(1, min(dim, 8) + 1))) for _ in range(n)]
+    return list(verify_families(np.random.default_rng(seed), dim, n))
 
 
 @pytest.mark.parametrize("N", SPACES, ids=IDS)

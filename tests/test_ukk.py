@@ -205,6 +205,34 @@ def test_trial_invalid_outside_unit_ball():
     assert "unit ball" in trial.reason
 
 
+def test_bump_sequence_of_a_nan_oracle_is_outside_the_ball(nan_lq):
+    # a NaN renorm used to pass the ball check
+    core = LatticeVector([0.5] + [0.0] * 7)
+    with pytest.raises(ValueError, match="^element 0 lies outside the renorm unit ball: nan$"):
+        generate_bump_sequence(nan_lq(2, 8), 2.0, core, bump_height=0.3, horizon=6)
+
+
+def test_trial_of_a_nan_oracle_is_outside_the_ball(nan_lq):
+    # it used to get past the ball check and fail on "sequence is not separated (epsilon = 0)"
+    core = np.array([0.5] + [0.0] * 7)
+    seq = core + 0.3 * np.eye(8)[1:7]
+    trial = run_ukk_trial(nan_lq(2, 8), 2.0, seq, core)
+    assert not trial.valid and trial.reason == "element 0 outside the renorm unit ball (nan)"
+
+
+class _NanAtAtom0(LqNorm):
+    """An Lq oracle that reads NaN on every row touching atom 0."""
+
+    def values(self, X):
+        return np.where(X[:, 0] != 0.0, np.nan, super().values(X))
+
+
+def test_separation_keeps_a_nan_distance():
+    # only the first difference, x_0 - x_1, misses atom 0; Python's min dropped the NaNs after it
+    seq = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    assert math.isnan(measure_separation(seq, _NanAtAtom0(2, 3), 2.0).value)
+
+
 def test_trial_invalid_nonconvergent():
     N = LqNorm(2, 8)
     e1 = LatticeVector.unit(8, 0)
