@@ -10,10 +10,12 @@ lists in ``spec_fields``; ``dim`` is optional where it is not one of them:
     {"kind": "PosNegMax", "base": {"kind": "Lq", "q": 1, "dim": 4}}
 
 ``inner`` may be one spec (applied to every block, ``dim`` filled in
-from the block size) or a list with one spec per block.  A field of the
-wrong JSON type is an error on its own path; a value the oracle
-constructor rejects (an exponent below 1, say) is an error on the path
-of its spec.  A spec, like each config section, rejects unknown fields.
+from the block size; the blocks of one size share one oracle, which
+``BlockNorm.values`` calls once for them all) or a list with one spec
+per block.  A field of the wrong JSON type is an error on its own path;
+a value the oracle constructor rejects (an exponent below 1, say) is an
+error on the path of its spec.  A spec, like each config section,
+rejects unknown fields.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ def _read(spec: dict, field: str, path: str):
     )):
         raise ConfigError(path, "blocks must be an array of nonempty integer arrays")
     if field == "inner":
-        if isinstance(val, dict):  # one spec for every block, its dim the block size
-            return [parse_norm_spec({"dim": len(blk), **val}, path) for blk in spec["blocks"]]
+        if isinstance(val, dict):  # one spec for every block: one oracle per block size, its dim that size
+            sizes = dict.fromkeys(len(blk) for blk in spec["blocks"])  # in block order, so errors name the first
+            oracles = {size: parse_norm_spec({"dim": size, **val}, path) for size in sizes}
+            return [oracles[len(blk)] for blk in spec["blocks"]]
         if not isinstance(val, list):
             raise ConfigError(path, "inner must be a spec object or an array of spec objects")
         return [parse_norm_spec(s, f"{path}[{j}]") for j, s in enumerate(val)]

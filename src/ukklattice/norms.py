@@ -57,6 +57,11 @@ ABS_TOL = 1e-12
 # scoring, and ``audit_norm_axioms`` checks its samples in runs of at most
 # that many entries
 _MAX_CALL_ENTRIES = 1 << 16
+# entries per inner call of ``BlockNorm.values``: at 4096-5461 rows, runs of
+# 2^16 entries were up to 14% slower than a call per block (55% in a fresh
+# process, whose allocator page-faults their 512 KiB temporaries on every
+# call), while runs of 2^14 are no slower
+_BLOCK_RUN_ENTRIES = _MAX_CALL_ENTRIES >> 2
 
 
 class NormOracle(ABC):
@@ -172,9 +177,9 @@ class LqNorm(NormOracle):
             raise ValueError("dim must be a positive integer")
 
     def values(self, X: np.ndarray) -> np.ndarray:
+        if math.isinf(self.q):  # a max is exact in any order; column-major, it reduces whole columns
+            return np.abs(X, dtype=np.float64, order="F").max(axis=1)
         A = np.abs(X, dtype=np.float64)
-        if math.isinf(self.q):
-            return A.max(axis=1)
         if self.q == 1.0:
             return A.sum(axis=1)
         if self.q == 2.0:
@@ -218,6 +223,19 @@ class BlockNorm(NormOracle):
     block, no empty blocks.  ``inner[j]`` evaluates coordinates
     ``blocks[j]`` and must have matching dim; ``outer`` has one
     coordinate per block.
+
+    ``values`` makes one inner call for all the blocks that share one
+    inner oracle object (``config.parse_norm_spec`` builds one per block
+    size), in runs of at most ``_BLOCK_RUN_ENTRIES`` entries.  A run is
+    one fancy gather whose operand holds each block's rows in turn, laid
+    out as the gather of a lone block is: column-major, so that an Lq
+    inner sums each row column by column, left to right, bit for bit as a
+    call per block does (a row-major operand would sum rows of 8 or more
+    atoms in numpy's pairwise order), and row-major in a one-row call,
+    where a lone block's row is summed pairwise too.  The one exception
+    is a ``Block`` inner shared by several blocks: it sees several rows
+    even in a one-row call, so its own blocks of 8 or more atoms are then
+    summed left to right, as in any call of two or more rows.
     """
 
     kind = "Block"
@@ -240,12 +258,32 @@ class BlockNorm(NormOracle):
         if outer.dim != len(blocks):
             raise ValueError(f"outer has dim {outer.dim}, need one coordinate per block ({len(blocks)})")
         self.blocks, self.inner, self.outer, self.dim = blocks, inner, outer, dim
-        self._idx = [np.asarray(blk, dtype=np.intp) for blk in blocks]
+        shared = {}  # id of an inner oracle -> (that oracle, the positions of its blocks)
+        for j, N in enumerate(inner):
+            shared.setdefault(id(N), (N, []))[1].append(j)
+        # each inner oracle with its blocks' atoms down the columns of a (size, k) view;
+        # ``values`` writes the block values group after group in this order
+        self._groups = [(N, np.array([blocks[j] for j in at], dtype=np.intp).T) for N, at in shared.values()]
+        written = [j for _, at in shared.values() for j in at]
+        self._order = None if written == list(range(len(blocks))) else np.argsort(written)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        B = np.empty((X.shape[0], len(self.blocks)), dtype=np.float64)
-        for j, idx in enumerate(self._idx):
-            B[:, j] = self.inner[j].values(X[:, idx])
+        n = X.shape[0]
+        B = np.empty((len(self.blocks), n), dtype=np.float64)  # block-major: a run writes whole rows
+        at = 0
+        for N, cols in self._groups:
+            size, k = cols.shape
+            step = max(1, _BLOCK_RUN_ENTRIES // max(1, n * size))
+            for s in range(0, k, step):
+                G = X[:, cols[:, s:s + step]]  # (n, size, r), laid out as r blocks of n rows, column-major
+                r = G.shape[2]
+                B[at:at + r] = N.values(G.transpose(2, 0, 1).reshape(r * n, size)).reshape(r, n)
+                at += r
+        if self._order is not None:
+            B = B[self._order]  # back in block order
+        # C-ordered, a point's block values in a row, the layout that pins the
+        # outer's bits; rebinding frees the block-major array before the outer call
+        B = B.T.copy()
         return self.outer.values(B)
 
     @property
@@ -368,7 +406,8 @@ def audit_norm_axioms(N: NormOracle, samples: int = 10_000, seed: int = 0) -> No
     for at in range(0, samples, step):
         x, y, s, u = X[at:at + step], Y[at:at + step], t[at:at + step], U[at:at + step]
         nx, ny = N.values(x), N.values(y)
-        positivity_violations += int((~(nx > 0.0) & np.any(x != 0.0, axis=1)).sum())
+        # the nonzero rows among those whose norm is not > 0 (a NaN norm too)
+        positivity_violations += int(np.any(x[~(nx > 0.0)] != 0.0, axis=1).sum())
         expected = np.abs(s) * nx
         worst.append(((np.abs(N.values(x * s[:, None]) - expected) / np.maximum(expected, 1e-12)).max(),
                       _rel_excess(N.values(x + y), nx + ny), _rel_excess(N.values(u * y), K * ny)))

@@ -215,9 +215,10 @@ def run_ukk_trial(
     """Verify preconditions, then the modulus bound on the declared limit.
 
     Precondition failures (outside the ball, not convergent, a pairwise
-    difference beyond binary64, not separated, separation inconsistent
-    with the limit distances) yield an invalid trial with the reason
-    recorded; they are never counted as property violations.  For a valid trial:
+    difference beyond binary64, a NaN separation, not separated,
+    separation inconsistent with the limit distances) yield an invalid
+    trial with the reason recorded; they are never counted as property
+    violations.  For a valid trial:
     pass  iff  renorm(limit) <= 1 - delta(epsilon, p) + ``_TOL``.
     ``sequence`` is rows or vectors, ``declared_limit`` a vector or a list: a record replays as written.
 
@@ -259,6 +260,8 @@ def run_ukk_trial(
     sep = measure_separation(X, N, p)
     advisory = advisory or sep.advisory
     epsilon = sep.value
+    if math.isnan(epsilon):
+        return invalid("separation is NaN (a pairwise renorm distance is NaN)")
     if not epsilon > 0.0:
         return invalid("sequence is not separated (epsilon = 0)")
 
@@ -319,7 +322,11 @@ def _bump_trial(
     bump = float(rng.uniform(0.3, 1.0))
 
     # scale the whole family into the unit ball, with headroom for rounding
-    worst = max(0.0, *renorm_batch(N, p, _bump_rows(coords, bump, horizon)).values)
+    values = renorm_batch(N, p, _bump_rows(coords, bump, horizon)).values
+    for n, value in enumerate(values):
+        if math.isnan(value):  # Python's max would drop it
+            raise ValueError(f"element {n} of the bump family has a NaN renorm")
+    worst = max(0.0, *values)
     scale = (1.0 - 1e-12) / worst
     core = coords * scale
     bump = bump * scale
@@ -363,6 +370,8 @@ def run_bump_campaign(
     guaranteed to pass when the renorm is correct); ``fuzz`` mode
     generates non-disjoint decaying perturbations whose trials may be
     invalid but, by the validity rules, never yield a false violation.
+    A bump family with a NaN renorm cannot be scaled into the ball and
+    raises ValueError naming the element.
     """
     if not (isinstance(mode, str) and mode in _TRIAL_KINDS):  # an unhashable mode, a list say, is unknown too
         raise ValueError(f"unknown campaign mode {mode!r}")

@@ -7,6 +7,11 @@ p by brute force: the maximum, over every set partition of the support
 1/p.  ``ulp_distance`` measures a float against such a value in units in
 the last place of the value rounded to a float.
 
+``block_values`` is a ``Block`` oracle's ``values`` with one inner call
+per block, each on the gather ``X[:, block]`` of that block alone (a
+nested ``Block`` inner evaluated the same way): the loop whose bits the
+grouped inner calls of ``BlockNorm.values`` must keep.
+
 ``climb_pair`` and ``hill_climb`` are the estimators' refinements walked
 one move at a time, each candidate scored alone by ``score`` (a family of
 rows in, its ratio out) before the next one is built: the walk that
@@ -75,6 +80,15 @@ def ulp_distance(x: float, ref: mpmath.mpf) -> float:
     """|x - ref| in units in the last place of ``ref`` rounded to a float."""
     with mpmath.workdps(DPS):
         return float(abs(mpmath.mpf(x) - ref) / math.ulp(float(ref)))
+
+
+def block_values(N, X) -> np.ndarray:
+    """``N.values(X)`` of a ``Block`` oracle, one inner call per block."""
+    B = np.empty((X.shape[0], len(N.blocks)))
+    for j, (blk, M) in enumerate(zip(N.blocks, N.inner)):
+        cols = X[:, np.asarray(blk, dtype=np.intp)]
+        B[:, j] = block_values(M, cols) if isinstance(M, BlockNorm) else M.values(cols)
+    return N.outer.values(B)
 
 
 HILL_FACTORS = (0.5, 0.8, 1.25, 2.0)

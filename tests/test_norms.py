@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import block_values
 
 from ukklattice import (
     BlockNorm,
@@ -27,6 +28,7 @@ from ukklattice import (
     verify_lower_r_estimate,
 )
 from ukklattice import norms
+from ukklattice.config import parse_norm_spec
 
 
 def test_lq_values():
@@ -403,3 +405,124 @@ def test_builtin_oracles_leave_their_input_alone(q):
     # the q = 2 branch squares its own copy of |X| in place: the plain formula's bits
     A = np.abs(X)
     assert LqNorm(2, 6).values(X).tobytes() == np.sqrt((A * A).sum(axis=1)).tobytes()
+
+
+# --- BlockNorm's grouped inner calls against the per-block loop ---------------
+
+
+def _pairs(k):
+    return [[2 * i, 2 * i + 1] for i in range(k)]
+
+
+def _block_spaces():
+    shared, wide = LqNorm(2.5, 2), LqNorm(1, 8)
+    sub = BlockNorm([[0, 1], [2, 3, 4]], [LqNorm(1.5, 2), LqNorm(2, 3)], LqNorm(3, 2))
+    return {
+        # the bench's Block spaces, built from their specs: one inner oracle per block size
+        "pairs-l1-sup": parse_norm_spec({"kind": "Block", "blocks": _pairs(10), "inner": {"kind": "Lq", "q": 1},
+                                         "outer": {"kind": "Lq", "q": "inf", "dim": 10}}),
+        "triples-l2-l1": parse_norm_spec({"kind": "Block", "blocks": [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)],
+                                          "inner": {"kind": "Lq", "q": 2}, "outer": {"kind": "Lq", "q": 1, "dim": 8}}),
+        "pairs-l1-l2": parse_norm_spec({"kind": "Block", "blocks": _pairs(6), "inner": {"kind": "Lq", "q": 1},
+                                        "outer": {"kind": "Lq", "q": 2, "dim": 6}}),
+        # mixed block sizes, the blocks out of atom order, a finite outer over 10 blocks
+        "mixed-sizes": parse_norm_spec({"kind": "Block", "blocks": [[9, 0], [2, 3, 4], [5, 1], [6, 7, 8], [10],
+                                                                    [11, 12], [13], [14, 15, 16], [17, 18], [19]],
+                                        "inner": {"kind": "Lq", "q": 3}, "outer": {"kind": "Lq", "q": 1.5, "dim": 10}}),
+        "shared-and-distinct": BlockNorm([[0, 1], [2, 3], [4, 5], [6, 7, 8]],
+                                         [shared, LqNorm(2.5, 2), shared, LqNorm(2.5, 3)], LqNorm(1, 4)),
+        # blocks of 8 and more atoms, which numpy sums pairwise when a row is contiguous
+        "wide": BlockNorm([range(8), range(8, 16), range(16, 26), range(26, 36)],
+                          [wide, wide, LqNorm(2, 10), LqNorm(2, 10)], LqNorm(2, 4)),
+        "nested": BlockNorm(_pairs(3) + [[6, 7, 8], [9, 10, 11]] + [range(12 + 3 * i, 15 + 3 * i) for i in range(3)],
+                            [PosNegMaxNorm(WeightedLqNorm(3, [0.5, 2.0]))] * 3
+                            + [PosNegMaxNorm(LqNorm("inf", 3))] * 2 + [WeightedLqNorm("inf", [1.0, 3.0, 0.5])] * 3,
+                            LqNorm(1.5, 8)),
+        "nested-block": BlockNorm([range(5), range(5, 10), range(10, 15)], [sub] * 3, LqNorm(2, 3)),
+    }
+
+
+BLOCK_SPACES = _block_spaces()
+
+
+def _block_rows(rows, dim, layout, seed=0):
+    """Entries of one magnitude, so that the order of a sum shows in its bits, with
+    signed zeros, infinities and NaNs on some rows; ``layout`` C, F or strided."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.5, 1.0, (rows, dim)) * rng.choice([-1.0, 1.0], (rows, dim))
+    X[::5, 0] = -0.0
+    X[2::7, dim - 1] = 0.0
+    X[3::11, dim // 2] = math.inf
+    X[4::13, 1] = -math.inf
+    X[5::17, dim - 2] = math.nan
+    X[6::19] = -0.0
+    if layout == "F":
+        return np.asfortranarray(X)
+    if layout == "strided":
+        W = np.zeros((rows, 2 * dim))
+        W[:, 1::2] = X
+        return W[:, 1::2]
+    return X
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rows", [0, 1, 12, 66, 1024, 4096, 5461])
+@pytest.mark.parametrize("space", BLOCK_SPACES)
+def test_block_values_are_the_per_block_loop_bit_for_bit(space, rows, layout):
+    N = BLOCK_SPACES[space]
+    X = _block_rows(rows, N.dim, layout)
+    got = N.values(X)
+    assert got.shape == (rows,) and got.tobytes() == block_values(N, X).tobytes()
+
+
+@pytest.mark.parametrize("space", BLOCK_SPACES)
+def test_one_row_calls_keep_the_per_block_bits(space):
+    # a one-row call sums each block's row as a contiguous row, pairwise from 8
+    # atoms on, as the per-block loop does; many rows show what one cannot
+    N = BLOCK_SPACES[space]
+    X = _block_rows(100, N.dim, "C", seed=1)
+    got = np.concatenate([N.values(X[i:i + 1]) for i in range(100)])
+    assert got.tobytes() == np.concatenate([block_values(N, X[i:i + 1]) for i in range(100)]).tobytes()
+
+
+def test_config_builds_one_inner_oracle_per_block_size():
+    N = BLOCK_SPACES["mixed-sizes"]
+    assert len({id(M) for M in N.inner}) == 3
+    assert all(M is N.inner[0] for M, blk in zip(N.inner, N.blocks) if len(blk) == 2)
+    listed = parse_norm_spec({"kind": "Block", "blocks": _pairs(2), "inner": [{"kind": "Lq", "q": 1, "dim": 2}] * 2,
+                              "outer": {"kind": "Lq", "q": 1, "dim": 2}})
+    assert listed.inner[0] is not listed.inner[1]  # a list of specs builds one oracle per block
+
+
+def test_block_makes_one_inner_call_per_shared_oracle(counting_lq):
+    a, b = counting_lq(1, 2), counting_lq(2, 3)
+    N = BlockNorm([[0, 1], [2, 3, 4], [5, 6], [7, 8, 9], [10, 11]], [a, b, a, b, a], LqNorm(2, 5))
+    X = _block_rows(12, 12, "C")
+    got = N.values(X)
+    assert a.calls == [36] and b.calls == [24]
+    assert got.tobytes() == block_values(N, X).tobytes()
+    # a large call goes in runs of at most _BLOCK_RUN_ENTRIES entries, each a whole number of blocks
+    a.calls.clear(), a.entries.clear()
+    N.values(np.ones((4096, 12)))
+    assert a.calls == [8192, 4096] and max(a.entries) <= norms._BLOCK_RUN_ENTRIES
+
+
+def test_nested_block_at_one_row_takes_its_many_row_bits():
+    # A Block inner sums its own 8-atom blocks pairwise in a one-row call and
+    # column by column in a call of two or more rows.  Grouped, it sees the rows
+    # of both outer blocks at once, so a one-row call now reads the bits that
+    # the same row has in any larger call, the per-block loop's bits included.
+    sub = BlockNorm([range(8), range(8, 16)], [LqNorm(1, 8)] * 2, LqNorm(1, 2))
+    N = BlockNorm([range(16), range(16, 32)], [sub] * 2, LqNorm(1, 2))
+    X = _block_rows(200, 32, "C", seed=3)
+    many = block_values(N, X)
+    assert N.values(X).tobytes() == many.tobytes()
+    assert np.concatenate([N.values(X[i:i + 1]) for i in range(200)]).tobytes() == many.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rows", [0, 1, 12, 5461])
+def test_sup_norm_is_the_row_max_of_abs(rows, layout):
+    X = _block_rows(rows, 12, layout)
+    X[7::23, 3:9] = math.nan  # NaN rows among the rest
+    assert LqNorm("inf", 12).values(X).tobytes() == np.abs(X).max(axis=1).tobytes()

@@ -233,6 +233,29 @@ def test_separation_keeps_a_nan_distance():
     assert math.isnan(measure_separation(seq, _NanAtAtom0(2, 3), 2.0).value)
 
 
+class _NanOnNegatives(LqNorm):
+    """An Lq oracle that reads NaN on every row with a negative entry."""
+
+    def values(self, X):
+        return np.where((X < 0.0).any(axis=1), np.nan, super().values(X))
+
+
+def test_trial_with_a_nan_separation_says_so():
+    # the elements and their distances to the core are nonnegative, every x_n - x_m is not;
+    # the reason used to be "sequence is not separated (epsilon = 0)"
+    core = np.array([0.5, 0.25] + [0.0] * 6)
+    seq = core + 0.3 * np.eye(8)[2:8]
+    trial = run_ukk_trial(_NanOnNegatives(2, 8), 2.0, seq, core)
+    assert not trial.valid and trial.epsilon is None
+    assert trial.reason == "separation is NaN (a pairwise renorm distance is NaN)"
+
+
+def test_bump_campaign_of_a_nan_oracle_names_the_element(nan_lq):
+    # Python's max dropped the NaN renorms, and the scaling divided by 0.0
+    with pytest.raises(ValueError, match="^element 0 of the bump family has a NaN renorm$"):
+        run_bump_campaign(nan_lq(2, 20), 2.0, 1, horizon=8)
+
+
 def test_trial_invalid_nonconvergent():
     N = LqNorm(2, 8)
     e1 = LatticeVector.unit(8, 0)
