@@ -4,6 +4,16 @@ Every oracle evaluates through a single batch method :meth:`NormOracle.values`
 (rows of a 2-d array in, one value per row out); the scalar ``__call__`` is a
 one-row batch.  Routing both through the same arithmetic keeps comparisons
 between exact and heuristic optimizers bitwise meaningful.
+:meth:`NormOracle.values_on` takes rows on a support, the (M, s) values of M
+rows at s atoms, and gives the bits ``values`` gives the rows at full dim.
+
+An Lq sum has one order, whatever the operand's memory layout or support:
+numpy's pairwise sum of a contiguous row of ``dim`` entries.  ``values``
+takes it from numpy's row-wise reduce of a C-ordered ``|x|`` (below 8
+entries, where that order is a left fold, from its column-wise reduce of
+a column-major one); ``values_on`` past a size rule
+(``_LANE_SUMS_ENTRIES``) takes it from :func:`_lane_sums`, which adds
+whole support columns in that order.
 
 Built-in kinds, each one class in the ``_KINDS`` registry; its ``spec_fields``, the
 constructor's parameter names, drive ``describe`` and ``config.parse_norm_spec``:
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from numbers import Real
 
@@ -62,6 +73,17 @@ _MAX_CALL_ENTRIES = 1 << 16
 # process, whose allocator page-faults their 512 KiB temporaries on every
 # call), while runs of 2^14 are no slower
 _BLOCK_RUN_ENTRIES = _MAX_CALL_ENTRIES >> 2
+# ``LqNorm.values_on`` of M rows on s of dim atoms sums the support lanes
+# through :func:`_lane_sums` when M * dim >= _LANE_SUMS_ENTRIES * (s + 8), and
+# scatters them into a full-dim ``values`` call below: the routine costs about
+# one numpy call per summed column and per accumulator, the scatter writes,
+# raises and reduces all M * dim entries.  On a 2-CPU x86-64 host support rows
+# crossed over at 256-440 (dim 24, 4-20 support atoms); 512 sits past that
+# range, so no call takes the routine before it wins.  Dense ``values`` never
+# takes the routine: a C-ordered operand would pay a transposed copy, which
+# left it ahead only at dims 8-16 from about 1000 rows, and at best even from
+# dim 24 on within ``_MAX_CALL_ENTRIES``
+_LANE_SUMS_ENTRIES = 512
 
 
 class NormOracle(ABC):
@@ -71,9 +93,30 @@ class NormOracle(ABC):
     kind: str
     spec_fields: tuple[str, ...]  # the constructor's parameter names, each also an attribute
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a class that overrides ``values`` alone keeps the default ``values_on``,
+        # so that no support form of a base class bypasses its ``values``
+        if "values" in vars(cls) and "values_on" not in vars(cls):
+            cls.values_on = NormOracle.values_on
+
     @abstractmethod
     def values(self, X: np.ndarray) -> np.ndarray:
         """Norms of the rows of ``X`` (shape ``(n, dim)`` float64)."""
+
+    def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
+        """Norms of the M rows that hold ``V``'s (M, s) columns at ``atoms`` and 0 elsewhere.
+
+        ``atoms`` are s strictly increasing atom indices in ``[0, dim)``;
+        any other list raises ``ValueError``.  The result is ``values`` of
+        those rows at full dim, bit for bit.  This default writes them so
+        and calls ``values``; a kind may restrict itself to the support
+        instead.  A subclass that overrides ``values`` and not
+        ``values_on`` gets this default, so its ``values`` is never bypassed.
+        """
+        Z = np.zeros((V.shape[0], self.dim))
+        Z[:, _support(V, atoms, self.dim)] = V
+        return self.values(Z)
 
     def describe(self) -> dict:
         """JSON-ready spec dict, ``kind``, the spec fields, ``dim``; ``config.parse_norm_spec`` reads it."""
@@ -111,6 +154,68 @@ def _packed(items, size):
         used += n
     if run:
         yield run
+
+
+def _support(V: np.ndarray, atoms, dim: int) -> np.ndarray:
+    """``atoms`` as an index array, if it names one atom per column of ``V``,
+    strictly increasing, in ``[0, dim)``: the ``values_on`` contract."""
+    a = np.asarray(atoms)
+    if a.shape != V.shape[1:] or (a.size and (
+            a.dtype.kind not in "iu" or a[0] < 0 or a[-1] >= dim or (a[1:] <= a[:-1]).any())):
+        raise ValueError(f"values_on needs one strictly increasing atom in [0, {dim}) per column of V {V.shape}, got {atoms!r}")
+    return a if a.size else a.astype(np.intp)
+
+
+def _lane_sums(A: np.ndarray, atoms, dim: int) -> np.ndarray:
+    """Sums of the (M, dim) rows that hold ``A``'s (M, s) columns at ``atoms`` and 0 elsewhere.
+
+    Bit for bit ``Z.sum(axis=1)`` of those rows ``Z``, C-ordered: numpy's
+    pairwise sum of a contiguous row (Higham, SIAM J. Sci. Comput. 14,
+    1993), taken here whole column by whole column.  Below 8 entries it is
+    a left fold from 0.0; up to 128, accumulator j = 0..7 adds entries j,
+    j + 8, ... below ``dim - dim % 8``, the accumulators combine as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and the last
+    ``dim % 8`` entries follow in order; past 128 the row splits at
+    ``dim // 2`` rounded down to a multiple of 8 and each half sums so.
+    ``A``'s entries are >= 0 or NaN, so a zero lane adds exactly nothing
+    and only the columns of ``A`` are added.  ``atoms`` are strictly
+    increasing; ``A`` is column-major, each column one contiguous run, and
+    is overwritten: its columns hold the partial sums.
+    """
+    total = _lanes(A, np.asarray(atoms).tolist(), 0, A.shape[1], 0, dim)
+    return np.zeros(A.shape[0]) if total is None else total.copy()
+
+
+def _lanes(A, atoms, lo, hi, base, n):
+    """The pairwise sum of row entries base..base+n-1, whose nonzero lanes are
+    columns lo..hi-1 of ``A``, summed into one of them (below 8 entries, into
+    a new array); None if there are none."""
+    if lo == hi:
+        return None
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        mid = bisect_left(atoms, base + half, lo, hi)
+        return _into(_lanes(A, atoms, lo, mid, base, half), _lanes(A, atoms, mid, hi, base + half, n - half))
+    if n < 8:  # a left fold: numpy's own reduce of a column-major operand
+        return A[:, lo:hi].sum(axis=1)
+    head = base + n - n % 8  # base is a multiple of 8: atom a goes to accumulator a % 8
+    j = bisect_left(atoms, head, lo, hi)
+    r = [None] * 8
+    for i in range(lo, j):
+        r[atoms[i] % 8] = _into(r[atoms[i] % 8], A[:, i])
+    total = _into(_into(_into(r[0], r[1]), _into(r[2], r[3])), _into(_into(r[4], r[5]), _into(r[6], r[7])))
+    for i in range(j, hi):
+        total = _into(total, A[:, i])
+    return total
+
+
+def _into(a, b):
+    """``a + b``, written into ``a``; None stands for a sum of zero lanes, which adds exactly nothing."""
+    if a is None:
+        return b
+    if b is not None:
+        a += b
+    return a
 
 
 def _q_value(q) -> float:
@@ -165,7 +270,16 @@ def _spec_json(v):
 
 
 class LqNorm(NormOracle):
-    """The q-sum norm; ``q = inf`` (or the string "inf") gives the sup norm."""
+    """The q-sum norm; ``q = inf`` (or the string "inf") gives the sup norm.
+
+    At finite q a row's lanes are summed in one order, numpy's pairwise sum
+    of a contiguous row of ``dim`` entries, whatever the operand's layout:
+    ``values`` reduces a C-ordered ``|x|`` row by row (below 8 atoms, where
+    numpy's order is a left fold either way, a column-major ``|x|`` whole
+    column by whole column).  ``values_on`` raises and sums only the support lanes through
+    :func:`_lane_sums` past the size rule (``_LANE_SUMS_ENTRIES``) and
+    scatters them into ``values`` below it: the same bits either way.
+    """
 
     kind = "Lq"
     spec_fields = ("q", "dim")
@@ -179,19 +293,33 @@ class LqNorm(NormOracle):
     def values(self, X: np.ndarray) -> np.ndarray:
         if math.isinf(self.q):  # a max is exact in any order; column-major, it reduces whole columns
             return np.abs(X, dtype=np.float64, order="F").max(axis=1)
-        A = np.abs(X, dtype=np.float64)
-        if self.q == 1.0:
-            return A.sum(axis=1)
-        if self.q == 2.0:
+        # numpy sums a contiguous row pairwise from 8 entries on; below 8 every layout
+        # gives a left fold, and a column-major one reduces whole columns
+        return self._norms(np.abs(X, dtype=np.float64, order="C" if X.shape[1] >= 8 else "F"), None)
+
+    def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
+        if not math.isinf(self.q) and V.shape[0] * self.dim < _LANE_SUMS_ENTRIES * (V.shape[1] + 8):
+            return super().values_on(V, atoms)
+        atoms = _support(V, atoms, self.dim)
+        if math.isinf(self.q):  # the max over the support lanes, 0 on a row of none
+            return np.abs(V, dtype=np.float64, order="F").max(axis=1, initial=0.0)
+        return self._norms(np.abs(V, dtype=np.float64, order="F"), atoms)
+
+    def _norms(self, A: np.ndarray, atoms) -> np.ndarray:
+        """Norms from the lanes ``A`` = |x|, raised in place; the rows of ``A`` are
+        summed by numpy if ``atoms`` is None, else as lanes at ``atoms`` by ``_lane_sums``."""
+        q = self.q
+        if q == 2.0:
             A *= A
-            return np.sqrt(A.sum(axis=1))
-        # numpy's float64 power leaves its SIMD path on any zero lane, so zero
-        # lanes are raised as 1 and brought back to 0 after, bit for bit
-        z = A == 0.0
-        A += z
-        A **= self.q
-        A -= z
-        return A.sum(axis=1) ** (1.0 / self.q)
+        elif q != 1.0:
+            # numpy's float64 power leaves its SIMD path on any zero lane, so zero
+            # lanes are raised as 1 and brought back to 0 after, bit for bit
+            z = A == 0.0
+            A += z
+            A **= q
+            A -= z
+        S = A.sum(axis=1) if atoms is None else _lane_sums(A, atoms, self.dim)
+        return S if q == 1.0 else np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
 
 
 class WeightedLqNorm(NormOracle):
@@ -215,6 +343,10 @@ class WeightedLqNorm(NormOracle):
     def values(self, X: np.ndarray) -> np.ndarray:
         return self._base.values(X * self.weights[None, :])
 
+    def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
+        atoms = _support(V, atoms, self.dim)
+        return self._base.values_on(V * self.weights[atoms], atoms)
+
 
 class BlockNorm(NormOracle):
     """Inner norms on the blocks of an atom partition, combined by an outer norm.
@@ -227,15 +359,12 @@ class BlockNorm(NormOracle):
     ``values`` makes one inner call for all the blocks that share one
     inner oracle object (``config.parse_norm_spec`` builds one per block
     size), in runs of at most ``_BLOCK_RUN_ENTRIES`` entries.  A run is
-    one fancy gather whose operand holds each block's rows in turn, laid
-    out as the gather of a lone block is: column-major, so that an Lq
-    inner sums each row column by column, left to right, bit for bit as a
-    call per block does (a row-major operand would sum rows of 8 or more
-    atoms in numpy's pairwise order), and row-major in a one-row call,
-    where a lone block's row is summed pairwise too.  The one exception
-    is a ``Block`` inner shared by several blocks: it sees several rows
-    even in a one-row call, so its own blocks of 8 or more atoms are then
-    summed left to right, as in any call of two or more rows.
+    one fancy gather whose operand holds each block's rows in turn,
+    column-major, as numpy lays out the gather of a lone block.  An Lq
+    sums every row in one order whatever its operand's layout, so a row
+    has the bits of a call per block, in a one-row call and in any larger
+    call alike, nested ``Block`` inners included.  ``values_on`` is the
+    default: the support rows at full dim.
     """
 
     kind = "Block"
@@ -281,10 +410,7 @@ class BlockNorm(NormOracle):
                 at += r
         if self._order is not None:
             B = B[self._order]  # back in block order
-        # C-ordered, a point's block values in a row, the layout that pins the
-        # outer's bits; rebinding frees the block-major array before the outer call
-        B = B.T.copy()
-        return self.outer.values(B)
+        return self.outer.values(B.T)  # a point's block values in a row, column-major
 
     @property
     def monotone_constant(self) -> float:
@@ -310,6 +436,11 @@ class PosNegMaxNorm(NormOracle):
     def values(self, X: np.ndarray) -> np.ndarray:
         pos = self.base.values(np.maximum(X, 0.0))
         neg = self.base.values(np.maximum(-X, 0.0))
+        return np.maximum(pos, neg)
+
+    def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
+        pos = self.base.values_on(np.maximum(V, 0.0), atoms)
+        neg = self.base.values_on(np.maximum(-V, 0.0), atoms)
         return np.maximum(pos, neg)
 
     @property

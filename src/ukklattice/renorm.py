@@ -129,25 +129,37 @@ def fold_terms(terms) -> float:
 
 
 def _mask_terms(N: NormOracle, p: float, chunks: list) -> list[np.ndarray]:
-    """Block terms of every chunk, one (M, K) array each, from one ``N.values`` call.
+    """Block terms of every chunk, one (M, K) array each, from one oracle call.
 
     The engine's one block-term path.  A chunk starts ``(vals, supp,
     bits)``: ``vals`` and ``supp`` (K, s) are the support values and atoms
     of K rows, ``bits`` (M, s) marks the atoms of M masks; the rest is the
-    caller's.  Block row (m, r), row r restricted to mask m, goes into one
-    zero buffer; its off-block support atoms hold ``0 * value``, a signed
-    zero that no built-in norm tells from 0.  A finite block value whose
-    term overflows raises ``OverflowError``: the engine's one range rule.
+    caller's.  Block row (m, r) is row r restricted to mask m; its
+    off-block support atoms hold ``0 * value``, a signed zero that no
+    built-in norm tells from 0.  A call of one chunk of one row (a lone
+    ``renorm_exact`` or ``renorm`` row, every local-search step and
+    ``partition_power_sum``) hands its block rows on their support to
+    ``N.values_on`` if N's kind has a support form of its own; any other
+    call writes every block row into one zero buffer at full dim for one
+    ``N.values`` call, as the default ``values_on`` would, less its
+    temporary (which doubled the page faults of a one-row Block call at
+    s = 12).  Both give the same bits.  A finite block value whose term
+    overflows raises ``OverflowError``: the engine's one range rule.
     """
-    spans, at = [], 0  # per chunk: its block rows' slice of the buffer, and M
-    for chunk in chunks:
-        M = len(chunk[2])
-        spans.append((at, at + M * len(chunk[0]), M))
-        at = spans[-1][1]
-    Z = np.zeros((at, N.dim))
-    for (vals, supp, bits, *_), (a, b, M) in zip(chunks, spans):
-        Z[a:b].reshape(M, -1, N.dim)[:, np.arange(len(vals))[:, None], supp] = bits[:, None, :] * vals
-    values = N.values(Z)
+    if len(chunks) == 1 and len(chunks[0][0]) == 1 and type(N).values_on is not NormOracle.values_on:
+        vals, supp, bits = chunks[0][:3]
+        values = N.values_on(bits * vals, supp[0])
+        spans = [(0, len(bits), len(bits))]
+    else:
+        spans, at = [], 0  # per chunk: its block rows' slice of the buffer, and M
+        for chunk in chunks:
+            M = len(chunk[2])
+            spans.append((at, at + M * len(chunk[0]), M))
+            at = spans[-1][1]
+        Z = np.zeros((at, N.dim))
+        for (vals, supp, bits, *_), (a, b, M) in zip(chunks, spans):
+            Z[a:b].reshape(M, -1, N.dim)[:, np.arange(len(vals))[:, None], supp] = bits[:, None, :] * vals
+        values = N.values(Z)
     terms = block_terms(values, p)
     if np.isinf(terms).any() and np.isfinite(values[np.isinf(terms)]).any():
         raise OverflowError(f"a block term N(x_B)^p overflows binary64 at p = {p}")

@@ -161,9 +161,10 @@ def test_signatures_match_inventory():
 # base, so that adding or removing a method or a method option shows as an edit
 # here.  ``SupportPartition``'s classmethod constructor, its atom set and its
 # partition test were removed: the constructor itself sorts and gates any blocks.
-# ``NormAuditReport.passed`` is a field, no longer a property
+# ``NormAuditReport.passed`` is a field, no longer a property.  Every oracle has
+# ``values_on``, the support form of ``values``
 PROPERTY = "property"
-_ORACLE = {"values": ("X",), "describe": (), "monotone_constant": PROPERTY}
+_ORACLE = {"values": ("X",), "values_on": ("V", "atoms"), "describe": (), "monotone_constant": PROPERTY}
 METHODS = {
     "BlockNorm": _ORACLE,
     "ConfigError": {},

@@ -508,10 +508,10 @@ def test_block_makes_one_inner_call_per_shared_oracle(counting_lq):
 
 
 def test_nested_block_at_one_row_takes_its_many_row_bits():
-    # A Block inner sums its own 8-atom blocks pairwise in a one-row call and
-    # column by column in a call of two or more rows.  Grouped, it sees the rows
-    # of both outer blocks at once, so a one-row call now reads the bits that
-    # the same row has in any larger call, the per-block loop's bits included.
+    # A Block inner shared by both outer blocks sees the rows of both at once,
+    # even in a one-row call.  Its own 8-atom blocks are summed in numpy's
+    # pairwise row order whatever the operand's layout, so a one-row call reads
+    # the bits that the same row has in any larger call and in the per-block loop.
     sub = BlockNorm([range(8), range(8, 16)], [LqNorm(1, 8)] * 2, LqNorm(1, 2))
     N = BlockNorm([range(16), range(16, 32)], [sub] * 2, LqNorm(1, 2))
     X = _block_rows(200, 32, "C", seed=3)
@@ -526,3 +526,137 @@ def test_sup_norm_is_the_row_max_of_abs(rows, layout):
     X = _block_rows(rows, 12, layout)
     X[7::23, 3:9] = math.nan  # NaN rows among the rest
     assert LqNorm("inf", 12).values(X).tobytes() == np.abs(X).max(axis=1).tobytes()
+
+
+# --- one Lq summation order: the lane routine, support rows and layouts -------
+
+# dims 1-300 cover every accumulator and tail length of numpy's pairwise sum and
+# the first split past 128; 511 and 1024 split twice and three times
+_LANE_DIMS = [*range(1, 301), 511, 1024]
+_SPECIAL_LANES = {1: -0.0, 2: 5e-324, 3: -1e-310, 4: 1e300, 5: math.inf, 6: -math.inf, 7: math.nan, 8: 0.0}
+
+
+def _support_rows(dim, rows, share, seed):
+    """(V, atoms): ``rows`` rows on a random support of about ``share * dim`` atoms,
+    lanes of every magnitude, and on rows 1-8 one special lane value each."""
+    rng = np.random.default_rng(seed)
+    atoms = np.flatnonzero(rng.random(dim) < share) if share < 1.0 else np.arange(dim)
+    s = atoms.size
+    V = rng.uniform(0.5, 1.0, (rows, s)) * rng.choice([-1.0, 1.0], (rows, s)) * 10.0 ** rng.integers(-6, 7, (rows, s))
+    for row, v in _SPECIAL_LANES.items():
+        V[row, row % 3::3] = v
+    return V, atoms
+
+
+def _laid_out(V, layout):
+    if layout == "F":
+        return np.asfortranarray(V)
+    if layout == "strided":
+        W = np.zeros((V.shape[0], 2 * V.shape[1]))
+        W[:, ::2] = V
+        return W[:, ::2]
+    return np.ascontiguousarray(V)
+
+
+def _full_rows(V, atoms, dim):
+    Z = np.zeros((V.shape[0], dim))
+    Z[:, atoms] = V
+    return Z
+
+
+@pytest.mark.parametrize("dim", _LANE_DIMS)
+def test_lane_sums_are_numpys_contiguous_row_sums(dim):
+    for share in (1.0, 0.5, 0.05):
+        V, atoms = _support_rows(dim, 12, share, seed=dim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.abs(_full_rows(V, atoms, dim)).sum(axis=1)  # C-ordered: numpy's pairwise row sum
+            got = norms._lane_sums(np.abs(V, order="F"), atoms, dim)
+        assert got.tobytes() == want.tobytes(), (dim, share)
+
+
+class _HalfLq(LqNorm):
+    """An Lq oracle at half the value: a subclass that overrides ``values`` alone."""
+
+    def values(self, X):
+        return 0.5 * super().values(X)
+
+
+def _support_kinds(q, dim, nan_lq):
+    """Every kind with a support form, ``Block``'s default and a subclass that overrides ``values``."""
+    sizes = {n: LqNorm(q, n) for n in range(1, 10)}
+    blocks = [range(i, min(i + 9, dim)) for i in range(0, dim, 9)]
+    return [
+        LqNorm(q, dim),
+        WeightedLqNorm(q, [0.5 + (i % 7) / 4 for i in range(dim)]),
+        PosNegMaxNorm(LqNorm(q, dim)),
+        PosNegMaxNorm(WeightedLqNorm(q, [2.0 - (i % 5) / 4 for i in range(dim)])),
+        PosNegMaxNorm(nan_lq(q, dim)),
+        _HalfLq(q, dim),
+        BlockNorm(blocks, [sizes[len(b)] for b in blocks], LqNorm(q, len(blocks))),
+    ]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dim", [1, 5, 8, 13, 24, 100, 129, 300, 511, 1024])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 7.5, "inf"])
+def test_values_on_is_values_of_the_full_rows_bit_for_bit(monkeypatch, nan_lq, q, dim, layout):
+    V, atoms = _support_rows(dim, 40, 0.3, seed=dim)
+    kinds = _support_kinds(q, dim, nan_lq)
+    rule = norms._LANE_SUMS_ENTRIES
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [N.values(_full_rows(V, atoms, dim)).tobytes() for N in kinds]  # the scatter path
+        for entries in (1 << 62, rule, 0):  # the lane routine never, by the size rule, always
+            monkeypatch.setattr(norms, "_LANE_SUMS_ENTRIES", entries)
+            assert [N.values_on(_laid_out(V, layout), atoms).tobytes() for N in kinds] == want, entries
+
+
+def test_a_subclass_that_overrides_values_keeps_the_default_values_on(counting_lq, nan_lq):
+    for cls in (counting_lq, nan_lq, _HalfLq):
+        assert cls.values_on is norms.NormOracle.values_on
+    assert LqNorm.values_on is not norms.NormOracle.values_on
+    N = counting_lq(3, 24)
+    V, atoms = _support_rows(24, 4096, 0.5, seed=1)  # past the size rule: LqNorm's own form would sum the lanes
+    with np.errstate(over="ignore"):
+        got = N.values_on(V, atoms)
+        assert N.calls == [4096] and N.entries == [4096 * 24]  # through ``values``, at full dim
+        assert got.tobytes() == LqNorm(3, 24).values_on(V, atoms).tobytes()
+        assert _HalfLq(3, 24).values_on(V, atoms).tobytes() == (0.5 * got).tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 7.5, "inf"])
+@pytest.mark.parametrize("dim", [6, 7, 8, 12, 24, 200])
+@pytest.mark.parametrize("rows", [1, 7, 2000])
+def test_lq_values_take_one_order_whatever_the_layout(q, dim, rows):
+    N = LqNorm(q, dim)
+    want = N.values(_block_rows(rows, dim, "C", seed=dim)).tobytes()
+    for layout in ("F", "strided"):
+        assert N.values(_block_rows(rows, dim, layout, seed=dim)).tobytes() == want, layout
+
+
+_BAD_ATOMS = {"unsorted": [5, 2, 9], "repeated": [2, 2, 9], "past dim": [2, 5, 24], "negative": [-1, 2, 5],
+              "too few": [2, 5], "not integers": [2.0, 5.0, 9.0]}
+
+
+@pytest.mark.parametrize("bad", _BAD_ATOMS)
+@pytest.mark.parametrize("q", [1, 3, "inf"])
+def test_values_on_rejects_atoms_off_its_contract_on_both_sides_of_the_rule(monkeypatch, nan_lq, q, bad):
+    # the lane routine reads each atom's accumulator from its index, so an atom
+    # list off the contract would give wrong sums silently rather than fail
+    V = np.ones((4, 3))
+    for entries in (1 << 62, 0):  # the scatter, the lane routine
+        monkeypatch.setattr(norms, "_LANE_SUMS_ENTRIES", entries)
+        for N in _support_kinds(q, 24, nan_lq):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                N.values_on(V, _BAD_ATOMS[bad])
+
+
+def test_scalar_call_is_its_batched_row_on_nested_blocks():
+    sub = BlockNorm([range(8), range(8, 16)], [LqNorm(1, 8)] * 2, LqNorm(1, 2))
+    spaces = [
+        sub,
+        BlockNorm([range(16), range(16, 32)], [sub] * 2, LqNorm(1, 2)),
+        BlockNorm([range(16), range(16, 28)], [sub, LqNorm(3, 12)], LqNorm(2.5, 2)),
+    ]
+    for N in spaces:
+        X = np.random.default_rng(N.dim).standard_normal((500, N.dim))
+        assert [N(x).hex() for x in X] == [v.hex() for v in N.values(X).tolist()]

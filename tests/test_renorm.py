@@ -571,6 +571,47 @@ def test_mask_terms_scores_every_chunk_in_one_call(counting_lq):
     assert np.count_nonzero((negative == 0) & np.signbit(negative)) == 3 * 5 * 16
 
 
+def _signed_row(dim, s, seed):
+    rng = np.random.default_rng(seed)
+    x = np.zeros(dim)
+    x[rng.choice(dim, s, replace=False)] = rng.uniform(0.1, 1.0, s) * rng.choice([-1.0, 1.0], s)
+    return x
+
+
+def _result_bits(r):
+    return r.value.hex(), r.power_sum.hex(), r.witness.to_lists(), r.method
+
+
+def test_one_row_exact_renorm_scores_its_block_rows_on_the_support(counting_lq, monkeypatch):
+    # the scatter path: an oracle that overrides ``values`` has no support form
+    # of its own, so its 2^10 block rows are written at full dim
+    x = _signed_row(1024, 10, seed=5)
+    scatter = counting_lq(3, 1024)
+    want = renorm_exact(scatter, 2.0, x)
+    assert scatter.entries == [(1 << 10) * 1024]
+    # LqNorm's own support form makes no full-dim ``values`` call
+    calls = []
+    values = LqNorm.values
+    monkeypatch.setattr(LqNorm, "values", lambda self, X: calls.append(X.shape) or values(self, X))
+    got = renorm_exact(LqNorm(3, 1024), 2.0, x)
+    assert calls == [] and _result_bits(got) == _result_bits(want)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 3, "inf"])
+@pytest.mark.parametrize("dim, s", [(24, 9), (24, 16), (300, 12), (300, 20)])
+def test_support_rows_give_the_scatter_paths_results(counting_lq, monkeypatch, q, dim, s):
+    # exact rows (s <= 12) and local searches, each step a support call; the
+    # lane routine forced on every call against the scatter path at full dim
+    x = _signed_row(dim, s, seed=dim + s)
+    blocks = [[a for a in np.flatnonzero(x) if a % 3 == k] for k in range(3)]
+    N = counting_lq(q, dim)
+    want = renorm(N, 2.0, x), partition_power_sum(N, 2.0, LatticeVector(x), blocks)
+    monkeypatch.setattr(norms, "_LANE_SUMS_ENTRIES", 0)
+    N = LqNorm(q, dim)
+    got = renorm(N, 2.0, x), partition_power_sum(N, 2.0, LatticeVector(x), blocks)
+    assert (_result_bits(got[0]), got[1].hex()) == (_result_bits(want[0]), want[1].hex())
+
+
 # sha256 over (value.hex(), power_sum.hex(), witness) of two seeded signed rows
 # at each support size 0 to 12, recorded before the DP tables were transposed
 @pytest.mark.parametrize("N,p,digest", [
