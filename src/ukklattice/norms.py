@@ -8,12 +8,16 @@ between exact and heuristic optimizers bitwise meaningful.
 rows at s atoms, and gives the bits ``values`` gives the rows at full dim.
 
 An Lq sum has one order, whatever the operand's memory layout or support:
-numpy's pairwise sum of a contiguous row of ``dim`` entries.  ``values``
-takes it from numpy's row-wise reduce of a C-ordered ``|x|`` (below 8
-entries, where that order is a left fold, from its column-wise reduce of
-a column-major one); ``values_on`` past a size rule
-(``_LANE_SUMS_ENTRIES``) takes it from :func:`_lane_sums`, which adds
-whole support columns in that order.
+numpy's pairwise sum of a contiguous row of ``dim`` entries.  The Lq family
+(``Lq``, ``WeightedLq`` and a ``PosNegMax`` of either) builds its lanes,
+``|x|`` or ``|w * x|``, once in one buffer and raises them once, a
+``PosNegMax`` for both of its parts.  The sum comes from numpy's row-wise
+reduce of a C-ordered buffer (below 8 entries, where that order is a left
+fold, from its column-wise reduce of a column-major one), or from
+:func:`_lane_sums`, which adds whole columns of a column-major buffer in
+that order: for ``values`` where a measured size rule of the operand's
+layout says (``_DENSE_LANE_SUMS``), for ``values_on`` past its own
+(``_LANE_SUMS_ENTRIES``) on the support columns alone.
 
 Built-in kinds, each one class in the ``_KINDS`` registry; its ``spec_fields``, the
 constructor's parameter names, drive ``describe`` and ``config.parse_norm_spec``:
@@ -73,17 +77,23 @@ _MAX_CALL_ENTRIES = 1 << 16
 # process, whose allocator page-faults their 512 KiB temporaries on every
 # call), while runs of 2^14 are no slower
 _BLOCK_RUN_ENTRIES = _MAX_CALL_ENTRIES >> 2
-# ``LqNorm.values_on`` of M rows on s of dim atoms sums the support lanes
+# ``values_on`` of M rows on s of dim atoms (Lq family) sums the support lanes
 # through :func:`_lane_sums` when M * dim >= _LANE_SUMS_ENTRIES * (s + 8), and
 # scatters them into a full-dim ``values`` call below: the routine costs about
 # one numpy call per summed column and per accumulator, the scatter writes,
 # raises and reduces all M * dim entries.  On a 2-CPU x86-64 host support rows
 # crossed over at 256-440 (dim 24, 4-20 support atoms); 512 sits past that
-# range, so no call takes the routine before it wins.  Dense ``values`` never
-# takes the routine: a C-ordered operand would pay a transposed copy, which
-# left it ahead only at dims 8-16 from about 1000 rows, and at best even from
-# dim 24 on within ``_MAX_CALL_ENTRIES``
+# range, so no call takes the routine before it wins
 _LANE_SUMS_ENTRIES = 512
+# dense ``values`` of M rows at dim atoms (Lq family) sums a column-major buffer
+# through :func:`_lane_sums` when 8 <= dim <= top and M >= rows, (rows, top) set
+# by the operand's layout: column-major, or any other (which pays a transposed
+# copy).  On the same host, inside these rules, the routine ran 1.0-2.9x as fast
+# as numpy's row-wise reduce on a C-ordered operand and 1.0-5.3x on a
+# column-major one (q = 1, 1.5, 2, 3); outside them a C-ordered operand tied at
+# 768 rows at dims 12-15 and lost or tied at every size from dim 16 on up to
+# ``_MAX_CALL_ENTRIES``, a column-major one tied at 512 rows from dim 20 on
+_DENSE_LANE_SUMS = {"F": (768, 24), "C": (1024, 15)}
 
 
 class NormOracle(ABC):
@@ -93,12 +103,19 @@ class NormOracle(ABC):
     kind: str
     spec_fields: tuple[str, ...]  # the constructor's parameter names, each also an attribute
 
+    # whether a ``PosNegMaxNorm`` of this oracle raises its ``_lane_buffer`` once for
+    # both parts rather than call its ``values`` or ``values_on`` once per part
+    _lane_form = False
+
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # a class that overrides ``values`` alone keeps the default ``values_on``,
-        # so that no support form of a base class bypasses its ``values``
+        # a class that overrides ``values`` alone keeps the default ``values_on``, and
+        # one that overrides either and does not set ``_lane_form`` again has none, so
+        # that no support or lane form of a base class bypasses what it overrides
         if "values" in vars(cls) and "values_on" not in vars(cls):
             cls.values_on = NormOracle.values_on
+        if ("values" in vars(cls) or "values_on" in vars(cls)) and "_lane_form" not in vars(cls):
+            cls._lane_form = False
 
     @abstractmethod
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -177,10 +194,11 @@ def _lane_sums(A: np.ndarray, atoms, dim: int) -> np.ndarray:
     ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and the last
     ``dim % 8`` entries follow in order; past 128 the row splits at
     ``dim // 2`` rounded down to a multiple of 8 and each half sums so.
-    ``A``'s entries are >= 0 or NaN, so a zero lane adds exactly nothing
-    and only the columns of ``A`` are added.  ``atoms`` are strictly
-    increasing; ``A`` is column-major, each column one contiguous run, and
-    is overwritten: its columns hold the partial sums.
+    ``A``'s entries are all >= 0 or all <= 0 (or NaN), so a zero lane adds
+    nothing but, at most, the sign of a zero sum, and only the columns of
+    ``A`` are added.  ``atoms`` are strictly increasing; ``A`` is
+    column-major, each column one contiguous run, and is overwritten: its
+    columns hold the partial sums.
     """
     total = _lanes(A, np.asarray(atoms).tolist(), 0, A.shape[1], 0, dim)
     return np.zeros(A.shape[0]) if total is None else total.copy()
@@ -274,15 +292,20 @@ class LqNorm(NormOracle):
 
     At finite q a row's lanes are summed in one order, numpy's pairwise sum
     of a contiguous row of ``dim`` entries, whatever the operand's layout:
-    ``values`` reduces a C-ordered ``|x|`` row by row (below 8 atoms, where
-    numpy's order is a left fold either way, a column-major ``|x|`` whole
-    column by whole column).  ``values_on`` raises and sums only the support lanes through
-    :func:`_lane_sums` past the size rule (``_LANE_SUMS_ENTRIES``) and
-    scatters them into ``values`` below it: the same bits either way.
+    ``values`` raises one buffer ``|x|`` and reduces it in numpy, C-ordered
+    row by row (below 8 atoms, where numpy's order is a left fold either
+    way, column-major whole column by whole column), or, where the dense
+    size rule of the operand's layout says (``_DENSE_LANE_SUMS``), sums it
+    column-major through :func:`_lane_sums`.  ``values_on`` raises and sums
+    only the support lanes through :func:`_lane_sums` past its size rule
+    (``_LANE_SUMS_ENTRIES``) and scatters them into ``values`` below it: the
+    same bits every way.  The zero-lane trick of the power runs only on a
+    buffer that holds a zero lane.
     """
 
     kind = "Lq"
     spec_fields = ("q", "dim")
+    _lane_form = True
 
     def __init__(self, q, dim: int):
         self.q = _q_value(q)
@@ -291,42 +314,91 @@ class LqNorm(NormOracle):
             raise ValueError("dim must be a positive integer")
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        if math.isinf(self.q):  # a max is exact in any order; column-major, it reduces whole columns
-            return np.abs(X, dtype=np.float64, order="F").max(axis=1)
-        # numpy sums a contiguous row pairwise from 8 entries on; below 8 every layout
-        # gives a left fold, and a column-major one reduces whole columns
-        return self._norms(np.abs(X, dtype=np.float64, order="C" if X.shape[1] >= 8 else "F"), None)
+        return _lq_norms(self, X)
 
     def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
-        if not math.isinf(self.q) and V.shape[0] * self.dim < _LANE_SUMS_ENTRIES * (V.shape[1] + 8):
+        if _scatters(self, V):
             return super().values_on(V, atoms)
-        atoms = _support(V, atoms, self.dim)
-        if math.isinf(self.q):  # the max over the support lanes, 0 on a row of none
-            return np.abs(V, dtype=np.float64, order="F").max(axis=1, initial=0.0)
-        return self._norms(np.abs(V, dtype=np.float64, order="F"), atoms)
+        return _lq_norms(self, V, atoms)
 
-    def _norms(self, A: np.ndarray, atoms) -> np.ndarray:
-        """Norms from the lanes ``A`` = |x|, raised in place; the rows of ``A`` are
-        summed by numpy if ``atoms`` is None, else as lanes at ``atoms`` by ``_lane_sums``."""
-        q = self.q
-        if q == 2.0:
-            A *= A
-        elif q != 1.0:
-            # numpy's float64 power leaves its SIMD path on any zero lane, so zero
-            # lanes are raised as 1 and brought back to 0 after, bit for bit
-            z = A == 0.0
+    def _lane_buffer(self, X: np.ndarray, atoms, order: str) -> np.ndarray:
+        """The lanes |x| of ``X``'s rows (of its columns at ``atoms``), a new float64 buffer in ``order``."""
+        return np.abs(X, dtype=np.float64, order=order)
+
+
+def _scatters(N: NormOracle, V: np.ndarray) -> bool:
+    """Whether ``values_on`` of an Lq-family ``N`` scatters the (M, s) ``V`` into a
+    full-dim ``values`` call: below the size rule, at finite q."""
+    return not math.isinf(N.q) and V.shape[0] * N.dim < _LANE_SUMS_ENTRIES * (V.shape[1] + 8)
+
+
+def _lq_norms(N: NormOracle, X: np.ndarray, atoms=None, parts: bool = False) -> np.ndarray:
+    """Norms of an Lq-family ``N`` (``N.q``, ``N.dim``, ``N._lane_buffer``) of the rows of
+    ``X``: full-dim rows if ``atoms`` is None, else rows on the support ``atoms``; with
+    ``parts``, ``max(N(pos_part(x)), N(neg_part(x)))``, the ``PosNegMaxNorm`` of ``N``.
+
+    The lanes are built once, in the layout their sum reads, and raised once.
+    """
+    q, dim = N.q, N.dim
+    if atoms is not None:
+        atoms = _support(X, atoms, dim)
+    if math.isinf(q):
+        # a max is exact in any order: whole columns of a column-major buffer, 0 on a
+        # row of no lanes; lane by lane, the max of the two parts is |x|
+        A = N._lane_buffer(X, atoms, "F")
+        return A.max(axis=1) if atoms is None else A.max(axis=1, initial=0.0)
+    sums = atoms
+    if atoms is None and dim >= 8:
+        rows, top = _DENSE_LANE_SUMS["F" if X.flags.f_contiguous else "C"]
+        if dim <= top and X.shape[0] >= rows:
+            sums = range(dim)
+    A = _raised(N._lane_buffer(X, atoms, "C" if sums is None and dim >= 8 else "F"), q)
+    if parts:
+        # the signed lanes, |x|^q with x's sign: a part's row adds its own lanes and
+        # zeros elsewhere, as the part's own call does; a negative part sums to -S,
+        # and a zero sum may differ in sign alone, which the absolute value takes off
+        np.copysign(A, X, out=A)
+        pos = _sums(np.maximum(A, 0.0), sums, dim)
+        S = np.abs([pos, _sums(np.minimum(A, 0.0, out=A), sums, dim)])
+    else:
+        S = A.sum(axis=1) if sums is None else _lane_sums(A, sums, dim)
+    R = S if q == 1.0 else np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
+    return np.maximum(R[0], R[1]) if parts else R
+
+
+def _raised(A: np.ndarray, q: float) -> np.ndarray:
+    """``A`` raised to the power q in place, bit for bit ``A ** q``."""
+    if q == 2.0:
+        A *= A
+    elif q != 1.0:
+        # numpy's float64 power leaves its SIMD path on a vector with a zero lane, so
+        # zero lanes, if any, are raised as 1 and brought back to 0 after, bit for bit
+        z = A == 0.0
+        if np.count_nonzero(z):
             A += z
             A **= q
             A -= z
-        S = A.sum(axis=1) if atoms is None else _lane_sums(A, atoms, self.dim)
-        return S if q == 1.0 else np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
+        else:
+            A **= q
+    return A
+
+
+def _sums(A: np.ndarray, sums, dim: int) -> np.ndarray:
+    """Row sums of a part's lanes ``A``: numpy's reduce if ``sums`` is None, else ``_lane_sums`` over those atoms."""
+    return A.sum(axis=1) if sums is None else _lane_sums(A, sums, dim)
 
 
 class WeightedLqNorm(NormOracle):
-    """Lq norm of ``w * x`` for a fixed positive weight per atom."""
+    """Lq norm of ``w * x`` for a fixed positive weight per atom.
+
+    Its lanes ``|w * x|`` are written straight into the one buffer, in the
+    layout its sum reads; ``values`` and ``values_on`` are then ``LqNorm``'s,
+    bit for bit the Lq norm of the product.
+    """
 
     kind = "WeightedLq"
     spec_fields = ("q", "weights")
+    _lane_form = True
 
     def __init__(self, q, weights):
         w = np.array(weights, dtype=np.float64)
@@ -337,15 +409,20 @@ class WeightedLqNorm(NormOracle):
         w.flags.writeable = False
         self.weights = w
         self.dim = w.size
-        self._base = LqNorm(q, self.dim)
-        self.q = self._base.q
+        self.q = _q_value(q)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return self._base.values(X * self.weights[None, :])
+        return _lq_norms(self, X)
 
     def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
-        atoms = _support(V, atoms, self.dim)
-        return self._base.values_on(V * self.weights[atoms], atoms)
+        if _scatters(self, V):
+            return super().values_on(V, atoms)
+        return _lq_norms(self, V, atoms)
+
+    def _lane_buffer(self, X: np.ndarray, atoms, order: str) -> np.ndarray:
+        w = self.weights if atoms is None else self.weights[atoms]
+        A = np.multiply(X, w, dtype=np.float64, order=order)
+        return np.abs(A, out=A)
 
 
 class BlockNorm(NormOracle):
@@ -424,6 +501,12 @@ class PosNegMaxNorm(NormOracle):
     eval(x) <= base(x) <= 2*eval(x).  Not 1-monotone: moving mass from
     the positive to the negative part can grow the value even though
     |x| is unchanged, so :attr:`monotone_constant` is ``2 * K_base``.
+
+    Over an Lq-family base (``base._lane_form``) one call builds ``|x|``
+    (``|w * x|``) once, raises it once and sums the positive and the negative
+    part's lanes apart, each in the one order: the bits of two base calls.
+    A base class that overrides ``values`` or ``values_on`` gets those two
+    calls, one per part.
     """
 
     kind = "PosNegMax"
@@ -434,14 +517,17 @@ class PosNegMaxNorm(NormOracle):
         self.dim = base.dim
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        pos = self.base.values(np.maximum(X, 0.0))
-        neg = self.base.values(np.maximum(-X, 0.0))
-        return np.maximum(pos, neg)
+        if not self.base._lane_form:
+            return np.maximum(self.base.values(np.maximum(X, 0.0)), self.base.values(np.maximum(-X, 0.0)))
+        return _lq_norms(self.base, X, parts=True)
 
     def values_on(self, V: np.ndarray, atoms) -> np.ndarray:
-        pos = self.base.values_on(np.maximum(V, 0.0), atoms)
-        neg = self.base.values_on(np.maximum(-V, 0.0), atoms)
-        return np.maximum(pos, neg)
+        if not self.base._lane_form:
+            return np.maximum(self.base.values_on(np.maximum(V, 0.0), atoms),
+                              self.base.values_on(np.maximum(-V, 0.0), atoms))
+        if _scatters(self.base, V):
+            return super().values_on(V, atoms)
+        return _lq_norms(self.base, V, atoms, parts=True)
 
     @property
     def monotone_constant(self) -> float:

@@ -1,6 +1,8 @@
+import functools
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -660,3 +662,179 @@ def test_scalar_call_is_its_batched_row_on_nested_blocks():
     for N in spaces:
         X = np.random.default_rng(N.dim).standard_normal((500, N.dim))
         assert [N(x).hex() for x in X] == [v.hex() for v in N.values(X).tolist()]
+
+
+# --- dense Lq-family norms: one lane buffer, raised once, in the one order -----
+
+# the dense size rule (``_DENSE_LANE_SUMS``) forced off and on
+_DENSE_RULES = {"never": {"C": (1 << 62, 0), "F": (1 << 62, 0)},
+                "always": {"C": (0, 1 << 30), "F": (0, 1 << 30)}}
+
+
+def _c_row_norms(X, q, weights=None):
+    """The arithmetic of a dense Lq call: numpy's row reduce of a C-ordered |w * x|^q, then the root."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    A = np.abs(X if weights is None else X * weights)
+    if math.isinf(q):
+        return A.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (A ** q).sum(axis=1) ** (1.0 / q)
+
+
+def _two_part_norms(X, q, weights=None):
+    """``PosNegMax`` as two calls of its base: ``max(base(max(x, 0)), base(max(-x, 0)))``."""
+    return np.maximum(_c_row_norms(np.maximum(X, 0.0), q, weights), _c_row_norms(np.maximum(-X, 0.0), q, weights))
+
+
+def _lq_family(q, dim):
+    """(oracle, its arithmetic as plain numpy) for each Lq-family kind on ``dim`` atoms."""
+    q = norms._q_value(q)
+    w = np.array([0.5 + (i % 7) / 4 for i in range(dim)])
+    return [
+        (LqNorm(q, dim), lambda X: _c_row_norms(X, q)),
+        (WeightedLqNorm(q, w), lambda X: _c_row_norms(X, q, w)),
+        (PosNegMaxNorm(LqNorm(q, dim)), lambda X: _two_part_norms(X, q)),
+        (PosNegMaxNorm(WeightedLqNorm(q, w)), lambda X: _two_part_norms(X, q, w)),
+    ]
+
+
+@pytest.mark.parametrize("rule", ["never", "always"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 7.5, "inf"])
+def test_dense_lq_family_is_the_two_call_row_reduce_bit_for_bit(monkeypatch, q, layout, rule):
+    # rows 1-8 hold -0.0, subnormal, 1e300 (its power overflows), +-inf, NaN and 0.0
+    # lanes, rows 9-11 infinite or NaN lanes of both signs: a part's sum must not turn
+    # an infinite lane of the other part into NaN
+    monkeypatch.setattr(norms, "_DENSE_LANE_SUMS", _DENSE_RULES[rule])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dim in range(1, 301):
+            V = _support_rows(dim, 12, 1.0, seed=dim)[0]
+            V[9, ::3], V[9, 1::3] = math.inf, -1e300
+            V[10, ::3], V[10, 1::3] = -math.inf, 1e300
+            V[11, ::3], V[11, 1::3] = math.nan, -math.inf
+            X = _laid_out(V, layout)
+            for N, want in _lq_family(q, dim):
+                assert N.values(X).tobytes() == want(X).tobytes(), (dim, N)
+
+
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 7.5, "inf"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dim", [7, 8, 12, 15, 16, 24, 25])
+def test_dense_size_rule_picks_the_lane_routine_by_layout_bit_for_bit(monkeypatch, q, layout, dim):
+    taken = []
+    lane_sums = norms._lane_sums
+    monkeypatch.setattr(norms, "_lane_sums", lambda A, atoms, d: taken.append(A.shape[0]) or lane_sums(A, atoms, d))
+    rows, top = norms._DENSE_LANE_SUMS["F" if layout == "F" else "C"]
+    for M in (rows - 1, rows):  # both sides of the rule
+        X = _laid_out(_block_rows(M, dim, "C", seed=M), layout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for N, want in _lq_family(q, dim):
+                taken.clear()
+                assert N.values(X).tobytes() == want(X).tobytes(), (M, N)
+                routine = q != "inf" and M >= rows and 8 <= dim <= top
+                assert taken == [M] * (2 if isinstance(N, PosNegMaxNorm) else 1) * routine, (M, N)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dim", [1, 5, 8, 13, 24, 100, 129, 300])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 7.5, "inf"])
+def test_values_on_of_the_lq_family_is_the_two_call_row_reduce_bit_for_bit(monkeypatch, q, dim, layout):
+    V, atoms = _support_rows(dim, 40, 0.3, seed=dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for entries in (1 << 62, 0):  # the scatter, the lane routine
+            monkeypatch.setattr(norms, "_LANE_SUMS_ENTRIES", entries)
+            for N, want in _lq_family(q, dim):
+                got = N.values_on(_laid_out(V, layout), atoms)
+                assert got.tobytes() == want(_full_rows(V, atoms, dim)).tobytes(), (entries, N)
+
+
+@pytest.mark.parametrize("q", [1.5, 3])
+def test_weighted_lq_is_its_base_of_the_product_bit_for_bit(q):
+    w = [1.0 + 0.25 * i for i in range(12)]
+    N = WeightedLqNorm(q, w)
+    for rows in (1, 7, 1024, 5461):
+        X = _block_rows(rows, 12, "C", seed=rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert N.values(X).tobytes() == LqNorm(q, 12).values(X * np.array(w)).tobytes()
+
+
+def test_posneg_max_takes_integer_and_float32_rows_as_their_float64_copies():
+    X = np.random.default_rng(5).integers(-9, 10, (2000, 12))
+    for N, _ in _lq_family(1.5, 12):
+        assert N.values(X).tobytes() == N.values(X.astype(np.float64)).tobytes()
+        X32 = (X / 7).astype(np.float32)
+        assert N.values(X32).tobytes() == N.values(X32.astype(np.float64)).tobytes()
+
+
+class _HalfOnLq(LqNorm):
+    """An Lq oracle whose support form halves the value: a subclass that overrides ``values_on`` alone."""
+
+    def values_on(self, V, atoms):
+        return 0.5 * super().values_on(V, atoms)
+
+
+def test_posneg_max_keeps_two_calls_of_a_base_that_overrides_values(counting_lq, nan_lq):
+    assert LqNorm._lane_form and WeightedLqNorm._lane_form
+    for cls in (counting_lq, nan_lq, _HalfLq, _HalfOnLq, BlockNorm, PosNegMaxNorm):
+        assert not cls._lane_form, cls
+    X = _block_rows(2000, 12, "C", seed=2)
+    want = PosNegMaxNorm(LqNorm(1.5, 12)).values(X)
+    base = counting_lq(1.5, 12)
+    assert PosNegMaxNorm(base).values(X).tobytes() == want.tobytes()
+    assert base.calls == [2000, 2000]  # one ``values`` call per part
+    V, atoms = _support_rows(12, 4096, 0.5, seed=3)  # past the support size rule
+    base.calls.clear()
+    with np.errstate(over="ignore"):
+        got = PosNegMaxNorm(base).values_on(V, atoms)
+        assert got.tobytes() == PosNegMaxNorm(LqNorm(1.5, 12)).values_on(V, atoms).tobytes()
+        assert base.calls == [4096, 4096]  # each part through the default ``values_on``
+        halved = PosNegMaxNorm(_HalfOnLq(1.5, 12)).values_on(V, atoms)
+        assert halved.tobytes() == (0.5 * got).tobytes()
+    # a NaN base reads NaN on every row with a nonzero part: the audit fails as it did
+    N = PosNegMaxNorm(nan_lq(1.5, 12))
+    assert np.isnan(N.values(np.random.default_rng(4).standard_normal((50, 12)))).all()
+    assert not audit_norm_axioms(N, samples=200, seed=0).passed
+
+
+def test_a_wrapper_patched_onto_the_classes_leaves_the_bits(monkeypatch):
+    # a tracer wraps ``values`` on the classes after they are made, which no
+    # ``__init_subclass__`` sees: the lane form stays, and so do the bits
+    q, dim = 1.5, 12
+    kinds = [N for N, _ in _lq_family(q, dim)]
+    X = np.random.default_rng(6).standard_normal((5461, dim))
+    V, atoms = _support_rows(dim, 4096, 0.5, seed=6)
+
+    def run():
+        with np.errstate(over="ignore"):
+            return [N.values(X).tobytes() for N in kinds] + [N.values_on(V, atoms).tobytes() for N in kinds]
+
+    want = run()
+    calls = []
+    for cls in (LqNorm, WeightedLqNorm, PosNegMaxNorm):
+        orig = vars(cls)["values"]
+        monkeypatch.setattr(cls, "values", functools.wraps(orig)(
+            lambda self, X, _orig=orig, _name=cls.__name__: calls.append(_name) or _orig(self, X)))
+    assert LqNorm._lane_form and WeightedLqNorm._lane_form
+    assert run() == want
+    # each dense call enters its own class's wrapper once: a PosNegMax takes its base's lanes
+    assert calls == ["LqNorm", "WeightedLqNorm", "PosNegMaxNorm", "PosNegMaxNorm"]
+
+
+def _peak_operands(N, X):
+    """The tracemalloc peak of one ``N.values(X)`` call, in buffers the size of ``X``."""
+    N.values(X)
+    tracemalloc.start()
+    try:
+        N.values(X)
+        return tracemalloc.get_traced_memory()[1] / X.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_lq_family_calls_stay_within_their_buffer_budget():
+    # one lane buffer, raised in place: a PosNegMax call holds it and the positive
+    # part (2.08 operands at 5461 x 12; 2.38 with a buffer per part and call), a
+    # WeightedLq call the buffer alone (1.17; 2.29 with the product apart)
+    X = np.random.default_rng(8).standard_normal((5461, 12))
+    assert _peak_operands(PosNegMaxNorm(LqNorm(1.5, 12)), X) < 2.25
+    assert _peak_operands(WeightedLqNorm(3, [1.0 + 0.25 * i for i in range(12)]), X) < 1.25
